@@ -291,8 +291,9 @@ inline void PrintMicroRow(const MicroResult& r) {
 }
 
 /// Writes `results` (+ derived ratios) as a JSON document at `path`.
-/// Returns false (after printing to stderr) if the file cannot be written;
-/// the numbers on stdout are unaffected.
+/// Returns false (after printing to stderr) if the file cannot be opened
+/// or the final flush fails (e.g. ENOSPC); the numbers on stdout are
+/// unaffected.
 inline bool WriteMicroJson(
     const std::string& path, const std::string& benchmark,
     const std::string& mode, const std::vector<MicroResult>& results,
@@ -327,7 +328,10 @@ inline bool WriteMicroJson(
                  derived[i].second, i + 1 < derived.size() ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 

@@ -94,18 +94,6 @@ ManagementService::ManagementService(MetadataStore* metadata,
       max_attempts_(max_attempts),
       storm_ended_at_(std::numeric_limits<EpochSeconds>::min() / 2) {}
 
-ManagementService::ManagementService(MetadataStore* metadata,
-                                     ControlPlaneConfig config,
-                                     SimpleResumeCallback resume,
-                                     int max_attempts)
-    : ManagementService(
-          metadata, config,
-          ResumeCallback([cb = std::move(resume)](const ResumeAttempt& a,
-                                                  EpochSeconds now) {
-            return cb(a.db, now);
-          }),
-          max_attempts) {}
-
 size_t ManagementService::pending_workflows() const {
   size_t n = 0;
   for (const auto& q : queues_) n += q.size();

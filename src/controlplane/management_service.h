@@ -179,15 +179,9 @@ class ManagementService {
  public:
   using ResumeCallback =
       std::function<Status(const ResumeAttempt& attempt, EpochSeconds now)>;
-  /// Legacy signature: (db, now).  Attempts of every class and hedges are
-  /// routed through it identically; kept so pre-storm callers compile
-  /// unchanged.
-  using SimpleResumeCallback = std::function<Status(DbId db, EpochSeconds now)>;
 
   ManagementService(MetadataStore* metadata, ControlPlaneConfig config,
                     ResumeCallback resume, int max_attempts = 3);
-  ManagementService(MetadataStore* metadata, ControlPlaneConfig config,
-                    SimpleResumeCallback resume, int max_attempts = 3);
 
   /// One iteration of the proactive resume operation.  Returns the number
   /// of databases proactively resumed in this iteration (the Figure 11

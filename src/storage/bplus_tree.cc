@@ -18,12 +18,9 @@ namespace {
 // Leaf payload:     int64 keys[leaf_cap]; uint8 values[leaf_cap][vw]
 // Internal payload: int64 keys[int_cap];  uint32 children[int_cap + 1]
 //
-// Meta page (page 0), format v2 (checksummed — what Create writes):
+// Meta page (page 0):
 //   uint32 magic; uint32 version (= 2); uint32 value_width; uint32 root;
 //   uint32 free_head; uint64 num_entries
-// Meta page, legacy format v1 (read-only; no version field):
-//   uint32 magic; uint32 value_width; uint32 root; uint32 free_head;
-//   uint64 num_entries
 
 constexpr uint32_t kMagic = 0x50525042;  // "PRPB"
 constexpr uint32_t kFormatV2 = 2;
@@ -31,10 +28,6 @@ constexpr uint16_t kTypeFree = 0;
 constexpr uint16_t kTypeLeaf = 1;
 constexpr uint16_t kTypeInternal = 2;
 constexpr uint32_t kHeaderSize = 8;
-
-const char* kReadOnlyMsg =
-    "legacy (v1) tree file is read-only: migrate it to the checksummed "
-    "format with MigrateLegacyTree";
 
 template <typename T>
 T Load(const uint8_t* p) {
@@ -186,10 +179,6 @@ BPlusTree::BPlusTree(BufferPool* pool, uint32_t value_width)
 
 Result<std::unique_ptr<BPlusTree>> BPlusTree::Create(BufferPool* pool,
                                                      uint32_t value_width) {
-  if (pool->format() != PageFormat::kChecksummedV2) {
-    return Status::FailedPrecondition(
-        "new trees are always created in the checksummed format");
-  }
   if (value_width > pool->usable_size() / 4) {
     return Status::InvalidArgument("value_width too large for page size");
   }
@@ -223,16 +212,8 @@ Result<std::unique_ptr<BPlusTree>> BPlusTree::Open(BufferPool* pool) {
   if (pool->disk()->num_pages() == 0) {
     return Status::NotFound("no meta page: backing store is empty");
   }
-  PRORP_ASSIGN_OR_RETURN(PageGuard meta, pool->Fetch(0));
-  const uint8_t* mp = meta.data();
-  if (Load<uint32_t>(mp) != kMagic) {
-    return Status::Corruption("bad B+tree magic");
-  }
-  bool legacy = pool->format() == PageFormat::kLegacyV1;
-  uint32_t value_width = Load<uint32_t>(mp + (legacy ? 4 : 8));
-  meta.Release();
-  std::unique_ptr<BPlusTree> tree(new BPlusTree(pool, value_width));
-  tree->read_only_ = legacy;
+  // LoadMeta reads the value width and sizes the nodes from it.
+  std::unique_ptr<BPlusTree> tree(new BPlusTree(pool, 0));
   PRORP_RETURN_IF_ERROR(tree->LoadMeta());
   return tree;
 }
@@ -243,22 +224,16 @@ Status BPlusTree::LoadMeta() {
   if (Load<uint32_t>(mp) != kMagic) {
     return Status::Corruption("bad B+tree magic");
   }
-  uint32_t base;
-  if (pool_->format() == PageFormat::kLegacyV1) {
-    base = 4;  // v1: no version field
-  } else {
-    if (Load<uint32_t>(mp + 4) != kFormatV2) {
-      return Status::Corruption("unsupported B+tree format version");
-    }
-    base = 8;
+  if (Load<uint32_t>(mp + 4) != kFormatV2) {
+    return Status::Corruption("unsupported B+tree format version");
   }
-  value_width_ = Load<uint32_t>(mp + base);
+  value_width_ = Load<uint32_t>(mp + 8);
   uint32_t usable = pool_->usable_size();
   leaf_capacity_ = (usable - kHeaderSize) / (8 + value_width_);
   internal_capacity_ = (usable - kHeaderSize - 4) / 12;
-  root_ = Load<uint32_t>(mp + base + 4);
-  free_list_head_ = Load<uint32_t>(mp + base + 8);
-  num_entries_ = Load<uint64_t>(mp + base + 12);
+  root_ = Load<uint32_t>(mp + 12);
+  free_list_head_ = Load<uint32_t>(mp + 16);
+  num_entries_ = Load<uint64_t>(mp + 20);
   return Status::OK();
 }
 
@@ -322,7 +297,6 @@ Result<std::vector<uint8_t>> BPlusTree::Find(int64_t key) const {
 }
 
 Status BPlusTree::Update(int64_t key, const uint8_t* value) {
-  if (read_only_) return Status::FailedPrecondition(kReadOnlyMsg);
   PRORP_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key));
   PRORP_ASSIGN_OR_RETURN(PageGuard page, pool_->Fetch(leaf_id));
   LeafView leaf{page.mutable_data(), leaf_capacity_, value_width_};
@@ -335,7 +309,6 @@ Status BPlusTree::Update(int64_t key, const uint8_t* value) {
 }
 
 Status BPlusTree::Insert(int64_t key, const uint8_t* value) {
-  if (read_only_) return Status::FailedPrecondition(kReadOnlyMsg);
   PRORP_ASSIGN_OR_RETURN(SplitResult split, InsertRec(root_, key, value));
   if (split.did_split) {
     // Grow a new root.
@@ -472,7 +445,6 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRec(PageId node_id,
 }
 
 Status BPlusTree::Delete(int64_t key) {
-  if (read_only_) return Status::FailedPrecondition(kReadOnlyMsg);
   PRORP_RETURN_IF_ERROR(DeleteRec(root_, key));
   // Shrink the root if it became a pass-through internal node.
   PRORP_ASSIGN_OR_RETURN(PageGuard page, pool_->Fetch(root_));
@@ -844,50 +816,6 @@ Status BPlusTree::CheckSubtree(PageId node_id, uint32_t depth,
         child_has_lower, child_upper, child_has_upper, entries));
   }
   return Status::OK();
-}
-
-Result<PageFormat> DetectTreeFormat(DiskManager* disk) {
-  if (disk->num_pages() == 0) {
-    return Status::NotFound("no meta page: backing store is empty");
-  }
-  uint8_t raw[kPageSize];
-  PRORP_RETURN_IF_ERROR(disk->Read(0, raw));
-  // A sealed v2 meta page verifies against its header and carries the
-  // magic + version at the payload offset.
-  if (VerifyPage(raw, 0, disk->path()).ok() &&
-      Load<uint32_t>(raw + kPageHeaderSize) == kMagic &&
-      Load<uint32_t>(raw + kPageHeaderSize + 4) == kFormatV2) {
-    return PageFormat::kChecksummedV2;
-  }
-  if (Load<uint32_t>(raw) == kMagic) {
-    return PageFormat::kLegacyV1;
-  }
-  return Status::Corruption("page 0 matches no known tree format",
-                            CorruptionContext{0, 0, 0, disk->path()});
-}
-
-Result<std::unique_ptr<BPlusTree>> MigrateLegacyTree(DiskManager* legacy_disk,
-                                                     BufferPool* dst_pool) {
-  if (dst_pool->format() != PageFormat::kChecksummedV2) {
-    return Status::InvalidArgument(
-        "migration destination pool must use the checksummed format");
-  }
-  BufferPool legacy_pool(legacy_disk, 64, PageFormat::kLegacyV1);
-  PRORP_ASSIGN_OR_RETURN(std::unique_ptr<BPlusTree> src,
-                         BPlusTree::Open(&legacy_pool));
-  PRORP_ASSIGN_OR_RETURN(std::unique_ptr<BPlusTree> dst,
-                         BPlusTree::Create(dst_pool, src->value_width()));
-  Status insert_status = Status::OK();
-  PRORP_RETURN_IF_ERROR(src->ScanRange(
-      INT64_MIN, INT64_MAX, [&](int64_t key, const uint8_t* value) {
-        insert_status = dst->Insert(key, value);
-        return insert_status.ok();
-      }));
-  PRORP_RETURN_IF_ERROR(insert_status);
-  if (dst->size() != src->size()) {
-    return Status::Internal("migration lost entries");
-  }
-  return dst;
 }
 
 }  // namespace prorp::storage

@@ -24,11 +24,9 @@ namespace prorp::storage {
 /// Keys are unique (the history table enforces unique timestamps).  Values
 /// are `value_width` bytes; the SQL layer packs non-key columns into them.
 ///
-/// Node layouts live inside the buffer pool's usable payload, so their
-/// capacities depend on the pool's page format: checksummed pages lose
-/// kPageHeaderSize bytes to the integrity header.  The meta page carries a
-/// format version; v2 (checksummed) is what Create writes, v1 files open
-/// read-only through a legacy-format pool (see MigrateLegacyTree).
+/// Node layouts live inside the buffer pool's usable payload: every page
+/// loses kPageHeaderSize bytes to the integrity header.  The meta page
+/// carries a magic number and a format version, which Open checks.
 ///
 /// Single-writer; not internally synchronized.
 class BPlusTree {
@@ -43,9 +41,7 @@ class BPlusTree {
   static Result<std::unique_ptr<BPlusTree>> Create(BufferPool* pool,
                                                    uint32_t value_width);
 
-  /// Opens an existing tree (meta page 0 must exist and be valid).  The
-  /// pool's page format must match the file's: a v2 file needs a
-  /// checksummed pool, a v1 file a legacy pool (and opens read-only).
+  /// Opens an existing tree (meta page 0 must exist and be valid).
   static Result<std::unique_ptr<BPlusTree>> Open(BufferPool* pool);
 
   BPlusTree(const BPlusTree&) = delete;
@@ -95,10 +91,6 @@ class BPlusTree {
   /// Maximum number of keys an internal node holds.
   uint32_t internal_capacity() const { return internal_capacity_; }
 
-  /// True for trees opened from a legacy (v1) file: reads work, mutating
-  /// operations return FailedPrecondition.
-  bool read_only() const { return read_only_; }
-
  private:
   struct SplitResult {
     bool did_split = false;
@@ -134,23 +126,7 @@ class BPlusTree {
   PageId root_ = kInvalidPageId;
   PageId free_list_head_ = kInvalidPageId;
   uint64_t num_entries_ = 0;
-  bool read_only_ = false;
 };
-
-/// Sniffs the on-disk format of an existing tree file by inspecting page 0
-/// raw: a sealed page whose payload carries the v2 meta layout is
-/// kChecksummedV2, a bare v1 meta page is kLegacyV1.  Errors when the
-/// store is empty or page 0 matches neither.
-Result<PageFormat> DetectTreeFormat(DiskManager* disk);
-
-/// One-shot migration of a legacy (v1, unchecksummed) tree into the
-/// checksummed format.  Node capacities differ between formats, so pages
-/// cannot be copied verbatim: the legacy tree is opened read-only and its
-/// entries bulk-inserted into a fresh v2 tree created in `dst_pool`
-/// (which must be checksummed and backed by an empty store).  Returns the
-/// migrated tree; the legacy store is left untouched.
-Result<std::unique_ptr<BPlusTree>> MigrateLegacyTree(DiskManager* legacy_disk,
-                                                     BufferPool* dst_pool);
 
 }  // namespace prorp::storage
 

@@ -17,8 +17,8 @@ void PageGuard::Release() {
   }
 }
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity, PageFormat format)
-    : disk_(disk), capacity_(capacity < 2 ? 2 : capacity), format_(format) {
+BufferPool::BufferPool(DiskManager* disk, size_t capacity)
+    : disk_(disk), capacity_(capacity < 2 ? 2 : capacity) {
   frames_.resize(capacity_);
   for (size_t i = 0; i < capacity_; ++i) {
     frames_[i].data = std::make_unique<uint8_t[]>(kPageSize);
@@ -41,7 +41,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
       f.in_lru = false;
     }
     ++f.pin_count;
-    return PageGuard(this, id, f.data.get() + payload_offset());
+    return PageGuard(this, id, f.data.get() + kPageHeaderSize);
   }
   ++stats_.misses;
   PRORP_ASSIGN_OR_RETURN(size_t frame_idx, AcquireFrame());
@@ -51,23 +51,21 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
     free_frames_.push_back(frame_idx);
     return s;
   }
-  if (format_ == PageFormat::kChecksummedV2) {
-    ++stats_.pages_verified;
-    Status v = VerifyPage(f.data.get(), id, disk_->path());
-    if (!v.ok()) {
-      // The corrupt image never reaches a caller: drop the frame so a
-      // retry after repair re-reads from disk.
-      ++stats_.checksum_failures;
-      free_frames_.push_back(frame_idx);
-      return v;
-    }
+  ++stats_.pages_verified;
+  Status v = VerifyPage(f.data.get(), id, disk_->path());
+  if (!v.ok()) {
+    // The corrupt image never reaches a caller: drop the frame so a retry
+    // after repair re-reads from disk.
+    ++stats_.checksum_failures;
+    free_frames_.push_back(frame_idx);
+    return v;
   }
   f.id = id;
   f.pin_count = 1;
   f.dirty = false;
   f.in_lru = false;
   page_to_frame_[id] = frame_idx;
-  return PageGuard(this, id, f.data.get() + payload_offset());
+  return PageGuard(this, id, f.data.get() + kPageHeaderSize);
 }
 
 Result<PageGuard> BufferPool::New() {
@@ -87,14 +85,12 @@ Result<PageGuard> BufferPool::New() {
   f.dirty = true;
   f.in_lru = false;
   page_to_frame_[id] = frame_idx;
-  return PageGuard(this, id, f.data.get() + payload_offset());
+  return PageGuard(this, id, f.data.get() + kPageHeaderSize);
 }
 
 Status BufferPool::WriteBack(Frame& f) {
-  if (format_ == PageFormat::kChecksummedV2) {
-    SealPage(f.data.get(), f.id, current_lsn_);
-    ++stats_.pages_sealed;
-  }
+  SealPage(f.data.get(), f.id, current_lsn_);
+  ++stats_.pages_sealed;
   PRORP_RETURN_IF_ERROR(disk_->Write(f.id, f.data.get()));
   ++stats_.dirty_writebacks;
   f.dirty = false;

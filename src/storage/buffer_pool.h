@@ -82,26 +82,24 @@ struct BufferPoolStats {
 /// Single-threaded by design: ProRP runs one history store per database and
 /// the fleet simulator drives them from one thread (see DESIGN.md).
 ///
-/// The pool owns the on-disk page format (see PageFormat in page.h).  In
-/// the default checksummed format every frame's first kPageHeaderSize
-/// bytes hold the integrity header: clients see usable_size() payload
-/// bytes, the header is stamped (SealPage) on every writeback and
-/// verified (VerifyPage) on every fetch from disk.  Disk managers below
-/// stay byte-oriented and never interpret the header.
+/// The pool owns the on-disk page format (see page.h): every frame's
+/// first kPageHeaderSize bytes hold the integrity header, clients see
+/// usable_size() payload bytes, and the header is stamped (SealPage) on
+/// every writeback and verified (VerifyPage) on every fetch from disk.
+/// Disk managers below stay byte-oriented and never interpret the header.
 class BufferPool {
  public:
   /// `capacity` is the number of in-memory frames (>= 2: the B+tree pins at
   /// most a small constant number of pages at a time, but give it room).
-  BufferPool(DiskManager* disk, size_t capacity,
-             PageFormat format = PageFormat::kChecksummedV2);
+  BufferPool(DiskManager* disk, size_t capacity);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Pins page `id`, reading it from disk on a miss.  In the checksummed
-  /// format a page that fails verification is never handed to the caller:
-  /// Fetch returns Status::Corruption with structured context instead.
+  /// Pins page `id`, reading it from disk on a miss.  A page that fails
+  /// verification is never handed to the caller: Fetch returns
+  /// Status::Corruption with structured context instead.
   Result<PageGuard> Fetch(PageId id);
 
   /// Allocates a fresh zeroed page on disk and pins it.
@@ -116,14 +114,9 @@ class BufferPool {
   size_t capacity() const { return capacity_; }
   const BufferPoolStats& stats() const { return stats_; }
   DiskManager* disk() const { return disk_; }
-  PageFormat format() const { return format_; }
 
-  /// Payload bytes a PageGuard exposes: kPageUsableSize in the
-  /// checksummed format, the full kPageSize for legacy files.
-  uint32_t usable_size() const {
-    return format_ == PageFormat::kChecksummedV2 ? kPageUsableSize
-                                                 : kPageSize;
-  }
+  /// Payload bytes a PageGuard exposes.
+  uint32_t usable_size() const { return kPageUsableSize; }
 
   /// LSN stamped into page headers on subsequent writebacks.  The
   /// DurableTree advances this after each WAL append; purely diagnostic.
@@ -150,17 +143,11 @@ class BufferPool {
   /// frame index or an error if everything is pinned.
   Result<size_t> AcquireFrame();
 
-  /// Seals (checksummed format) and writes the frame's page to disk.
+  /// Seals and writes the frame's page to disk.
   Status WriteBack(Frame& f);
-
-  /// Offset of the client payload within a frame.
-  uint32_t payload_offset() const {
-    return format_ == PageFormat::kChecksummedV2 ? kPageHeaderSize : 0;
-  }
 
   DiskManager* disk_;
   size_t capacity_;
-  PageFormat format_;
   uint64_t current_lsn_ = 0;
   std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> page_to_frame_;

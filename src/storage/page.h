@@ -17,21 +17,9 @@ using PageId = uint32_t;
 
 inline constexpr PageId kInvalidPageId = 0xFFFFFFFFu;
 
-/// On-disk page formats.  The buffer pool owns the format: disk managers
-/// move raw kPageSize blobs either way.
-///
-/// kChecksummedV2 prefixes every page with a 16-byte integrity header
-/// (below); clients see kPageUsableSize bytes of payload.  kLegacyV1 is
-/// the pre-header format — the full page is payload and nothing is
-/// verified.  Legacy files open read-only; MigrateLegacyTree rebuilds
-/// them into the checksummed format (capacities differ, so pages cannot
-/// be copied verbatim).
-enum class PageFormat : uint32_t {
-  kLegacyV1 = 1,
-  kChecksummedV2 = 2,
-};
-
-/// Integrity header prefixed to every checksummed page:
+/// Integrity header the buffer pool prefixes to every page; clients see
+/// kPageUsableSize bytes of payload, and disk managers move raw kPageSize
+/// blobs without interpreting it:
 ///   offset  0: uint32 crc      CRC-32 over bytes [4, kPageSize)
 ///   offset  4: uint32 page_id  the page's own id (catches misdirected I/O)
 ///   offset  8: uint64 lsn      last-writer LSN (diagnostics)

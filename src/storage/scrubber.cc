@@ -75,12 +75,7 @@ Result<ScrubReport> ScrubTree(BufferPool* pool, const BPlusTree* tree) {
   // show up as false positives; write them out first.
   PRORP_RETURN_IF_ERROR(pool->FlushAll());
 
-  ScrubReport report;
-  if (pool->format() == PageFormat::kChecksummedV2) {
-    PRORP_ASSIGN_OR_RETURN(report, ScrubPages(pool->disk()));
-  } else {
-    report.pages_scanned = pool->disk()->num_pages();
-  }
+  PRORP_ASSIGN_OR_RETURN(ScrubReport report, ScrubPages(pool->disk()));
 
   // Structural pass.  CheckInvariants fetches through the pool, so every
   // page it touches is checksum-verified on the way in as well.

@@ -1,5 +1,7 @@
 #include "workload/region.h"
 
+#include "workload/trace_source.h"
+
 namespace prorp::workload {
 
 // Mix weights are calibrated so that (a) idle-gap fragmentation matches
@@ -83,34 +85,42 @@ std::vector<RegionProfile> AllRegions() {
   return {RegionEU1(), RegionEU2(), RegionUS1(), RegionUS2()};
 }
 
+DbPlacement DrawPlacement(const RegionProfile& profile, EpochSeconds from,
+                          EpochSeconds to, EpochSeconds new_from, Rng& rng) {
+  double total_weight = 0;
+  for (const auto& [pattern, weight] : profile.mix) total_weight += weight;
+  DbPlacement placement;
+  placement.pattern = profile.mix.back().first;
+  double pick = rng.NextDouble() * total_weight;
+  for (const auto& [candidate, weight] : profile.mix) {
+    if (pick < weight) {
+      placement.pattern = candidate;
+      break;
+    }
+    pick -= weight;
+  }
+  placement.start = from;
+  if (rng.NextBool(profile.new_db_fraction) && new_from > from) {
+    placement.start = new_from + rng.NextInt(0, to - new_from - 1);
+  }
+  return placement;
+}
+
 std::vector<DbTrace> GenerateFleet(const RegionProfile& profile,
                                    size_t num_dbs, EpochSeconds from,
                                    EpochSeconds to, uint64_t seed,
                                    EpochSeconds new_from) {
   if (new_from <= 0) new_from = from;
   Rng master(seed);
-  double total_weight = 0;
-  for (const auto& [pattern, weight] : profile.mix) total_weight += weight;
-
   std::vector<DbTrace> fleet;
   fleet.reserve(num_dbs);
   for (size_t i = 0; i < num_dbs; ++i) {
+    // Sequential Fork, unlike StreamingFleetSource's ForkStream: the
+    // figure benches' calibrated fleets are defined by this derivation.
     Rng db_rng = master.Fork();
-    double pick = db_rng.NextDouble() * total_weight;
-    PatternType pattern = profile.mix.back().first;
-    for (const auto& [candidate, weight] : profile.mix) {
-      if (pick < weight) {
-        pattern = candidate;
-        break;
-      }
-      pick -= weight;
-    }
-    EpochSeconds start = from;
-    if (db_rng.NextBool(profile.new_db_fraction) && new_from > from) {
-      start = new_from + db_rng.NextInt(0, to - new_from - 1);
-    }
-    fleet.push_back(GenerateTrace(pattern, static_cast<uint32_t>(i), start,
-                                  to, db_rng));
+    DbPlacement placement = DrawPlacement(profile, from, to, new_from, db_rng);
+    fleet.push_back(GenerateTrace(placement.pattern, static_cast<uint32_t>(i),
+                                  placement.start, to, db_rng));
   }
   return fleet;
 }

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "workload/patterns.h"
+#include "common/random.h"
 #include "workload/trace.h"
 
 namespace prorp::workload {
@@ -30,6 +30,20 @@ RegionProfile RegionEU2();
 RegionProfile RegionUS1();
 RegionProfile RegionUS2();
 std::vector<RegionProfile> AllRegions();
+
+/// One database's place in its region's fleet.
+struct DbPlacement {
+  PatternType pattern = PatternType::kSporadic;
+  /// Start of the database's trace: `from`, or its creation time inside
+  /// [new_from, to) for a database drawn as new.
+  EpochSeconds start = 0;
+};
+
+/// Draws a database's archetype from the profile's mix, then whether it
+/// is new.  Every fleet generator consumes the database's stream in this
+/// order and hands the rest of it to the archetype generator.
+DbPlacement DrawPlacement(const RegionProfile& profile, EpochSeconds from,
+                          EpochSeconds to, EpochSeconds new_from, Rng& rng);
 
 /// Generates a fleet of `num_dbs` traces over [from, to).  Databases drawn
 /// as "new" are created at a random time inside [new_from, to) instead of

@@ -1,7 +1,5 @@
 #include "workload/trace.h"
 
-#include <algorithm>
-
 namespace prorp::workload {
 
 std::string_view PatternTypeName(PatternType type) {
@@ -22,32 +20,6 @@ std::string_view PatternTypeName(PatternType type) {
       return "dev_test";
   }
   return "unknown";
-}
-
-void NormalizeSessions(std::vector<Session>& sessions, EpochSeconds from,
-                       EpochSeconds to, DurationSeconds min_gap) {
-  // Clip and drop degenerate sessions.
-  std::vector<Session> clipped;
-  clipped.reserve(sessions.size());
-  for (Session s : sessions) {
-    s.start = std::max(s.start, from);
-    s.end = std::min(s.end, to);
-    if (s.end - s.start >= 1) clipped.push_back(s);
-  }
-  std::sort(clipped.begin(), clipped.end(),
-            [](const Session& a, const Session& b) {
-              return a.start < b.start;
-            });
-  // Merge sessions that overlap or are closer than min_gap.
-  std::vector<Session> merged;
-  for (const Session& s : clipped) {
-    if (!merged.empty() && s.start - merged.back().end < min_gap) {
-      merged.back().end = std::max(merged.back().end, s.end);
-    } else {
-      merged.push_back(s);
-    }
-  }
-  sessions = std::move(merged);
 }
 
 GapStats ComputeGapStats(const std::vector<DbTrace>& traces,

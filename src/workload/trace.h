@@ -46,13 +46,6 @@ struct DbTrace {
   std::vector<Session> sessions;
 };
 
-/// Sorts, clips to [from, to), merges overlaps, and enforces a minimum
-/// inter-session gap (logins one second apart would collide in the
-/// history's unique-timestamp column).
-void NormalizeSessions(std::vector<Session>& sessions, EpochSeconds from,
-                       EpochSeconds to,
-                       DurationSeconds min_gap = kSecondsPerMinute);
-
 /// Idle-gap fragmentation statistics (Figure 3): the distribution of idle
 /// intervals between consecutive sessions, by count and by total duration.
 struct GapStats {

@@ -1,33 +1,22 @@
 #include "workload/trace_source.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
-
-#include "common/random.h"
 
 namespace prorp::workload {
 namespace {
 
 // ---------------------------------------------------------------------
-// Raw pattern generators: resumable forms of the archetype generators in
-// patterns.cc.  Each emits the same *shape* of trace — day-batch
-// archetypes buffer one day of sessions at a time, cursor archetypes
-// carry a single running timestamp — and every one emits sessions in
-// ascending start order, which the normalizing wrapper below relies on.
+// Archetype generators.  Each is a cursor over unclipped, unmerged
+// sessions in ascending start order, which NormalizingCursor relies on.
+// Day-batch archetypes buffer one day of sessions at a time; cursor
+// archetypes carry a single running timestamp.
 // ---------------------------------------------------------------------
-
-/// Unclipped, unmerged sessions in ascending start order.
-class RawGen {
- public:
-  virtual ~RawGen() = default;
-  virtual bool Next(Session* out) = 0;
-};
 
 /// Archetypes generated a day at a time (DailyBusiness, Daily, Weekly,
 /// Bursty, DevTest): advances the day cursor until a day yields sessions,
 /// buffering at most one day (<= ~130 sessions for a bursty day).
-class DayBatchGen : public RawGen {
+class DayBatchGen : public SessionCursor {
  public:
   DayBatchGen(EpochSeconds from, EpochSeconds to)
       : day_(StartOfDay(from)), to_(to) {}
@@ -55,13 +44,21 @@ class DayBatchGen : public RawGen {
   size_t idx_ = 0;
 };
 
-/// Weekday business usage with loose within-day timing and intraday
-/// breaks (patterns.cc DailyBusiness).
+/// Weekday business usage with LOOSE within-day timing: the first login
+/// of a day lands anywhere inside a per-database window of several hours
+/// (different teams, time zones, automation schedules), which is what
+/// makes the prediction window size matter (Figure 8): narrow windows
+/// catch too few historical logins to clear the confidence threshold.
+/// Intraday breaks create the short idle gaps of Figure 3(a).
 class DailyBusinessGen final : public DayBatchGen {
  public:
   DailyBusinessGen(EpochSeconds from, EpochSeconds to, Rng rng)
       : DayBatchGen(from, to), rng_(rng) {
-    base_ = Hours(5) + rng_.NextInt(0, Hours(4));
+    base_ = Hours(5) + rng_.NextInt(0, Hours(4));  // 5:00-9:00
+    // Half the population keeps a tight habitual login hour (predictable
+    // at any window size); the other half logs in anywhere within a wide
+    // span (predictable only once the window is wide enough) — the blend
+    // that produces Figure 8's window-size sensitivity.
     spread_ = rng_.NextBool(0.5)
                   ? Minutes(40) + rng_.NextInt(0, Minutes(80))
                   : Hours(9) + rng_.NextInt(0, Hours(4));
@@ -70,16 +67,17 @@ class DailyBusinessGen final : public DayBatchGen {
  protected:
   void GenerateDay(EpochSeconds day) override {
     if (IsWeekend(day)) {
-      if (rng_.NextBool(0.05)) {
+      if (rng_.NextBool(0.05)) {  // rare weekend check-in
         EpochSeconds s = day + Hours(10) + rng_.NextInt(0, Hours(6));
         buf_.push_back({s, s + rng_.NextInt(Minutes(10), Hours(1))});
       }
       return;
     }
-    if (rng_.NextBool(0.12)) return;
+    if (rng_.NextBool(0.12)) return;  // day off
     EpochSeconds start = day + base_ + rng_.NextInt(0, spread_);
     DurationSeconds work_span = Hours(3) + rng_.NextInt(0, Hours(5));
     EpochSeconds end = start + work_span;
+    // Intraday breaks split the day into 1-3 sessions.
     EpochSeconds cuts[2];
     size_t num_cuts = 0;
     if (rng_.NextBool(0.75)) {
@@ -96,7 +94,7 @@ class DailyBusinessGen final : public DayBatchGen {
       EpochSeconds cut = cuts[i];
       if (cut <= cursor + Minutes(30) || cut >= end - Minutes(30)) continue;
       buf_.push_back({cursor, cut});
-      cursor = cut + rng_.NextInt(Minutes(10), Minutes(90));
+      cursor = cut + rng_.NextInt(Minutes(10), Minutes(90));  // the break
     }
     if (cursor < end) buf_.push_back({cursor, end});
   }
@@ -107,7 +105,8 @@ class DailyBusinessGen final : public DayBatchGen {
   DurationSeconds spread_;
 };
 
-/// Daily usage, seven days a week (patterns.cc Daily).
+/// Daily usage, seven days a week, with the same loose within-day timing
+/// (e.g. a dashboard refreshed "sometime during the day").
 class DailyGen final : public DayBatchGen {
  public:
   DailyGen(EpochSeconds from, EpochSeconds to, Rng rng)
@@ -138,7 +137,7 @@ class DailyGen final : public DayBatchGen {
   DurationSeconds spread_;
 };
 
-/// One or two fixed weekdays (patterns.cc Weekly).
+/// One or two fixed weekdays (weekly reporting jobs).
 class WeeklyGen final : public DayBatchGen {
  public:
   WeeklyGen(EpochSeconds from, EpochSeconds to, Rng rng)
@@ -164,7 +163,8 @@ class WeeklyGen final : public DayBatchGen {
   DurationSeconds hour_;
 };
 
-/// Rare days packed with dozens of short sessions (patterns.cc Bursty).
+/// Rare days packed with dozens of short sessions (automated test suites,
+/// agent retries).  Produces the worst-case history sizes of Figure 10(a).
 class BurstyGen final : public DayBatchGen {
  public:
   BurstyGen(EpochSeconds from, EpochSeconds to, Rng rng)
@@ -186,7 +186,7 @@ class BurstyGen final : public DayBatchGen {
   Rng rng_;
 };
 
-/// Occasional short workday sessions (patterns.cc DevTest).
+/// Occasional short sessions on workdays.
 class DevTestGen final : public DayBatchGen {
  public:
   DevTestGen(EpochSeconds from, EpochSeconds to, Rng rng)
@@ -208,9 +208,9 @@ class DevTestGen final : public DayBatchGen {
   Rng rng_;
 };
 
-/// Near-continuous usage (patterns.cc AlwaysBusy): a single running
-/// timestamp, one session per pull.
-class AlwaysBusyGen final : public RawGen {
+/// Near-continuous usage: long sessions separated by short gaps.  The
+/// dominant source of sub-hour idle intervals.
+class AlwaysBusyGen final : public SessionCursor {
  public:
   AlwaysBusyGen(EpochSeconds from, EpochSeconds to, Rng rng)
       : to_(to), rng_(rng) {
@@ -236,8 +236,8 @@ class AlwaysBusyGen final : public RawGen {
   Rng rng_;
 };
 
-/// Poisson sessions days apart (patterns.cc Sporadic).
-class SporadicGen final : public RawGen {
+/// Poisson sessions days apart: the unpredictable tail of the fleet.
+class SporadicGen final : public SessionCursor {
  public:
   SporadicGen(EpochSeconds from, EpochSeconds to, Rng rng)
       : to_(to), rng_(rng) {
@@ -263,8 +263,9 @@ class SporadicGen final : public RawGen {
   Rng rng_;
 };
 
-std::unique_ptr<RawGen> MakeRawGen(PatternType pattern, EpochSeconds from,
-                                   EpochSeconds to, Rng rng) {
+std::unique_ptr<SessionCursor> MakeGenerator(PatternType pattern,
+                                             EpochSeconds from,
+                                             EpochSeconds to, Rng rng) {
   switch (pattern) {
     case PatternType::kDailyBusiness:
       return std::make_unique<DailyBusinessGen>(from, to, rng);
@@ -284,51 +285,13 @@ std::unique_ptr<RawGen> MakeRawGen(PatternType pattern, EpochSeconds from,
   return std::make_unique<SporadicGen>(from, to, rng);
 }
 
-/// Applies NormalizeSessions' clip/merge/min-gap rules one session at a
-/// time.  The sort NormalizeSessions performs is a no-op here because
-/// raw generators emit ascending starts (clipping preserves that).
-class NormalizingCursor final : public SessionCursor {
- public:
-  NormalizingCursor(std::unique_ptr<RawGen> gen, EpochSeconds from,
-                    EpochSeconds to, DurationSeconds min_gap)
-      : gen_(std::move(gen)), from_(from), to_(to), min_gap_(min_gap) {}
-
-  bool Next(Session* out) override {
-    for (;;) {
-      Session raw;
-      if (!gen_ || !gen_->Next(&raw)) {
-        gen_.reset();
-        if (!have_pending_) return false;
-        have_pending_ = false;
-        *out = pending_;
-        return true;
-      }
-      raw.start = std::max(raw.start, from_);
-      raw.end = std::min(raw.end, to_);
-      if (raw.end - raw.start < 1) continue;
-      if (!have_pending_) {
-        pending_ = raw;
-        have_pending_ = true;
-        continue;
-      }
-      if (raw.start - pending_.end < min_gap_) {
-        pending_.end = std::max(pending_.end, raw.end);
-        continue;
-      }
-      *out = pending_;
-      pending_ = raw;
-      return true;
-    }
-  }
-
- private:
-  std::unique_ptr<RawGen> gen_;
-  EpochSeconds from_;
-  EpochSeconds to_;
-  DurationSeconds min_gap_;
-  Session pending_;
-  bool have_pending_ = false;
-};
+/// The normalized trace of one database of `pattern` over [from, to).
+std::unique_ptr<SessionCursor> OpenTrace(PatternType pattern,
+                                         EpochSeconds from, EpochSeconds to,
+                                         Rng rng) {
+  return std::make_unique<NormalizingCursor>(
+      MakeGenerator(pattern, from, to, rng), from, to);
+}
 
 class VectorCursor final : public SessionCursor {
  public:
@@ -348,6 +311,39 @@ class VectorCursor final : public SessionCursor {
 
 }  // namespace
 
+NormalizingCursor::NormalizingCursor(std::unique_ptr<SessionCursor> raw,
+                                     EpochSeconds from, EpochSeconds to,
+                                     DurationSeconds min_gap)
+    : raw_(std::move(raw)), from_(from), to_(to), min_gap_(min_gap) {}
+
+bool NormalizingCursor::Next(Session* out) {
+  for (;;) {
+    Session raw;
+    if (!raw_ || !raw_->Next(&raw)) {
+      raw_.reset();
+      if (!have_pending_) return false;
+      have_pending_ = false;
+      *out = pending_;
+      return true;
+    }
+    raw.start = std::max(raw.start, from_);
+    raw.end = std::min(raw.end, to_);
+    if (raw.end - raw.start < 1) continue;
+    if (!have_pending_) {
+      pending_ = raw;
+      have_pending_ = true;
+      continue;
+    }
+    if (raw.start - pending_.end < min_gap_) {
+      pending_.end = std::max(pending_.end, raw.end);
+      continue;
+    }
+    *out = pending_;
+    pending_ = raw;
+    return true;
+  }
+}
+
 std::unique_ptr<SessionCursor> MaterializedTraceSource::Open(
     uint32_t db_id) const {
   return std::make_unique<VectorCursor>(&(*traces_)[db_id].sessions);
@@ -362,43 +358,34 @@ StreamingFleetSource::StreamingFleetSource(RegionProfile profile,
       from_(from),
       to_(to),
       new_from_(new_from <= 0 ? from : new_from),
-      seed_(seed) {
-  for (const auto& [pattern, weight] : profile_.mix) total_weight_ += weight;
-}
+      seed_(seed) {}
 
 std::unique_ptr<SessionCursor> StreamingFleetSource::Open(
     uint32_t db_id) const {
-  // Mirrors GenerateFleet's per-database draw order (archetype pick, then
-  // the new-database creation time), but addresses the stream purely so
-  // database k is reconstructible in O(1) from any shard.
+  // Addresses database k's stream purely, so it is reconstructible in
+  // O(1) from any shard.
   Rng db_rng = Rng(seed_).ForkStream(db_id);
-  double pick = db_rng.NextDouble() * total_weight_;
-  PatternType pattern = profile_.mix.back().first;
-  for (const auto& [candidate, weight] : profile_.mix) {
-    if (pick < weight) {
-      pattern = candidate;
-      break;
-    }
-    pick -= weight;
-  }
-  EpochSeconds start = from_;
-  if (db_rng.NextBool(profile_.new_db_fraction) && new_from_ > from_) {
-    start = new_from_ + db_rng.NextInt(0, to_ - new_from_ - 1);
-  }
-  return std::make_unique<NormalizingCursor>(
-      MakeRawGen(pattern, start, to_, db_rng), start, to_,
-      kSecondsPerMinute);
+  DbPlacement placement =
+      DrawPlacement(profile_, from_, to_, new_from_, db_rng);
+  return OpenTrace(placement.pattern, placement.start, to_, db_rng);
 }
 
 PatternType StreamingFleetSource::PatternOf(uint32_t db_id) const {
   Rng db_rng = Rng(seed_).ForkStream(db_id);
-  double pick = db_rng.NextDouble() * total_weight_;
-  PatternType pattern = profile_.mix.back().first;
-  for (const auto& [candidate, weight] : profile_.mix) {
-    if (pick < weight) return candidate;
-    pick -= weight;
-  }
-  return pattern;
+  return DrawPlacement(profile_, from_, to_, new_from_, db_rng).pattern;
+}
+
+DbTrace GenerateTrace(PatternType pattern, uint32_t db_id, EpochSeconds from,
+                      EpochSeconds to, Rng rng) {
+  DbTrace trace;
+  trace.db_id = db_id;
+  trace.pattern = pattern;
+  std::unique_ptr<SessionCursor> cursor = OpenTrace(pattern, from, to, rng);
+  Session s;
+  while (cursor->Next(&s)) trace.sessions.push_back(s);
+  trace.created_at =
+      trace.sessions.empty() ? from : trace.sessions.front().start;
+  return trace;
 }
 
 std::vector<Session> CollectSessions(const TraceSource& source,

@@ -5,21 +5,44 @@
 #include <memory>
 #include <vector>
 
+#include "common/random.h"
 #include "workload/region.h"
 #include "workload/trace.h"
 
 namespace prorp::workload {
 
-/// Pull iterator over one database's activity trace.  Sessions come out
-/// normalized exactly as NormalizeSessions leaves a materialized trace:
-/// non-overlapping, ascending, clipped to the generation window, with the
-/// minimum inter-session gap enforced.
+/// Pull iterator over a sequence of sessions.  The cursors a TraceSource
+/// opens yield a normalized trace: non-overlapping, ascending, clipped to
+/// the generation window, with the minimum inter-session gap enforced
+/// (see NormalizingCursor).
 class SessionCursor {
  public:
   virtual ~SessionCursor() = default;
 
   /// Writes the next session and returns true; false at end of trace.
   virtual bool Next(Session* out) = 0;
+};
+
+/// Normalizes a raw cursor whose sessions come in ascending start order:
+/// clips each session to [from, to), drops those shorter than a second,
+/// and merges sessions that overlap or sit closer than `min_gap` (logins
+/// one second apart would collide in the history's unique-timestamp
+/// column).  Holds one pending session, so it runs in O(1) memory.
+class NormalizingCursor final : public SessionCursor {
+ public:
+  NormalizingCursor(std::unique_ptr<SessionCursor> raw, EpochSeconds from,
+                    EpochSeconds to,
+                    DurationSeconds min_gap = kSecondsPerMinute);
+
+  bool Next(Session* out) override;
+
+ private:
+  std::unique_ptr<SessionCursor> raw_;
+  EpochSeconds from_;
+  EpochSeconds to_;
+  DurationSeconds min_gap_;
+  Session pending_;
+  bool have_pending_ = false;
 };
 
 /// A fleet of activity traces accessed database-by-database.  The fleet
@@ -63,10 +86,6 @@ class MaterializedTraceSource final : public TraceSource {
 /// reconstructs exactly the traces of a serial run without coordination.
 /// Note this derivation differs from GenerateFleet's sequential Fork, so
 /// the two produce statistically equivalent but not identical fleets.
-///
-/// Sessions are normalized on the fly with the same clip/merge/min-gap
-/// rules as NormalizeSessions — valid because every archetype generator
-/// emits sessions in ascending start order.
 class StreamingFleetSource final : public TraceSource {
  public:
   StreamingFleetSource(RegionProfile profile, size_t num_dbs,
@@ -82,13 +101,20 @@ class StreamingFleetSource final : public TraceSource {
 
  private:
   RegionProfile profile_;
-  double total_weight_ = 0;
   size_t num_dbs_;
   EpochSeconds from_;
   EpochSeconds to_;
   EpochSeconds new_from_;
   uint64_t seed_;
 };
+
+/// Generates the activity trace of one database of the given pattern over
+/// [from, to) by draining the same normalized cursor StreamingFleetSource
+/// opens.  `rng` is the database's private stream; the same seed
+/// reproduces the same trace.  The trace's created_at is the first
+/// session start (>= from), or `from` when the trace is empty.
+DbTrace GenerateTrace(PatternType pattern, uint32_t db_id, EpochSeconds from,
+                      EpochSeconds to, Rng rng);
 
 /// Materializes one database's full trace from a source (tests and
 /// offline analysis; the simulator itself never needs this).

@@ -105,12 +105,12 @@ class ManagementServiceTest : public ::testing::Test {
 TEST_F(ManagementServiceTest, ResumesDueDatabases) {
   std::vector<telemetry::DbId> resumed;
   ManagementService service(metadata_.get(), Config(),
-                            [&](telemetry::DbId db, EpochSeconds) {
-                              resumed.push_back(db);
+                            [&](const ResumeAttempt& a, EpochSeconds) {
+                              resumed.push_back(a.db);
                               // Mirror the state change a real controller
                               // performs.
                               return metadata_->UpsertState(
-                                  db, DbState::kLogicallyPaused, 0);
+                                  a.db, DbState::kLogicallyPaused, 0);
                             });
   EpochSeconds now = 10000;
   ASSERT_TRUE(metadata_
@@ -134,9 +134,9 @@ TEST_F(ManagementServiceTest, ResumesDueDatabases) {
 
 TEST_F(ManagementServiceTest, SqlScanPathWorksToo) {
   ManagementService service(metadata_.get(), Config(),
-                            [&](telemetry::DbId db, EpochSeconds) {
+                            [&](const ResumeAttempt& a, EpochSeconds) {
                               return metadata_->UpsertState(
-                                  db, DbState::kLogicallyPaused, 0);
+                                  a.db, DbState::kLogicallyPaused, 0);
                             });
   EpochSeconds now = 10000;
   ASSERT_TRUE(metadata_
@@ -150,7 +150,7 @@ TEST_F(ManagementServiceTest, SqlScanPathWorksToo) {
 
 TEST_F(ManagementServiceTest, StateChangedIsSkippedSilently) {
   ManagementService service(
-      metadata_.get(), Config(), [&](telemetry::DbId, EpochSeconds) {
+      metadata_.get(), Config(), [&](const ResumeAttempt&, EpochSeconds) {
         return Status::FailedPrecondition("already resumed");
       });
   EpochSeconds now = 10000;
@@ -168,12 +168,12 @@ TEST_F(ManagementServiceTest, StateChangedIsSkippedSilently) {
 TEST_F(ManagementServiceTest, StuckWorkflowIsMitigatedByRetry) {
   int attempts = 0;
   ManagementService service(metadata_.get(), Config(),
-                            [&](telemetry::DbId db, EpochSeconds) {
+                            [&](const ResumeAttempt& a, EpochSeconds) {
                               if (++attempts == 1) {
                                 return Status::Unavailable("transient");
                               }
                               return metadata_->UpsertState(
-                                  db, DbState::kLogicallyPaused, 0);
+                                  a.db, DbState::kLogicallyPaused, 0);
                             });
   EpochSeconds now = 10000;
   ASSERT_TRUE(metadata_
@@ -207,7 +207,7 @@ TEST_F(ManagementServiceTest, ExhaustedRetriesRaiseIncident) {
   int attempts = 0;
   ManagementService service(
       metadata_.get(), Config(),
-      [&](telemetry::DbId, EpochSeconds) {
+      [&](const ResumeAttempt&, EpochSeconds) {
         ++attempts;
         return Status::Unavailable("permanently stuck");
       },
@@ -241,7 +241,7 @@ TEST_F(ManagementServiceTest, FailedThenStateChangedIsDroppedOnce) {
   // be dropped and accounted as failed_then_skipped, not retried forever.
   int attempts = 0;
   ManagementService service(metadata_.get(), Config(),
-                            [&](telemetry::DbId, EpochSeconds) {
+                            [&](const ResumeAttempt&, EpochSeconds) {
                               if (++attempts == 1) {
                                 return Status::Unavailable("transient");
                               }
@@ -270,7 +270,7 @@ TEST_F(ManagementServiceTest, BackoffScheduleIsExponentialCappedJittered) {
   cfg.retry_backoff_cap = 480;
   cfg.retry_jitter_fraction = 0.25;
   ManagementService service(metadata_.get(), cfg,
-                            [](telemetry::DbId, EpochSeconds) {
+                            [](const ResumeAttempt&, EpochSeconds) {
                               return Status::OK();
                             });
   for (int attempt = 1; attempt <= 12; ++attempt) {
@@ -300,10 +300,10 @@ TEST_F(ManagementServiceTest, BreakerOpensShedsThenRecovers) {
   uint64_t calls = 0;
   ManagementService service(
       metadata_.get(), cfg,
-      [&](telemetry::DbId db, EpochSeconds) {
+      [&](const ResumeAttempt& a, EpochSeconds) {
         ++calls;
         if (!healthy) return Status::Unavailable("resume path down");
-        return metadata_->UpsertState(db, DbState::kLogicallyPaused, 0);
+        return metadata_->UpsertState(a.db, DbState::kLogicallyPaused, 0);
       },
       /*max_attempts=*/10);
   EpochSeconds now = 100000;
@@ -357,7 +357,7 @@ TEST_F(ManagementServiceTest, FailedHalfOpenProbeReopensBreaker) {
   uint64_t calls = 0;
   ManagementService service(
       metadata_.get(), cfg,
-      [&](telemetry::DbId, EpochSeconds) {
+      [&](const ResumeAttempt&, EpochSeconds) {
         ++calls;
         return Status::Unavailable("still down");
       },
@@ -380,9 +380,9 @@ TEST_F(ManagementServiceTest, FailedHalfOpenProbeReopensBreaker) {
 
 TEST_F(ManagementServiceTest, PerIterationStatsFeedFigure11) {
   ManagementService service(metadata_.get(), Config(),
-                            [&](telemetry::DbId db, EpochSeconds) {
+                            [&](const ResumeAttempt& a, EpochSeconds) {
                               return metadata_->UpsertState(
-                                  db, DbState::kLogicallyPaused, 0);
+                                  a.db, DbState::kLogicallyPaused, 0);
                             });
   EpochSeconds now = 10000;
   // 3 due in the first window, 1 in the second, 0 in the third.

@@ -4,7 +4,7 @@
 
 #include "forecast/fast_predictor.h"
 #include "history/mem_history_store.h"
-#include "workload/patterns.h"
+#include "workload/trace_source.h"
 
 namespace prorp::maintenance {
 namespace {

@@ -297,6 +297,34 @@ TEST_F(BPlusTreeTest, CreateRequiresEmptyStore) {
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(BPlusTreeTest, OpenRejectsEmptyStoreAndBadMetaPage) {
+  InMemoryDiskManager empty;
+  BufferPool empty_pool(&empty, 4);
+  EXPECT_TRUE(BPlusTree::Open(&empty_pool).status().IsNotFound());
+
+  Make();
+  // The meta page starts with the magic number, then the format version.
+  // Both are checked even when the page's checksum holds.
+  for (uint32_t offset : {0u, 4u}) {
+    {
+      auto meta = pool_->Fetch(0);
+      ASSERT_TRUE(meta.ok());
+      meta->mutable_data()[offset] ^= 0x01;
+    }
+    ASSERT_TRUE(pool_->FlushAll().ok());
+    BufferPool fresh(disk_.get(), 4);
+    EXPECT_TRUE(BPlusTree::Open(&fresh).status().IsCorruption()) << offset;
+    {
+      auto meta = pool_->Fetch(0);
+      ASSERT_TRUE(meta.ok());
+      meta->mutable_data()[offset] ^= 0x01;
+    }
+  }
+  ASSERT_TRUE(pool_->FlushAll().ok());
+  BufferPool restored(disk_.get(), 4);
+  EXPECT_TRUE(BPlusTree::Open(&restored).ok());
+}
+
 // Randomized differential test against std::map across mixed operations.
 class BPlusTreeFuzzTest : public BPlusTreeTest,
                           public ::testing::WithParamInterface<uint64_t> {};
@@ -396,135 +424,6 @@ TEST_P(BPlusTreeRangeDeleteTest, RepeatedRangeDeletes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeRangeDeleteTest,
                          ::testing::Values(7, 1234));
-
-// -----------------------------------------------------------------------
-// Legacy (v1, unchecksummed) format: read-only open, sniffing, migration
-// -----------------------------------------------------------------------
-
-/// Hand-writes a v1 tree image: meta at page 0 (magic, value_width, root,
-/// free head, entry count — no version field, no page headers) and a
-/// single leaf at page 1 holding `keys.size()` entries of value_width 8.
-/// This is the byte layout pre-checksum builds produced.
-void SynthesizeLegacyImage(InMemoryDiskManager* disk,
-                           const std::vector<int64_t>& keys) {
-  constexpr uint32_t kLegacyLeafCap = (kPageSize - 8) / 16;
-  ASSERT_LE(keys.size(), kLegacyLeafCap);
-  ASSERT_TRUE(disk->Allocate().ok());  // page 0
-  ASSERT_TRUE(disk->Allocate().ok());  // page 1
-
-  uint8_t meta[kPageSize] = {};
-  const uint32_t magic = 0x50525042;  // "PRPB"
-  const uint32_t vw = 8;
-  const uint32_t root = 1;
-  const uint32_t free_head = kInvalidPageId;
-  const uint64_t num = keys.size();
-  std::memcpy(meta + 0, &magic, 4);
-  std::memcpy(meta + 4, &vw, 4);
-  std::memcpy(meta + 8, &root, 4);
-  std::memcpy(meta + 12, &free_head, 4);
-  std::memcpy(meta + 16, &num, 8);
-  ASSERT_TRUE(disk->Write(0, meta).ok());
-
-  uint8_t leaf[kPageSize] = {};
-  const uint16_t type_leaf = 1;
-  const uint16_t count = static_cast<uint16_t>(keys.size());
-  const uint32_t next = kInvalidPageId;
-  std::memcpy(leaf + 0, &type_leaf, 2);
-  std::memcpy(leaf + 2, &count, 2);
-  std::memcpy(leaf + 4, &next, 4);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    std::memcpy(leaf + 8 + i * 8, &keys[i], 8);
-    int64_t value = keys[i] * 11;
-    std::memcpy(leaf + 8 + kLegacyLeafCap * 8 + i * 8, &value, 8);
-  }
-  ASSERT_TRUE(disk->Write(1, leaf).ok());
-}
-
-TEST(LegacyFormatTest, LegacyTreeOpensReadOnly) {
-  InMemoryDiskManager disk;
-  SynthesizeLegacyImage(&disk, {3, 8, 21, 55, 144});
-
-  BufferPool pool(&disk, 64, PageFormat::kLegacyV1);
-  auto tree = BPlusTree::Open(&pool);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_TRUE((*tree)->read_only());
-  EXPECT_EQ((*tree)->size(), 5u);
-  EXPECT_EQ((*tree)->value_width(), 8u);
-
-  auto v = (*tree)->Find(21);
-  ASSERT_TRUE(v.ok()) << v.status().ToString();
-  EXPECT_EQ(AsI64(*v), 21 * 11);
-  EXPECT_TRUE((*tree)->Find(4).status().IsNotFound());
-  ASSERT_TRUE((*tree)->CheckInvariants().ok());
-
-  // Mutations are refused with a pointer at the migration path.
-  Status s = (*tree)->Insert(99, Value64(1).data());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(s.message().find("MigrateLegacyTree"), std::string::npos);
-  EXPECT_EQ((*tree)->Update(3, Value64(1).data()).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*tree)->Delete(3).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(LegacyFormatTest, DetectTreeFormatSniffsBothGenerations) {
-  {
-    InMemoryDiskManager legacy;
-    SynthesizeLegacyImage(&legacy, {1, 2, 3});
-    auto fmt = DetectTreeFormat(&legacy);
-    ASSERT_TRUE(fmt.ok()) << fmt.status().ToString();
-    EXPECT_EQ(*fmt, PageFormat::kLegacyV1);
-  }
-  {
-    InMemoryDiskManager modern;
-    BufferPool pool(&modern, 64);
-    auto tree = BPlusTree::Create(&pool, 8);
-    ASSERT_TRUE(tree.ok());
-    ASSERT_TRUE((*tree)->Insert(1, Value64(1).data()).ok());
-    ASSERT_TRUE(pool.FlushAll().ok());
-    auto fmt = DetectTreeFormat(&modern);
-    ASSERT_TRUE(fmt.ok()) << fmt.status().ToString();
-    EXPECT_EQ(*fmt, PageFormat::kChecksummedV2);
-  }
-  {
-    InMemoryDiskManager empty;
-    EXPECT_TRUE(DetectTreeFormat(&empty).status().IsNotFound());
-  }
-  {
-    InMemoryDiskManager garbage;
-    ASSERT_TRUE(garbage.Allocate().ok());
-    uint8_t junk[kPageSize];
-    for (size_t i = 0; i < kPageSize; ++i) junk[i] = uint8_t(i * 31 + 7);
-    ASSERT_TRUE(garbage.Write(0, junk).ok());
-    EXPECT_TRUE(DetectTreeFormat(&garbage).status().IsCorruption());
-  }
-}
-
-TEST(LegacyFormatTest, MigrateLegacyTreeRoundTripsContents) {
-  InMemoryDiskManager legacy;
-  std::vector<int64_t> keys;
-  for (int64_t k = 0; k < 200; ++k) keys.push_back(k * 5 + 1);
-  SynthesizeLegacyImage(&legacy, keys);
-
-  InMemoryDiskManager fresh;
-  BufferPool dst_pool(&fresh, 64);
-  auto migrated = MigrateLegacyTree(&legacy, &dst_pool);
-  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
-  EXPECT_FALSE((*migrated)->read_only());
-  EXPECT_EQ((*migrated)->size(), keys.size());
-  for (int64_t k : keys) {
-    auto v = (*migrated)->Find(k);
-    ASSERT_TRUE(v.ok()) << "key " << k;
-    EXPECT_EQ(AsI64(*v), k * 11);
-  }
-  ASSERT_TRUE((*migrated)->CheckInvariants().ok());
-
-  // The migrated tree is fully writable and survives sealing.
-  ASSERT_TRUE((*migrated)->Insert(INT64_MAX / 2, Value64(42).data()).ok());
-  ASSERT_TRUE(dst_pool.FlushAll().ok());
-  auto fmt = DetectTreeFormat(&fresh);
-  ASSERT_TRUE(fmt.ok());
-  EXPECT_EQ(*fmt, PageFormat::kChecksummedV2);
-}
 
 }  // namespace
 }  // namespace prorp::storage

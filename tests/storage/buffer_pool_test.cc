@@ -23,9 +23,6 @@ TEST(BufferPoolTest, UsableSizeAccountsForPageHeader) {
   InMemoryDiskManager disk;
   BufferPool checksummed(&disk, 4);
   EXPECT_EQ(checksummed.usable_size(), kPageSize - kPageHeaderSize);
-  InMemoryDiskManager legacy_disk;
-  BufferPool legacy(&legacy_disk, 4, PageFormat::kLegacyV1);
-  EXPECT_EQ(legacy.usable_size(), kPageSize);
 }
 
 TEST(BufferPoolTest, WriteSurvivesEviction) {
@@ -208,31 +205,6 @@ TEST(BufferPoolTest, FetchRejectsMisdirectedRead) {
   EXPECT_EQ(ctx->page_id, id_b);
   // CRC itself was fine — the ids disagreed.
   EXPECT_EQ(ctx->expected_crc, ctx->actual_crc);
-}
-
-TEST(BufferPoolTest, LegacyFormatSkipsVerificationAndHeaders) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, 2, PageFormat::kLegacyV1);
-  auto page = pool.New();
-  ASSERT_TRUE(page.ok());
-  PageId id = page->id();
-  std::memset(page->mutable_data(), 0x33, pool.usable_size());
-  page->Release();
-  ASSERT_TRUE(pool.FlushAll().ok());
-  uint8_t raw[kPageSize];
-  ASSERT_TRUE(disk.Read(id, raw).ok());
-  // No header: byte 0 is client payload.
-  EXPECT_EQ(raw[0], 0x33);
-  // Corruption passes silently — exactly the legacy hazard.
-  raw[100] ^= 0x01;
-  ASSERT_TRUE(disk.Write(id, raw).ok());
-  for (int i = 0; i < 4; ++i) {
-    auto p = pool.New();
-    ASSERT_TRUE(p.ok());
-  }
-  auto again = pool.Fetch(id);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(pool.stats().checksum_failures, 0u);
 }
 
 TEST(BufferPoolTest, MoveGuardTransfersOwnership) {

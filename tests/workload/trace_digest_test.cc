@@ -1,0 +1,85 @@
+// Golden digests of the synthetic fleet.  Every figure bench and the fleet
+// benchmark read their sessions from these generators, so any change to
+// an archetype, the clip/merge/min-gap rule, the archetype pick or the
+// new-database draw shows up here as a changed constant.  Changing a
+// constant must be a deliberate, reviewed edit.
+
+#include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "workload/region.h"
+#include "workload/trace.h"
+#include "workload/trace_source.h"
+
+namespace prorp::workload {
+namespace {
+
+/// Monday 00:00 UTC, the anchor of the fleet benchmark.
+constexpr EpochSeconds kT0 = Days(1005);
+constexpr EpochSeconds kNewFrom = kT0 + Days(28);
+constexpr EpochSeconds kEnd = kT0 + Days(60);
+
+/// FNV-1a 64 over the little-endian bytes of each value added.
+class Fnv1a64 {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFF;
+      hash_ *= 1099511628211ull;
+    }
+  }
+
+  void Add(const DbTrace& trace) {
+    Add(trace.db_id);
+    Add(static_cast<uint64_t>(trace.pattern));
+    Add(static_cast<uint64_t>(trace.created_at));
+    for (const Session& s : trace.sessions) {
+      Add(static_cast<uint64_t>(s.start));
+      Add(static_cast<uint64_t>(s.end));
+    }
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+TEST(TraceDigestTest, GenerateFleetAllRegions) {
+  Fnv1a64 digest;
+  uint64_t sessions = 0;
+  for (const RegionProfile& profile : AllRegions()) {
+    for (uint64_t seed : {7u, 2024u}) {
+      for (const DbTrace& trace :
+           GenerateFleet(profile, 500, kT0, kEnd, seed, kNewFrom)) {
+        digest.Add(trace);
+        sessions += trace.sessions.size();
+      }
+    }
+  }
+  EXPECT_EQ(sessions, 475803u);
+  EXPECT_EQ(digest.value(), 5138230806277658436ull);
+}
+
+TEST(TraceDigestTest, StreamingFleetSourcePerfbenchShape) {
+  StreamingFleetSource source(RegionEU1(), 700, kT0, kEnd, 2024, kNewFrom);
+  Fnv1a64 digest;
+  uint64_t sessions = 0;
+  for (uint32_t db = 0; db < source.num_dbs(); ++db) {
+    DbTrace trace;
+    trace.db_id = db;
+    trace.pattern = source.PatternOf(db);
+    trace.sessions = CollectSessions(source, db);
+    trace.created_at =
+        trace.sessions.empty() ? kT0 : trace.sessions.front().start;
+    digest.Add(trace);
+    sessions += trace.sessions.size();
+  }
+  EXPECT_EQ(sessions, 101428u);
+  EXPECT_EQ(digest.value(), 2459711567227432887ull);
+}
+
+}  // namespace
+}  // namespace prorp::workload

@@ -40,9 +40,9 @@ TEST(StreamingFleetSourceTest, OpenIsPure) {
 }
 
 TEST(StreamingFleetSourceTest, SessionsComeOutNormalized) {
-  // Streamed sessions must satisfy the same invariants NormalizeSessions
-  // guarantees on a materialized trace: clipped to the window, positive
-  // length, ascending, non-overlapping with the minimum gap.
+  // Streamed sessions must satisfy the normalization invariants: clipped
+  // to the window, positive length, ascending, non-overlapping with the
+  // minimum gap.
   StreamingFleetSource source = MakeSource();
   size_t sessions_total = 0;
   for (uint32_t db = 0; db < source.num_dbs(); ++db) {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "workload/patterns.h"
 #include "workload/region.h"
 #include "workload/trace.h"
+#include "workload/trace_source.h"
 
 namespace prorp::workload {
 namespace {
@@ -10,14 +10,29 @@ namespace {
 constexpr EpochSeconds kFrom = Days(1000);
 constexpr EpochSeconds kTo = Days(1035);
 
-TEST(NormalizeSessionsTest, SortsClipsAndMerges) {
-  std::vector<Session> sessions = {
-      {200, 300}, {100, 130}, {290, 400},  // {290,400} overlaps {200,300}
-      {500, 520}, {525, 560},              // closer than min_gap=60
-      {-50, 20},                           // clipped to [0, ...)
-      {900, 905},
-  };
-  NormalizeSessions(sessions, 0, 1000, 60);
+/// Runs raw sessions (ascending starts) through NormalizingCursor.
+std::vector<Session> Normalize(std::vector<Session> raw, EpochSeconds from,
+                               EpochSeconds to, DurationSeconds min_gap) {
+  std::vector<DbTrace> traces(1);
+  traces[0].sessions = std::move(raw);
+  MaterializedTraceSource source(traces);
+  NormalizingCursor cursor(source.Open(0), from, to, min_gap);
+  std::vector<Session> out;
+  Session s;
+  while (cursor.Next(&s)) out.push_back(s);
+  return out;
+}
+
+TEST(NormalizeSessionsTest, ClipsAndMerges) {
+  std::vector<Session> sessions = Normalize(
+      {
+          {-50, 20},                // clipped to [0, ...)
+          {100, 130},
+          {200, 300}, {290, 400},   // {290,400} overlaps {200,300}
+          {500, 520}, {525, 560},   // closer than min_gap=60
+          {900, 905},
+      },
+      0, 1000, 60);
   ASSERT_EQ(sessions.size(), 5u);
   EXPECT_EQ(sessions[0], (Session{0, 20}));
   EXPECT_EQ(sessions[1], (Session{100, 130}));
@@ -27,9 +42,7 @@ TEST(NormalizeSessionsTest, SortsClipsAndMerges) {
 }
 
 TEST(NormalizeSessionsTest, DropsDegenerate) {
-  std::vector<Session> sessions = {{100, 100}, {2000, 2100}};
-  NormalizeSessions(sessions, 0, 1500, 60);
-  EXPECT_TRUE(sessions.empty());
+  EXPECT_TRUE(Normalize({{100, 100}, {2000, 2100}}, 0, 1500, 60).empty());
 }
 
 // Structural invariants that every generator must uphold.
