@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "sim/failover_torture.h"
+#include "sim/plane_torture.h"
 
 using namespace prorp;         // NOLINT: bench brevity
 using namespace prorp::bench;  // NOLINT
@@ -48,7 +48,7 @@ struct Cell {
   int steps = 200;
 };
 
-bool InvariantsHold(const sim::FailoverTortureResult& r, const char* tag,
+bool InvariantsHold(const sim::PlaneTortureResult& r, const char* tag,
                     bool detect) {
   bool ok = true;
   auto fail = [&](const char* what, uint64_t v) {
@@ -69,7 +69,7 @@ bool InvariantsHold(const sim::FailoverTortureResult& r, const char* tag,
 }
 
 void PrintCellRow(const char* tag, bool detect,
-                  const sim::FailoverTortureResult& r) {
+                  const sim::PlaneTortureResult& r) {
   std::printf("%-8s %-8s %6" PRIu64 " %6" PRIu64 " %6" PRIu64 " %6" PRIu64
               "  det p50/p99 %5.0f/%5.0fs  repl %5.0f/%5.0fs  "
               "wait n=%-4zu p99 %6.0fs\n",
@@ -88,7 +88,7 @@ int Run(bool smoke, std::string out_path) {
               "baseline on login QoS during node loss, with zero "
               "double-lives and zero lost logins");
 
-  sim::FailoverTortureOptions base;
+  sim::PlaneTortureOptions base;
   base.num_dbs = smoke ? 32 : 48;
 
   sim::NodeFaultSpec crash;
@@ -117,11 +117,11 @@ int Run(bool smoke, std::string out_path) {
   bool ok = true;
   std::printf("%-8s %-8s %6s %6s %6s %6s\n", "fault", "arm", "deaths",
               "requeu", "divert", "fenced");
-  sim::FailoverTortureResult crash_detect, crash_passive;
+  sim::PlaneTortureResult crash_detect, crash_passive;
   std::vector<MicroResult> rows;
   for (const Cell& cell : cells) {
     for (bool detect : {true, false}) {
-      sim::FailoverTortureOptions opt = base;
+      sim::PlaneTortureOptions opt = base;
       opt.dir = FreshDir(std::string(cell.name) +
                          (detect ? "_detect" : "_passive"));
       opt.seed = 11;
@@ -129,7 +129,7 @@ int Run(bool smoke, std::string out_path) {
       opt.detection_enabled = detect;
       opt.faults = {cell.fault};
       auto t0 = std::chrono::steady_clock::now();
-      auto r = sim::RunFailoverTorture(opt);
+      auto r = sim::RunPlaneTorture(opt);
       double secs = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

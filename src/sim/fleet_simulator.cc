@@ -317,10 +317,10 @@ class FleetSimulation {
   Status HandleNodeCrash(const SimEvent& ev);
   Status HandleNodeRestart(const SimEvent& ev);
 
-  /// True when the transport stack runs one agent per node (failure
-  /// detection or an injected node crash need real per-node endpoints);
-  /// plain use_transport keeps the single-agent legacy wiring.
-  bool multi_node_transport() const {
+  /// True when a transport run models node loss (failure detection or an
+  /// injected node crash): the lease loop ticks and crash-evicted
+  /// databases are tracked for failover.
+  bool node_loss_modeled() const {
     return options_.use_transport &&
            (options_.failure_detection_enabled ||
             options_.node_crash_node >= 0);
@@ -337,7 +337,7 @@ class FleetSimulation {
 
   /// The executor body behind MakeResumeCallback and the per-node agents:
   /// `node` is the 0-based node actually running the attempt (the home
-  /// node in the legacy wiring, the dispatch target under failover).
+  /// node, or the dispatch target under failover).
   Status ExecuteResume(const controlplane::ResumeAttempt& a,
                        EpochSeconds now, size_t node);
 
@@ -441,11 +441,10 @@ class FleetSimulation {
   /// resolves synchronously; the stack outlives control-plane recoveries
   /// and is re-pointed at each new incarnation.
   std::unique_ptr<net::InProcessTransport> transport_;
-  std::unique_ptr<net::NodeAgent> agent_;
   std::unique_ptr<net::TransportDispatcher> dispatcher_;
-  /// Multi-node wiring (multi_node_transport()): one agent per node at
-  /// endpoints 1..num_nodes, plus the lease-driven health tracker and
-  /// failover engine when failure detection is enabled.
+  /// One agent per node at endpoints 1..max(1, num_nodes), plus the
+  /// lease-driven health tracker and failover engine when failure
+  /// detection is enabled.
   std::vector<std::unique_ptr<net::NodeAgent>> agents_;
   std::unique_ptr<controlplane::NodeHealthTracker> tracker_;
   std::unique_ptr<controlplane::FailoverEngine> engine_;
@@ -835,62 +834,50 @@ controlplane::ManagementService::ResumeCallback
 FleetSimulation::MakeServiceCallback() {
   if (!options_.use_transport) return MakeResumeCallback();
   if (dispatcher_ == nullptr) {
+    // Real per-node endpoints: agent at endpoint i+1 serves node i.  The
+    // resolver routes each attempt to its home node, diverting a
+    // declared-dead node's work to the next live endpoint (the executor
+    // still re-warms on the node it actually runs on, and picks a hedge's
+    // target itself).
     transport_ = std::make_unique<net::InProcessTransport>();
-    if (multi_node_transport()) {
-      // Real per-node endpoints: agent at endpoint i+1 serves node i.
-      // The resolver routes each attempt to its home node, diverting a
-      // declared-dead node's work to the next live endpoint (the
-      // executor still re-warms on the node it actually runs on).
-      const int n = std::max(1, options_.num_nodes);
-      net::TransportDispatcher::Options dopt;
-      dopt.first_node = 1;
-      dopt.num_nodes = n;
-      if (options_.failure_detection_enabled) {
-        dopt.lease_interval = options_.lease_interval;
-        dopt.lease_ttl = options_.lease_ttl;
-        controlplane::NodeHealthTracker::Options hopt;
-        hopt.lease_ttl = options_.lease_ttl;
-        hopt.suspect_after = options_.suspect_after;
-        hopt.dead_grace = options_.dead_grace;
-        hopt.rejoin_after = options_.rejoin_after;
-        tracker_ = std::make_unique<controlplane::NodeHealthTracker>(hopt);
-      }
-      dispatcher_ = std::make_unique<net::TransportDispatcher>(
-          transport_.get(), dopt,
-          [this, n](const controlplane::ResumeAttempt& a) {
-            auto target = static_cast<net::EndpointId>(1 + NodeOf(a.db));
-            if (tracker_ != nullptr) {
-              for (int i = 0;
-                   i < n && tracker_->health(target) ==
-                                controlplane::NodeHealth::kDead;
-                   ++i) {
-                target = static_cast<net::EndpointId>(target % n + 1);
-              }
+    const int n = std::max(1, options_.num_nodes);
+    net::TransportDispatcher::Options dopt;
+    dopt.first_node = 1;
+    dopt.num_nodes = n;
+    if (options_.failure_detection_enabled) {
+      dopt.lease_interval = options_.lease_interval;
+      dopt.lease_ttl = options_.lease_ttl;
+      controlplane::NodeHealthTracker::Options hopt;
+      hopt.lease_ttl = options_.lease_ttl;
+      hopt.suspect_after = options_.suspect_after;
+      hopt.dead_grace = options_.dead_grace;
+      hopt.rejoin_after = options_.rejoin_after;
+      tracker_ = std::make_unique<controlplane::NodeHealthTracker>(hopt);
+    }
+    dispatcher_ = std::make_unique<net::TransportDispatcher>(
+        transport_.get(), dopt,
+        [this, n](const controlplane::ResumeAttempt& a) {
+          auto target = static_cast<net::EndpointId>(1 + NodeOf(a.db));
+          if (tracker_ != nullptr) {
+            for (int i = 0;
+                 i < n && tracker_->health(target) ==
+                              controlplane::NodeHealth::kDead;
+                 ++i) {
+              target = static_cast<net::EndpointId>(target % n + 1);
             }
-            return target;
-          });
-      if (tracker_ != nullptr) {
-        dispatcher_->set_health_tracker(tracker_.get());
-      }
-      agents_.reserve(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        const size_t node = static_cast<size_t>(i);
-        agents_.push_back(std::make_unique<net::NodeAgent>(
-            static_cast<net::EndpointId>(1 + i), transport_.get(),
-            [this, node](const controlplane::ResumeAttempt& a,
-                         EpochSeconds now) -> Status {
-              return ExecuteResume(a, now, node);
-            }));
-      }
-    } else {
-      // One dispatcher on the plane side, one agent standing in for the
-      // whole node fleet: per-node routing stays inside the executor
-      // (the callback above picks the node from the attempt), so a
-      // single endpoint preserves bit-identity with the direct-call run.
-      dispatcher_ = std::make_unique<net::TransportDispatcher>(
-          transport_.get(), net::TransportDispatcher::Options{});
-      agent_ = std::make_unique<net::NodeAgent>(
-          /*id=*/1, transport_.get(), MakeResumeCallback());
+          }
+          return target;
+        });
+    if (tracker_ != nullptr) dispatcher_->set_health_tracker(tracker_.get());
+    agents_.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const size_t node = static_cast<size_t>(i);
+      agents_.push_back(std::make_unique<net::NodeAgent>(
+          static_cast<net::EndpointId>(1 + i), transport_.get(),
+          [this, node](const controlplane::ResumeAttempt& a,
+                       EpochSeconds now) -> Status {
+            return ExecuteResume(a, now, node);
+          }));
     }
   }
   return [this](const controlplane::ResumeAttempt& a,
@@ -902,10 +889,9 @@ FleetSimulation::MakeServiceCallback() {
 void FleetSimulation::SyncTransportToService() {
   if (dispatcher_ == nullptr) return;
   dispatcher_->set_service(management_);
-  // Fence the node(s) against the dead incarnation's stragglers before
-  // the new one dispatches anything (inline transport has none; the call
+  // Fence the nodes against the dead incarnation's stragglers before the
+  // new one dispatches anything (inline transport has none; the call
   // keeps the recovery contract explicit).
-  if (agent_ != nullptr) agent_->FenceEpoch(management_->epoch());
   for (auto& ag : agents_) ag->FenceEpoch(management_->epoch());
   if (tracker_ == nullptr) return;
   if (engine_ == nullptr) {
@@ -1065,7 +1051,7 @@ Result<SimReport> FleetSimulation::Run() {
   cur_session_end_.assign(n, 0);
   current_phase_.assign(n, Phase::kReclaimed);
   phase_known_.assign(n, 0);
-  if (multi_node_transport()) crash_evicted_.assign(n, 0);
+  if (node_loss_modeled()) crash_evicted_.assign(n, 0);
   predictor_ = std::make_unique<forecast::FastPredictor>(
       options_.config.policy.prediction);
 
@@ -1159,9 +1145,9 @@ Result<SimReport> FleetSimulation::Run() {
          0, 0);
   }
   // The transport maintenance tick: lease fan-out + failure detection
-  // when enabled, and (multi-node wiring generally) the retransmit /
-  // timeout loop a deaf node's unanswered dispatches depend on.
-  if (multi_node_transport() && options_.lease_interval > 0 &&
+  // when enabled, and (node loss generally) the retransmit / timeout
+  // loop a deaf node's unanswered dispatches depend on.
+  if (node_loss_modeled() && options_.lease_interval > 0 &&
       earliest_start + 1 < options_.end) {
     Push(earliest_start + 1, SimEventType::kLeaseTick, 0, 0);
   }

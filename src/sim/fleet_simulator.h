@@ -127,8 +127,9 @@ struct SimOptions {
   EpochSeconds control_plane_crash_at = 0;
 
   /// Route every control-plane resume dispatch through the typed message
-  /// transport (net::TransportDispatcher -> InProcessTransport -> a
-  /// NodeAgent wrapping the node-side executor) instead of a direct call.
+  /// transport (net::TransportDispatcher -> InProcessTransport -> one
+  /// NodeAgent per node, max(1, num_nodes) of them, each wrapping the
+  /// node-side executor) instead of a direct call.
   /// Fault-free: acks arrive inline, so the run is bit-identical to the
   /// direct-call run — the regression test for that identity is what this
   /// flag exists for.  The transport couples the fleet through one

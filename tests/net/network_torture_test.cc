@@ -1,17 +1,19 @@
-// The network-torture matrix (ISSUE: tentpole acceptance): every
+// The network-torture matrix: every
 // message-fault kind x seeds x storm/outage/control-plane-crash overlays,
-// through the full plane -> dispatcher -> faulty wire -> node-agent stack.
+// through the full plane -> dispatcher -> faulty wire -> node-agent stack
+// of the plane torture harness, with the failure detector off (leases
+// stay telemetry-only), so the wire defenses alone carry every cell.
 // Every cell must show zero accepted-login loss, zero double-applies,
 // zero stale-epoch applies, and reconciled accounting after the drain.
-
-#include "net/network_torture.h"
 
 #include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
 
-namespace prorp::net {
+#include "sim/plane_torture.h"
+
+namespace prorp::sim {
 namespace {
 
 std::string FreshDir(const std::string& name) {
@@ -21,8 +23,40 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// The network workload: 160 steps on four nodes, one node execution in
+/// ten failing transiently, five-minute telemetry-only leases.
+PlaneTortureOptions NetworkOptions(uint64_t seed) {
+  PlaneTortureOptions opt;
+  opt.seed = seed;
+  opt.steps = 160;
+  opt.fail_probability = 0.10;
+  opt.detection_enabled = false;
+  opt.lease_interval = 300;
+  return opt;
+}
+
+/// Cuts the plane off from the lower half of the nodes (1 through
+/// 1 + (num_nodes - 1) / 2) for 20 steps from a third into the run.
+void AddPartition(PlaneTortureOptions& opt, NodeFaultSpec::Kind kind) {
+  for (uint32_t node = 1;
+       node <= static_cast<uint32_t>(1 + (opt.num_nodes - 1) / 2); ++node) {
+    NodeFaultSpec f;
+    f.kind = kind;
+    f.node = node;
+    f.at_step = opt.steps / 3;
+    f.duration_steps = 20;
+    opt.faults.push_back(f);
+  }
+}
+
+/// Partition direction by seed % 3: symmetric, then plane -> node lost,
+/// then node -> plane lost.
+constexpr NodeFaultSpec::Kind kPartitionKinds[] = {
+    NodeFaultSpec::Kind::kPartition, NodeFaultSpec::Kind::kDeaf,
+    NodeFaultSpec::Kind::kZombie};
+
 /// The exactly-once/fencing/accounting invariants every cell must hold.
-void ExpectInvariants(const NetworkTortureResult& r, const std::string& tag) {
+void ExpectInvariants(const PlaneTortureResult& r, const std::string& tag) {
   EXPECT_EQ(r.lost_reactive, 0u) << tag;
   EXPECT_EQ(r.double_applies, 0u) << tag;
   EXPECT_EQ(r.stale_epoch_applied, 0u) << tag;
@@ -31,11 +65,10 @@ void ExpectInvariants(const NetworkTortureResult& r, const std::string& tag) {
 }
 
 TEST(NetworkTortureTest, FaultFreeWireIsQuiet) {
-  NetworkTortureOptions opt;
+  PlaneTortureOptions opt = NetworkOptions(1);
   opt.dir = FreshDir("net_torture_quiet");
-  opt.seed = 1;
   opt.fail_probability = 0;  // nothing to retry, nothing to hedge
-  auto r = RunNetworkTorture(opt);
+  auto r = RunPlaneTorture(opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ExpectInvariants(*r, "fault-free");
   EXPECT_GT(r->total_resumed, 0u);
@@ -71,18 +104,17 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
   // 5 fault kinds x 8 seeds; the overlay (none / storm / outage /
   // control-plane crash) rotates with the seed so every kind meets every
   // overlay somewhere in the matrix.
-  NetworkTortureResult total;
+  PlaneTortureResult total;
   uint64_t crash_cells = 0;
   for (const Cell& cell : kCells) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
-      NetworkTortureOptions opt;
+      PlaneTortureOptions opt = NetworkOptions(seed);
       opt.dir = FreshDir("net_torture_" + std::string(cell.name) + "_" +
                          std::to_string(seed));
-      opt.seed = seed;
       opt.drop_p = cell.drop_p;
       opt.duplicate_p = cell.duplicate_p;
       opt.delay_p = cell.delay_p;
-      opt.partition = cell.partition;
+      if (cell.partition) AddPartition(opt, kPartitionKinds[seed % 3]);
       switch (seed % 4) {
         case 1: opt.storm = true; break;
         case 2: opt.outage = true; break;
@@ -91,17 +123,26 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
       }
       const std::string tag =
           std::string(cell.name) + " seed=" + std::to_string(seed);
-      auto r = RunNetworkTorture(opt);
+      auto r = RunPlaneTorture(opt);
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
       ExpectInvariants(*r, tag);
       EXPECT_GT(r->total_resumed, 0u) << tag;
-      if (opt.crash_at_step >= 0) EXPECT_EQ(r->recoveries, 1) << tag;
+      if (opt.crash_at_step >= 0) {
+        EXPECT_EQ(r->recoveries, 1) << tag;
+      }
       // The configured fault actually fired in this cell.
-      if (cell.drop_p > 0) EXPECT_GT(r->transport.dropped, 0u) << tag;
-      if (cell.duplicate_p > 0)
+      if (cell.drop_p > 0) {
+        EXPECT_GT(r->transport.dropped, 0u) << tag;
+      }
+      if (cell.duplicate_p > 0) {
         EXPECT_GT(r->transport.duplicated, 0u) << tag;
-      if (cell.delay_p > 0) EXPECT_GT(r->transport.delayed, 0u) << tag;
-      if (cell.partition) EXPECT_GT(r->transport.partitioned, 0u) << tag;
+      }
+      if (cell.delay_p > 0) {
+        EXPECT_GT(r->transport.delayed, 0u) << tag;
+      }
+      if (cell.partition) {
+        EXPECT_GT(r->transport.partitioned, 0u) << tag;
+      }
 
       total.retransmissions += r->retransmissions;
       total.dispatch_timeouts += r->dispatch_timeouts;
@@ -109,7 +150,6 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
       total.stale_epoch_rejected += r->stale_epoch_rejected;
       total.late_acks += r->late_acks;
       total.stale_epoch_acks += r->stale_epoch_acks;
-      total.hedges += r->hedges;
     }
   }
   EXPECT_EQ(crash_cells, 10u);  // 2 crash seeds per kind
@@ -124,28 +164,28 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
 }
 
 /// Asymmetric partitions, both one-way directions forced explicitly.
-/// kToNodes (direction 1) starves the node of requests AND renewals while
-/// its old acks still arrive.  kFromNodes (direction 2) is the zombie
-/// shape: the node keeps receiving and executing, every reply and grant
-/// it sends is lost — exactly-once then rests entirely on the node dedup
-/// table absorbing the blind retransmissions.
+/// kDeaf starves the node of requests AND renewals while its old acks
+/// still arrive.  kZombie: the node keeps receiving and executing, every
+/// reply and grant it sends is lost — exactly-once then rests entirely on
+/// the node dedup table absorbing the blind retransmissions.
 TEST(NetworkTortureTest, AsymmetricPartitionsHoldTheInvariants) {
-  for (int direction : {1, 2}) {
+  for (NodeFaultSpec::Kind kind :
+       {NodeFaultSpec::Kind::kDeaf, NodeFaultSpec::Kind::kZombie}) {
+    const bool zombie = kind == NodeFaultSpec::Kind::kZombie;
     for (uint64_t seed : {5u, 9u}) {
-      NetworkTortureOptions opt;
-      opt.dir = FreshDir("net_torture_oneway_" + std::to_string(direction) +
-                         "_" + std::to_string(seed));
-      opt.seed = seed;
-      opt.partition = true;
-      opt.partition_direction = direction;
-      const std::string tag = "direction=" + std::to_string(direction) +
+      PlaneTortureOptions opt = NetworkOptions(seed);
+      opt.dir = FreshDir(std::string("net_torture_oneway_") +
+                         (zombie ? "zombie" : "deaf") + "_" +
+                         std::to_string(seed));
+      AddPartition(opt, kind);
+      const std::string tag = std::string(zombie ? "zombie" : "deaf") +
                               " seed=" + std::to_string(seed);
-      auto r = RunNetworkTorture(opt);
+      auto r = RunPlaneTorture(opt);
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
       ExpectInvariants(*r, tag);
       EXPECT_GT(r->total_resumed, 0u) << tag;
       EXPECT_GT(r->transport.partitioned, 0u) << tag;
-      if (direction == 2) {
+      if (zombie) {
         // The reply-loss direction forces blind retransmissions into a
         // node that already executed: the dedup table must have absorbed
         // some of them for the run to stay exactly-once.
@@ -159,19 +199,18 @@ TEST(NetworkTortureTest, EverythingAtOnceSoak) {
   // The worst corner: every fault kind live at once, storm + outage
   // overlays, and a mid-run control-plane crash, over a longer horizon.
   for (uint64_t seed : {3u, 11u, 29u}) {
-    NetworkTortureOptions opt;
+    PlaneTortureOptions opt = NetworkOptions(seed);
     opt.dir = FreshDir("net_torture_soak_" + std::to_string(seed));
-    opt.seed = seed;
     opt.steps = 320;
     opt.drop_p = 0.10;
     opt.duplicate_p = 0.10;
     opt.delay_p = 0.10;
-    opt.partition = true;
+    AddPartition(opt, kPartitionKinds[seed % 3]);
     opt.storm = true;
     opt.outage = true;
     opt.crash_at_step = 150;
     const std::string tag = "soak seed=" + std::to_string(seed);
-    auto r = RunNetworkTorture(opt);
+    auto r = RunPlaneTorture(opt);
     ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
     ExpectInvariants(*r, tag);
     EXPECT_EQ(r->recoveries, 1) << tag;
@@ -181,4 +220,4 @@ TEST(NetworkTortureTest, EverythingAtOnceSoak) {
 }
 
 }  // namespace
-}  // namespace prorp::net
+}  // namespace prorp::sim

@@ -1,4 +1,4 @@
-#include "sim/failover_torture.h"
+#include "sim/plane_torture.h"
 
 #include <filesystem>
 #include <string>
@@ -30,10 +30,10 @@ NodeFaultSpec Fault(NodeFaultSpec::Kind kind, uint32_t node, int at_step,
 
 /// Runs one cell and asserts the invariants every failover-torture run
 /// must uphold, whatever the fault mix.
-FailoverTortureResult RunCell(const std::string& name,
-                              FailoverTortureOptions opt) {
+PlaneTortureResult RunCell(const std::string& name,
+                              PlaneTortureOptions opt) {
   opt.dir = FreshDir(name);
-  auto result = RunFailoverTorture(opt);
+  auto result = RunPlaneTorture(opt);
   EXPECT_TRUE(result.ok()) << name << ": " << result.status().ToString();
   if (!result.ok()) return {};
   EXPECT_TRUE(result->drained) << name;
@@ -50,7 +50,7 @@ FailoverTortureResult RunCell(const std::string& name,
 // Tentpole: a crashed node is detected, declared dead, and every
 // database placed on it is re-dispatched to survivors.
 TEST(FailoverTortureTest, NodeCrashIsDetectedAndFailedOver) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 11;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 60)};
   auto r = RunCell("fo_crash", opt);
@@ -71,7 +71,7 @@ TEST(FailoverTortureTest, NodeCrashIsDetectedAndFailedOver) {
 // declares it dead — so its databases are re-placed with zero
 // double-lives even though the node was still executing work.
 TEST(FailoverTortureTest, ZombiePartitionSelfQuiescesBeforeFailover) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 12;
   opt.faults = {Fault(NodeFaultSpec::Kind::kZombie, 1, 50, 30)};
   auto r = RunCell("fo_zombie", opt);
@@ -83,7 +83,7 @@ TEST(FailoverTortureTest, ZombiePartitionSelfQuiescesBeforeFailover) {
 // Tentpole: a gray-slow node (alive, correct, late) is demoted on its
 // p99 reply latency, drains its lease, and fails over cleanly.
 TEST(FailoverTortureTest, SlowNodeIsDemotedOnLatencyScore) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 13;
   opt.steps = 240;
   // The delay must stay below suspect_after - lease_interval (else the
@@ -100,7 +100,7 @@ TEST(FailoverTortureTest, SlowNodeIsDemotedOnLatencyScore) {
 // Crash composed with message chaos: drops, duplicates, delays.
 TEST(FailoverTortureTest, CrashUnderMessageChaos) {
   for (uint64_t seed : {21, 22, 23}) {
-    FailoverTortureOptions opt;
+    PlaneTortureOptions opt;
     opt.seed = seed;
     opt.drop_p = 0.10;
     opt.duplicate_p = 0.10;
@@ -114,7 +114,7 @@ TEST(FailoverTortureTest, CrashUnderMessageChaos) {
 // Crash composed with a login storm: failover re-queues ride the
 // reactive class but must not amplify the storm accounting.
 TEST(FailoverTortureTest, CrashDuringStorm) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 31;
   opt.storm = true;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 1, 95, 40)};
@@ -124,7 +124,7 @@ TEST(FailoverTortureTest, CrashDuringStorm) {
 
 // Crash composed with a resume-path outage window.
 TEST(FailoverTortureTest, CrashDuringOutage) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 32;
   opt.outage = true;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 66, 40)};
@@ -137,7 +137,7 @@ TEST(FailoverTortureTest, CrashDuringOutage) {
 // replay exactly once.
 TEST(FailoverTortureTest, PlaneCrashMidFailoverIsExactlyOnce) {
   for (int crash_at : {44, 48, 52}) {
-    FailoverTortureOptions opt;
+    PlaneTortureOptions opt;
     opt.seed = 41 + static_cast<uint64_t>(crash_at);
     opt.crash_at_step = crash_at;
     opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 60)};
@@ -151,7 +151,7 @@ TEST(FailoverTortureTest, PlaneCrashMidFailoverIsExactlyOnce) {
 // Zombie composed with a plane crash: both fences (epoch and lease) are
 // load-bearing in the same run.
 TEST(FailoverTortureTest, ZombieWithPlaneCrash) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 51;
   opt.crash_at_step = 60;
   opt.faults = {Fault(NodeFaultSpec::Kind::kZombie, 2, 50, 30)};
@@ -161,7 +161,7 @@ TEST(FailoverTortureTest, ZombieWithPlaneCrash) {
 
 // Two overlapping node faults of different kinds.
 TEST(FailoverTortureTest, ConcurrentCrashAndZombie) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 61;
   opt.num_nodes = 5;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 1, 40, 60),
@@ -182,7 +182,7 @@ TEST(FailoverTortureTest, DetectionThresholdSweep) {
       {90, 60, 180}, {150, 120, 240}, {240, 180, 360}};
   int idx = 0;
   for (const Cell& c : cells) {
-    FailoverTortureOptions opt;
+    PlaneTortureOptions opt;
     opt.seed = 71 + static_cast<uint64_t>(idx);
     opt.suspect_after = c.suspect_after;
     opt.dead_grace = c.dead_grace;
@@ -198,7 +198,7 @@ TEST(FailoverTortureTest, DetectionThresholdSweep) {
 // happens purely through retry/timeout attrition once the node returns —
 // and serves as the latency comparison floor for bench_failover.
 TEST(FailoverTortureTest, PassiveBaselineStillConverges) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 81;
   opt.detection_enabled = false;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 40)};
@@ -213,7 +213,7 @@ TEST(FailoverTortureTest, PassiveBaselineStillConverges) {
 // workload without the subsystem: no deaths, no quiesces, no refusals —
 // the detector is pure observation on the healthy path.
 TEST(FailoverTortureTest, FaultFreeRunIsQuiet) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 91;
   auto r = RunCell("fo_quiet", opt);
   EXPECT_EQ(r.deaths_declared, 0u);
@@ -228,11 +228,11 @@ TEST(FailoverTortureTest, FaultFreeRunIsQuiet) {
 // the detector on equals the run with it off — on the healthy path the
 // subsystem changes nothing observable.
 TEST(FailoverTortureTest, FaultFreeDetectionIsObservationOnly) {
-  FailoverTortureOptions on;
+  PlaneTortureOptions on;
   on.seed = 92;
   auto r_on = RunCell("fo_eq_on", on);
 
-  FailoverTortureOptions off;
+  PlaneTortureOptions off;
   off.seed = 92;
   off.detection_enabled = false;
   auto r_off = RunCell("fo_eq_off", off);
@@ -241,6 +241,37 @@ TEST(FailoverTortureTest, FaultFreeDetectionIsObservationOnly) {
   EXPECT_EQ(r_on.total_resumed, r_off.total_resumed);
   EXPECT_EQ(r_on.transport.dropped, r_off.transport.dropped);
   EXPECT_EQ(r_on.retransmissions, r_off.retransmissions);
+}
+
+// Malformed options are refused up front instead of indexing out of
+// bounds (fault node), dividing by the node count, or drawing a database
+// from an empty fleet.
+TEST(PlaneTortureTest, RejectsMalformedOptions) {
+  struct Case {
+    const char* name;
+    int num_dbs;
+    int num_nodes;
+    int fault_node;  // -1 = no node fault
+  };
+  const Case cases[] = {
+      {"no_dbs", 0, 4, -1},          {"negative_dbs", -3, 4, -1},
+      {"no_nodes", 48, 0, -1},       {"negative_nodes", 48, -1, -1},
+      {"fault_node_zero", 48, 4, 0}, {"fault_node_past_end", 48, 4, 5},
+  };
+  for (const Case& c : cases) {
+    PlaneTortureOptions opt;
+    opt.dir = FreshDir(std::string("fo_malformed_") + c.name);
+    opt.num_dbs = c.num_dbs;
+    opt.num_nodes = c.num_nodes;
+    if (c.fault_node >= 0) {
+      opt.faults = {Fault(NodeFaultSpec::Kind::kCrash,
+                          static_cast<uint32_t>(c.fault_node), 40, 20)};
+    }
+    auto r = RunPlaneTorture(opt);
+    ASSERT_FALSE(r.ok()) << c.name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << c.name << ": " << r.status().ToString();
+  }
 }
 
 }  // namespace

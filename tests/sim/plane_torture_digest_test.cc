@@ -1,8 +1,9 @@
 // Golden behaviour digest of the control-plane torture harness: an
-// FNV-1a 64-bit hash over every failover-torture result field (counters,
-// per-phase Summaries as count + p50 + p99, TransportStats) for a fixed
-// set of cells.  A refactor of the harness must leave every constant
-// unchanged; changing one is a deliberate, reviewed edit.
+// FNV-1a 64-bit hash over every result field a failover cell reports
+// (counters, per-phase Summaries as count + p50 + p99, TransportStats)
+// for a fixed set of failover cells.  A refactor of the harness must
+// leave every constant unchanged; changing one is a deliberate, reviewed
+// edit.
 
 #include <cstdint>
 #include <cstring>
@@ -12,13 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/failover_torture.h"
+#include "sim/plane_torture.h"
 
 namespace prorp::sim {
 namespace {
-
-using Options = FailoverTortureOptions;
-using TortureResult = FailoverTortureResult;
 
 class Fnv1a {
  public:
@@ -44,7 +42,7 @@ class Fnv1a {
   uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-uint64_t Digest(const TortureResult& r) {
+uint64_t Digest(const PlaneTortureResult& r) {
   Fnv1a h;
   h.Add(static_cast<uint64_t>(r.recoveries));
   for (uint64_t v :
@@ -82,7 +80,7 @@ NodeFaultSpec Fault(NodeFaultSpec::Kind kind, uint32_t node, int at_step,
 
 struct Cell {
   std::string name;
-  Options options;
+  PlaneTortureOptions options;
   uint64_t digest;
 };
 
@@ -106,7 +104,7 @@ std::vector<Cell> Cells() {
   };
   for (const auto& b : bench) {
     for (bool detect : {true, false}) {
-      Options opt;
+      PlaneTortureOptions opt;
       opt.num_dbs = 32;
       opt.seed = 11;
       opt.steps = b.steps;
@@ -122,7 +120,7 @@ std::vector<Cell> Cells() {
       0xda6dbf0b31e85320ULL, 0xdb052d533d288d36ULL, 0xa345b07e0bba6d4cULL};
   int i = 0;
   for (int crash_at : {44, 48, 52}) {
-    Options opt;
+    PlaneTortureOptions opt;
     opt.seed = 41 + static_cast<uint64_t>(crash_at);
     opt.crash_at_step = crash_at;
     opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 60)};
@@ -134,7 +132,7 @@ std::vector<Cell> Cells() {
       0xd827893e5ab5607aULL, 0x743c935076a257a7ULL, 0x839559a6a4fa4d29ULL};
   i = 0;
   for (uint64_t seed : {21, 22, 23}) {
-    Options opt;
+    PlaneTortureOptions opt;
     opt.seed = seed;
     opt.drop_p = 0.10;
     opt.duplicate_p = 0.10;
@@ -151,7 +149,7 @@ TEST(PlaneTortureDigestTest, FailoverCellsAreBitIdentical) {
     cell.options.dir = testing::TempDir() + "/digest_" + cell.name;
     std::filesystem::remove_all(cell.options.dir);
     std::filesystem::create_directories(cell.options.dir);
-    auto r = RunFailoverTorture(cell.options);
+    auto r = RunPlaneTorture(cell.options);
     ASSERT_TRUE(r.ok()) << cell.name << ": " << r.status().ToString();
     const uint64_t digest = Digest(*r);
     EXPECT_EQ(digest, cell.digest)
