@@ -79,20 +79,38 @@ void GetHistogram(Reader& r, telemetry::Histogram* h) {
 /// checkpoints.  Lives here (not in the service) so the service header
 /// stays free of wire-format concerns; declared a friend there.
 struct ServiceStateCodec {
+  using WorkItem = ManagementService::WorkItem;
+
+  /// The one work-item codec, shared by the queue and unacked sections.
+  static void PutItem(std::vector<uint8_t>& out, const WorkItem& item) {
+    Put<uint32_t>(out, item.db);
+    Put<uint8_t>(out, static_cast<uint8_t>(item.cls));
+    Put<int32_t>(out, item.attempts);
+    Put<int64_t>(out, item.not_before);
+    Put<int64_t>(out, item.enqueued_at);
+    Put<int64_t>(out, item.deadline);
+    Put<uint8_t>(out, item.hedged ? 1 : 0);
+    Put<uint8_t>(out, item.wait_recorded ? 1 : 0);
+  }
+
+  static WorkItem GetItem(Reader& r) {
+    WorkItem item;
+    item.db = r.Get<uint32_t>();
+    item.cls = static_cast<ResumeClass>(r.Get<uint8_t>());
+    item.attempts = r.Get<int32_t>();
+    item.not_before = r.Get<int64_t>();
+    item.enqueued_at = r.Get<int64_t>();
+    item.deadline = r.Get<int64_t>();
+    item.hedged = r.Get<uint8_t>() != 0;
+    item.wait_recorded = r.Get<uint8_t>() != 0;
+    return item;
+  }
+
   static void Serialize(const ManagementService& s,
                         std::vector<uint8_t>& out) {
     for (const auto& q : s.queues_) {
       Put<uint64_t>(out, q.size());
-      for (const ManagementService::WorkItem& item : q) {
-        Put<uint32_t>(out, item.db);
-        Put<uint8_t>(out, static_cast<uint8_t>(item.cls));
-        Put<int32_t>(out, item.attempts);
-        Put<int64_t>(out, item.not_before);
-        Put<int64_t>(out, item.enqueued_at);
-        Put<int64_t>(out, item.deadline);
-        Put<uint8_t>(out, item.hedged ? 1 : 0);
-        Put<uint8_t>(out, item.wait_recorded ? 1 : 0);
-      }
+      for (const WorkItem& item : q) PutItem(out, item);
     }
     Put<uint64_t>(out, s.in_flight_.size());
     // Deterministic order, so identical states checkpoint identically.
@@ -173,17 +191,7 @@ struct ServiceStateCodec {
     udbs.reserve(s.unacked_.size());
     for (const auto& [db, u] : s.unacked_) udbs.push_back(db);
     std::sort(udbs.begin(), udbs.end());
-    for (DbId db : udbs) {
-      const ManagementService::WorkItem& item = s.unacked_.at(db).item;
-      Put<uint32_t>(out, db);
-      Put<uint8_t>(out, static_cast<uint8_t>(item.cls));
-      Put<int32_t>(out, item.attempts);
-      Put<int64_t>(out, item.not_before);
-      Put<int64_t>(out, item.enqueued_at);
-      Put<int64_t>(out, item.deadline);
-      Put<uint8_t>(out, item.hedged ? 1 : 0);
-      Put<uint8_t>(out, item.wait_recorded ? 1 : 0);
-    }
+    for (DbId db : udbs) PutItem(out, s.unacked_.at(db).item);
 
     // v3: failover counters.
     Put<uint64_t>(out, d.node_failovers);
@@ -198,15 +206,7 @@ struct ServiceStateCodec {
     for (auto& q : s->queues_) {
       uint64_t n = r.Get<uint64_t>();
       for (uint64_t i = 0; i < n && !r.failed; ++i) {
-        ManagementService::WorkItem item;
-        item.db = r.Get<uint32_t>();
-        item.cls = static_cast<ResumeClass>(r.Get<uint8_t>());
-        item.attempts = r.Get<int32_t>();
-        item.not_before = r.Get<int64_t>();
-        item.enqueued_at = r.Get<int64_t>();
-        item.deadline = r.Get<int64_t>();
-        item.hedged = r.Get<uint8_t>() != 0;
-        item.wait_recorded = r.Get<uint8_t>() != 0;
+        WorkItem item = GetItem(r);
         if (r.failed) break;
         q.push_back(item);
         s->queued_dbs_.emplace(item.db, item.cls);
@@ -279,15 +279,7 @@ struct ServiceStateCodec {
     s->reactive_arrivals_ = r.Get<uint64_t>();
     uint64_t n_unacked = r.Get<uint64_t>();
     for (uint64_t i = 0; i < n_unacked && !r.failed; ++i) {
-      ManagementService::WorkItem item;
-      item.db = r.Get<uint32_t>();
-      item.cls = static_cast<ResumeClass>(r.Get<uint8_t>());
-      item.attempts = r.Get<int32_t>();
-      item.not_before = r.Get<int64_t>();
-      item.enqueued_at = r.Get<int64_t>();
-      item.deadline = r.Get<int64_t>();
-      item.hedged = r.Get<uint8_t>() != 0;
-      item.wait_recorded = r.Get<uint8_t>() != 0;
+      WorkItem item = GetItem(r);
       if (r.failed) break;
       // Back into the queue, flagged for reconciliation: the restored
       // incarnation treats a checkpointed unacked dispatch exactly like a

@@ -200,34 +200,206 @@ ManagementService::WorkItem* ManagementService::FindQueued(ResumeClass cls,
   return nullptr;
 }
 
+bool ManagementService::TakeQueued(ResumeClass cls, DbId db, WorkItem* out,
+                                   bool from_back) {
+  auto& q = queues_[Idx(cls)];
+  const size_t n = q.size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t k = from_back ? n - 1 - i : i;
+    if (q[k].db != db) continue;
+    if (out != nullptr) *out = q[k];
+    q.erase(q.begin() + static_cast<std::ptrdiff_t>(k));
+    return true;
+  }
+  return false;
+}
+
+void ManagementService::Apply(const JournalRecord& rec, WorkItem* item) {
+  const ResumeClass cls = static_cast<ResumeClass>(rec.cls);
+  ClassDiagnostics& cd = Cls(cls);
+  DiagnosticsReport& d = diagnostics_;
+  switch (rec.event) {
+    case JournalEvent::kReconcileRequeue:
+      recovery_pending_.erase(rec.db);
+      if ((rec.flags & kJfAsync) == 0) {
+        // An unacked dispatch the node never saw: redispatch it now.
+        if (item != nullptr) item->not_before = rec.time;
+        break;
+      }
+      // An in-flight resume the node lost: a fresh reactive workflow
+      // starts for the still-waiting customer (the original workflow's
+      // accounting closed at its success).
+      in_flight_.erase(rec.db);
+      if (queued_dbs_.count(rec.db) != 0) break;
+      [[fallthrough]];
+    case JournalEvent::kAccepted: {
+      WorkItem fresh;
+      fresh.db = rec.db;
+      fresh.cls = cls;
+      fresh.not_before = rec.time;
+      fresh.enqueued_at = rec.enqueued_at;
+      fresh.deadline = rec.deadline;
+      queued_dbs_.emplace(rec.db, cls);
+      queues_[Idx(cls)].push_back(fresh);
+      ++cd.enqueued;
+      if ((rec.flags & kJfCatchUp) != 0) ++d.catch_up_enqueued;
+      if ((rec.flags & kJfFailover) != 0) ++d.failover_requeues;
+      if (rec.attempt > 0) {
+        d.max_brownout_level = std::max(d.max_brownout_level, rec.attempt);
+      }
+      break;
+    }
+    case JournalEvent::kAdmissionShed:
+      if ((rec.flags & kJfBreakerShed) != 0) ++d.shed_resumes;
+      ++cd.shed_admission;
+      if (rec.attempt > 0) {
+        d.max_brownout_level = std::max(d.max_brownout_level, rec.attempt);
+      }
+      break;
+    case JournalEvent::kEvicted:
+      queued_dbs_.erase(rec.db);
+      ++cd.shed_evicted;
+      if ((rec.flags & kJfWasFailed) != 0) {
+        ++cd.failed_then_shed;
+        ++d.failed_then_shed;
+      }
+      break;
+    case JournalEvent::kRetired:
+      queued_dbs_.erase(rec.db);
+      recovery_pending_.erase(rec.db);
+      ++d.skipped_state_changed;
+      ++cd.skipped_state_changed;
+      if ((rec.flags & kJfWasFailed) != 0) {
+        ++d.failed_then_skipped;
+        ++cd.failed_then_skipped;
+      }
+      if ((rec.flags & kJfDeleted) != 0) ++d.deleted_while_queued;
+      break;
+    case JournalEvent::kDispatched:
+      if ((rec.flags & kJfFirstWait) != 0) {
+        d.queue_wait.Add(rec.time - rec.enqueued_at);
+        item->wait_recorded = true;
+      }
+      if ((rec.flags & kJfHedge) != 0) {
+        item->hedged = true;
+        ++cd.deadline_breaches;
+        ++cd.hedged;
+      }
+      break;
+    case JournalEvent::kOutcomeOk:
+    case JournalEvent::kReconcileComplete:
+      recovery_pending_.erase(rec.db);
+      queued_dbs_.erase(rec.db);
+      ++cd.resumed;
+      if ((rec.flags & kJfWasFailed) != 0) {
+        ++d.mitigated;
+        ++cd.mitigated;
+      }
+      if ((rec.flags & kJfHedge) != 0) ++cd.hedge_wins;
+      if ((rec.flags & kJfAsync) != 0) {
+        // Resources arrive asynchronously; the watchdog guards the wait.
+        InFlightItem f;
+        f.cls = cls;
+        f.attempts = rec.attempt;
+        f.started = rec.time;
+        f.deadline = rec.deadline;
+        f.hedged = (item != nullptr && item->hedged) ||
+                   (rec.flags & kJfHedge) != 0;
+        in_flight_[rec.db] = f;
+      }
+      break;
+    case JournalEvent::kOutcomeFailed:
+      recovery_pending_.erase(rec.db);
+      if ((rec.flags & kJfFirstFailure) != 0) {
+        ++d.stuck_workflows;
+        ++cd.stuck;
+      }
+      if ((rec.flags & kJfIncident) != 0) {
+        queued_dbs_.erase(rec.db);
+        ++d.incidents;  // mitigation failed -> on-call engineer
+        ++cd.incidents;
+      } else if (item != nullptr) {
+        item->attempts = rec.attempt;
+        item->not_before = rec.not_before;
+        ++d.backoff_retries_scheduled;
+        d.backoff_delay_seconds_total +=
+            static_cast<uint64_t>(rec.not_before - rec.time);
+      }
+      break;
+    case JournalEvent::kHedge: {
+      if ((rec.flags & kJfHedgeWin) != 0) {
+        ++cd.hedge_wins;
+        break;
+      }
+      // The hedged workflow is the caller's item (a dispatch awaiting its
+      // ack), else an in-flight resume.
+      bool* hedged = nullptr;
+      if (item != nullptr) {
+        hedged = &item->hedged;
+      } else if (auto it = in_flight_.find(rec.db); it != in_flight_.end()) {
+        hedged = &it->second.hedged;
+      } else {
+        break;
+      }
+      *hedged = true;
+      ++cd.deadline_breaches;
+      ++cd.hedged;
+      break;
+    }
+    case JournalEvent::kCompleted:
+      if (auto it = in_flight_.find(rec.db); it != in_flight_.end()) {
+        d.in_flight_duration.Add(rec.time - it->second.started);
+        in_flight_.erase(it);
+      }
+      break;
+    case JournalEvent::kBreaker:
+      breaker_ = static_cast<BreakerState>(rec.cls);
+      ++d.breaker_state_changes;
+      switch (breaker_) {
+        case BreakerState::kOpen:
+          ++d.breaker_opens;
+          breaker_opened_at_ = rec.time;
+          outcomes_.clear();
+          window_failures_ = 0;
+          break;
+        case BreakerState::kHalfOpen:
+          half_open_successes_ = 0;
+          break;
+        case BreakerState::kClosed:
+          outcomes_.clear();
+          window_failures_ = 0;
+          break;
+      }
+      break;
+    case JournalEvent::kStormStart:
+      storm_active_ = true;
+      ++storm_seq_;
+      ramp_step_ = 0;
+      ++d.storms_detected;
+      break;
+    case JournalEvent::kStormEnd:
+      storm_active_ = false;
+      storm_ended_at_ = rec.time;
+      quota_this_iteration_ = 0;
+      break;
+    case JournalEvent::kNodeDead:
+      ++d.node_failovers;
+      break;
+    case JournalEvent::kEpochStart:
+    case JournalEvent::kMetaUpsert:
+    case JournalEvent::kMetaRemove:
+    case JournalEvent::kIteration:
+      break;  // not service transitions, or replay-only (ApplyForRecovery)
+  }
+}
+
 void ManagementService::SetBreaker(BreakerState next, EpochSeconds now) {
   if (next == breaker_) return;
   JournalRecord rec;
   rec.event = JournalEvent::kBreaker;
   rec.cls = static_cast<uint8_t>(next);
   rec.time = now;
-  if (!Journal(rec)) return;
-  ApplyBreaker(next, now);
-}
-
-void ManagementService::ApplyBreaker(BreakerState next, EpochSeconds now) {
-  breaker_ = next;
-  ++diagnostics_.breaker_state_changes;
-  switch (next) {
-    case BreakerState::kOpen:
-      ++diagnostics_.breaker_opens;
-      breaker_opened_at_ = now;
-      outcomes_.clear();
-      window_failures_ = 0;
-      break;
-    case BreakerState::kHalfOpen:
-      half_open_successes_ = 0;
-      break;
-    case BreakerState::kClosed:
-      outcomes_.clear();
-      window_failures_ = 0;
-      break;
-  }
+  if (Journal(rec)) Apply(rec);
 }
 
 void ManagementService::RecordOutcome(bool success, EpochSeconds now) {
@@ -292,13 +464,7 @@ bool ManagementService::EvictLowerClass(ResumeClass cls, EpochSeconds now) {
     if (victim.attempts > 0) rec.flags |= kJfWasFailed;
     if (!Journal(rec)) return false;
     q.pop_back();
-    queued_dbs_.erase(victim.db);
-    ClassDiagnostics& cd = diagnostics_.per_class[i];
-    ++cd.shed_evicted;
-    if (victim.attempts > 0) {
-      ++cd.failed_then_shed;
-      ++diagnostics_.failed_then_shed;
-    }
+    Apply(rec);
     return true;
   }
   return false;
@@ -307,14 +473,6 @@ bool ManagementService::EvictLowerClass(ResumeClass cls, EpochSeconds now) {
 void ManagementService::EnqueueItem(DbId db, ResumeClass cls, EpochSeconds now,
                                     int brownout_level, bool catch_up,
                                     bool failover) {
-  WorkItem item;
-  item.db = db;
-  item.cls = cls;
-  item.not_before = now;
-  item.enqueued_at = now;
-  if (config_.deadline_hedging_enabled) {
-    item.deadline = now + DeadlineFor(cls);
-  }
   JournalRecord rec;
   rec.event = JournalEvent::kAccepted;
   rec.db = db;
@@ -322,7 +480,7 @@ void ManagementService::EnqueueItem(DbId db, ResumeClass cls, EpochSeconds now,
   rec.attempt = brownout_level;
   rec.time = now;
   rec.enqueued_at = now;
-  rec.deadline = item.deadline;
+  if (config_.deadline_hedging_enabled) rec.deadline = now + DeadlineFor(cls);
   if (catch_up) rec.flags |= kJfCatchUp;
   if (failover) {
     // Failover re-placements are reactive-priority but deliberately NOT
@@ -332,16 +490,12 @@ void ManagementService::EnqueueItem(DbId db, ResumeClass cls, EpochSeconds now,
   } else if (cls == ResumeClass::kReactiveLogin) {
     rec.flags |= kJfReactive;
   }
-  if (!Journal(rec)) return;
-  queued_dbs_.emplace(db, cls);
-  queues_[Idx(cls)].push_back(item);
-  ++Cls(cls).enqueued;
-  if (failover) ++diagnostics_.failover_requeues;
+  if (Journal(rec)) Apply(rec);
 }
 
-bool ManagementService::AdmitNonReactive(DbId db, ResumeClass cls,
+void ManagementService::AdmitNonReactive(DbId db, ResumeClass cls,
                                          EpochSeconds now, bool catch_up) {
-  if (fenced_) return false;
+  if (fenced_) return;
   // Breaker shed (pre-storm behavior): fresh non-reactive work is dropped
   // rather than queued while the breaker is open, so an outage does not
   // build an unbounded backlog of stale pre-warms.
@@ -353,10 +507,8 @@ bool ManagementService::AdmitNonReactive(DbId db, ResumeClass cls,
     rec.attempt = -1;
     rec.time = now;
     rec.flags |= kJfBreakerShed;
-    if (!Journal(rec)) return false;
-    ++diagnostics_.shed_resumes;
-    ++Cls(cls).shed_admission;
-    return false;
+    if (Journal(rec)) Apply(rec);
+    return;
   }
   int level = ComputeBrownoutLevel();
   diagnostics_.max_brownout_level =
@@ -365,7 +517,7 @@ bool ManagementService::AdmitNonReactive(DbId db, ResumeClass cls,
   if (!shed && config_.queue_capacity > 0 &&
       NonReactiveQueued() >= config_.queue_capacity &&
       !EvictLowerClass(cls, now)) {
-    if (fenced_) return false;  // eviction fenced mid-journal
+    if (fenced_) return;  // eviction fenced mid-journal
     shed = true;
   }
   if (shed) {
@@ -375,12 +527,10 @@ bool ManagementService::AdmitNonReactive(DbId db, ResumeClass cls,
     rec.cls = static_cast<uint8_t>(cls);
     rec.attempt = level;
     rec.time = now;
-    if (!Journal(rec)) return false;
-    ++Cls(cls).shed_admission;
-    return false;
+    if (Journal(rec)) Apply(rec);
+    return;
   }
   EnqueueItem(db, cls, now, level, catch_up);
-  return !fenced_;
 }
 
 void ManagementService::RetireSkipped(const WorkItem& item, bool deleted) {
@@ -391,15 +541,7 @@ void ManagementService::RetireSkipped(const WorkItem& item, bool deleted) {
   rec.attempt = item.attempts;
   if (item.attempts > 0) rec.flags |= kJfWasFailed;
   if (deleted) rec.flags |= kJfDeleted;
-  if (!Journal(rec)) return;
-  queued_dbs_.erase(item.db);
-  ++diagnostics_.skipped_state_changed;
-  ++Cls(item.cls).skipped_state_changed;
-  if (item.attempts > 0) {
-    ++diagnostics_.failed_then_skipped;
-    ++Cls(item.cls).failed_then_skipped;
-  }
-  if (deleted) ++diagnostics_.deleted_while_queued;
+  if (Journal(rec)) Apply(rec);
 }
 
 void ManagementService::PromoteToReactive(DbId db, EpochSeconds now) {
@@ -410,16 +552,19 @@ void ManagementService::PromoteToReactive(DbId db, EpochSeconds now) {
   // The old item is retired through the skipped_state_changed path of its
   // own class (keeping the per-class invariant closed) and a fresh
   // reactive workflow starts.
-  auto& q = queues_[Idx(it->second)];
-  for (auto qi = q.begin(); qi != q.end(); ++qi) {
-    if (qi->db == db) {
-      RetireSkipped(*qi);
-      if (fenced_) return;
-      q.erase(qi);
-      break;
-    }
-  }
+  RetireQueued(it->second, db);
+  if (fenced_) return;
   EnqueueItem(db, ResumeClass::kReactiveLogin, now);
+}
+
+void ManagementService::RetireQueued(ResumeClass cls, DbId db) {
+  auto& q = queues_[Idx(cls)];
+  for (auto qi = q.begin(); qi != q.end(); ++qi) {
+    if (qi->db != db) continue;
+    RetireSkipped(*qi);
+    if (!fenced_) q.erase(qi);
+    return;
+  }
 }
 
 Status ManagementService::EnqueueReactive(DbId db, EpochSeconds now) {
@@ -456,7 +601,7 @@ Status ManagementService::NoteNodeDead(uint32_t node, EpochSeconds now) {
   rec.db = node;  // the db field carries the node id for this event
   rec.time = now;
   if (!Journal(rec)) return fence_status_;
-  ++diagnostics_.node_failovers;
+  Apply(rec);
   return Status::OK();
 }
 
@@ -503,9 +648,7 @@ void ManagementService::CompleteWorkflow(DbId db, EpochSeconds now) {
   rec.db = db;
   rec.cls = static_cast<uint8_t>(it->second.cls);
   rec.time = now;
-  if (!Journal(rec)) return;
-  diagnostics_.in_flight_duration.Add(now - it->second.started);
-  in_flight_.erase(it);
+  if (Journal(rec)) Apply(rec);
 }
 
 void ManagementService::NoteLateAck(DbId db) {
@@ -518,120 +661,102 @@ void ManagementService::NoteStaleEpochAck(DbId db) {
   ++diagnostics_.stale_epoch_acks;
 }
 
-void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
-                                       bool is_hedge, const Status& outcome,
-                                       EpochSeconds now) {
+bool ManagementService::ApplyVerdict(UnackedDispatch& u, bool is_hedge,
+                                     const Status& outcome,
+                                     EpochSeconds now) {
   WorkItem& item = u.item;
-  ClassDiagnostics& cd = Cls(item.cls);
-  const bool hedge_verdict = is_hedge || u.hedge_dispatch;
+  if (outcome.code() == StatusCode::kFailedPrecondition) {
+    // The database is no longer physically paused (it resumed on its own
+    // or was already handled): nothing to do.  Breaker-neutral.
+    RetireSkipped(item);
+    return true;
+  }
+  JournalRecord rec;
+  rec.db = item.db;
+  rec.cls = static_cast<uint8_t>(item.cls);
+  rec.time = now;
   if (outcome.ok()) {
     const bool went_async = item.cls == ResumeClass::kReactiveLogin &&
                             config_.deadline_hedging_enabled;
-    EpochSeconds effective_deadline =
-        item.deadline > 0 ? item.deadline : now + DeadlineFor(item.cls);
-    JournalRecord rec;
     rec.event = JournalEvent::kOutcomeOk;
-    rec.db = db;
-    rec.cls = static_cast<uint8_t>(item.cls);
     rec.attempt = item.attempts + 1;
-    rec.time = now;
-    rec.deadline = went_async ? effective_deadline : item.deadline;
-    if (hedge_verdict) rec.flags |= kJfHedge;
+    rec.deadline = item.deadline;
+    if (went_async && item.deadline <= 0) {
+      rec.deadline = now + DeadlineFor(item.cls);
+    }
+    if (is_hedge || u.hedge_dispatch) rec.flags |= kJfHedge;
     if (item.attempts > 0) rec.flags |= kJfWasFailed;
     if (went_async) rec.flags |= kJfAsync;
-    if (!Journal(rec)) return;  // fenced; recovery reconciles the dispatch
-    ++cd.resumed;
-    if (item.attempts > 0) {
-      ++diagnostics_.mitigated;
-      ++cd.mitigated;
-    }
-    if (hedge_verdict) ++cd.hedge_wins;
-    if (item.cls == ResumeClass::kImminentProactive ||
-        item.cls == ResumeClass::kSpeculativeProactive) {
-      // Folded into the next RunOnce's resumed count (and its journaled
-      // kIteration aggregate), keeping the Figure 11 metric and replay
-      // exact.
-      ++async_resumed_pending_;
-    }
-    if (u.gated) {
-      // Breaker bookkeeping uses the dispatch-time posture (stored at
-      // park time): an ack landing after the breaker moved on must not
-      // count as a probe it never was.
-      if (u.half_open_probe) {
-        ++half_open_successes_;
-        if (half_open_successes_ >= config_.breaker_half_open_probes) {
-          SetBreaker(BreakerState::kClosed, now);
-        }
-      } else {
-        RecordOutcome(/*success=*/true, now);
-      }
-    }
-    if (went_async) {
-      InFlightItem f;
-      f.cls = item.cls;
-      f.attempts = item.attempts + 1;
-      f.started = now;
-      f.deadline = effective_deadline;
-      f.hedged = item.hedged;
-      in_flight_[db] = f;
-    }
-    // A reactive interest noted while unacked is satisfied by the resume
-    // itself — the customer's database is up.
-    return;
-  }
-  if (outcome.code() == StatusCode::kFailedPrecondition) {
-    // The database is no longer physically paused; retire silently,
-    // breaker-neutral, exactly like the synchronous path.
-    RetireSkipped(item);
-    return;
-  }
-  // Transient workflow failure reported by the node: mirror the
-  // synchronous failure path (backoff retry or incident).
-  int new_attempts = item.attempts + 1;
-  const bool incident = new_attempts >= max_attempts_;
-  DurationSeconds delay = incident ? 0 : BackoffDelay(db, new_attempts);
-  JournalRecord rec;
-  rec.event = JournalEvent::kOutcomeFailed;
-  rec.db = db;
-  rec.cls = static_cast<uint8_t>(item.cls);
-  rec.attempt = new_attempts;
-  rec.time = now;
-  if (!incident) rec.not_before = now + delay;
-  if (new_attempts == 1) rec.flags |= kJfFirstFailure;
-  if (incident) rec.flags |= kJfIncident;
-  if (!Journal(rec)) return;
-  item.attempts = new_attempts;
-  if (item.attempts == 1) {
-    ++diagnostics_.stuck_workflows;
-    ++cd.stuck;
-  }
-  if (u.gated) {
-    if (u.half_open_probe) {
-      SetBreaker(BreakerState::kOpen, now);  // failed probe: re-open
-    } else {
-      RecordOutcome(/*success=*/false, now);
-    }
-  }
-  if (!incident) {
-    item.not_before = now + delay;
-    ++diagnostics_.backoff_retries_scheduled;
-    diagnostics_.backoff_delay_seconds_total += static_cast<uint64_t>(delay);
-    // Replay-consistent: the journal still shows the item queued (its
-    // kDispatched never got a terminal outcome until the kOutcomeFailed
-    // above), so re-adding it here converges with replay.
-    queues_[Idx(item.cls)].push_back(item);
-    queued_dbs_.emplace(db, item.cls);
-    if (u.reactive_interest && item.cls != ResumeClass::kReactiveLogin) {
-      PromoteToReactive(db, now);
-    }
   } else {
-    ++diagnostics_.incidents;
-    ++cd.incidents;
-    if (u.reactive_interest) {
-      // The login absorbed while unacked still needs a workflow; the db
-      // is no longer queued at this point, so a fresh accept is valid.
-      EnqueueItem(db, ResumeClass::kReactiveLogin, now);
+    // Transient workflow failure: the diagnostics runner mitigates by
+    // retrying after a capped exponential backoff, or raises an incident.
+    rec.event = JournalEvent::kOutcomeFailed;
+    rec.attempt = item.attempts + 1;
+    if (rec.attempt >= max_attempts_) {
+      rec.flags |= kJfIncident;
+    } else {
+      rec.not_before = now + BackoffDelay(item.db, rec.attempt);
     }
+    if (rec.attempt == 1) rec.flags |= kJfFirstFailure;
+  }
+  if (!Journal(rec)) return false;
+  Apply(rec, &item);
+  if (u.gated) {
+    // Breaker bookkeeping uses the dispatch-time posture: an ack landing
+    // after the breaker moved on must not count as a probe it never was.
+    if (!u.half_open_probe) {
+      RecordOutcome(outcome.ok(), now);
+    } else if (!outcome.ok()) {
+      SetBreaker(BreakerState::kOpen, now);  // failed probe: re-open
+    } else if (++half_open_successes_ >= config_.breaker_half_open_probes) {
+      SetBreaker(BreakerState::kClosed, now);
+    }
+  }
+  // A reactive interest noted while unacked is satisfied by a resume; a
+  // failure serves it through the retry or a fresh reactive workflow.
+  if (outcome.ok()) return true;
+  if ((rec.flags & kJfIncident) == 0) {
+    // Replay-consistent: until this kOutcomeFailed the journal showed the
+    // item queued (its kDispatched had no outcome), so requeueing it
+    // converges with replay.
+    Requeue(item, u.reactive_interest, now);
+  } else if (u.reactive_interest) {
+    // The db is no longer queued at this point, so a fresh accept is
+    // valid.
+    EnqueueItem(item.db, ResumeClass::kReactiveLogin, now);
+  }
+  return true;
+}
+
+void ManagementService::Requeue(const WorkItem& item, bool reactive_interest,
+                                EpochSeconds now) {
+  queues_[Idx(item.cls)].push_back(item);
+  queued_dbs_.emplace(item.db, item.cls);
+  if (reactive_interest && item.cls != ResumeClass::kReactiveLogin) {
+    PromoteToReactive(item.db, now);
+  }
+}
+
+void ManagementService::SettleUnacked(
+    std::unordered_map<DbId, UnackedDispatch>::iterator it, bool is_hedge,
+    const Status& outcome, EpochSeconds now) {
+  if (!outcome.ok() && outcome.code() != StatusCode::kFailedPrecondition) {
+    // A transient nack from one side of a hedged pair: spend this rid and
+    // keep waiting while the other dispatch is still on the wire.
+    (is_hedge ? it->second.hedge_request_id : it->second.request_id) = 0;
+    if (it->second.request_id != 0 || it->second.hedge_request_id != 0) {
+      return;
+    }
+  }
+  UnackedDispatch u = std::move(it->second);
+  unacked_.erase(it);
+  if (ApplyVerdict(u, is_hedge, outcome, now) && outcome.ok() &&
+      (u.item.cls == ResumeClass::kImminentProactive ||
+       u.item.cls == ResumeClass::kSpeculativeProactive)) {
+    // Folded into the next RunOnce's resumed count (and its journaled
+    // kIteration aggregate), keeping the Figure 11 metric and replay
+    // exact.
+    ++async_resumed_pending_;
   }
 }
 
@@ -647,22 +772,7 @@ void ManagementService::OnDispatchAck(DbId db, uint64_t request_id,
     NoteLateAck(db);
     return;
   }
-  const bool is_hedge = request_id == it->second.hedge_request_id;
-  const bool transient = !outcome.ok() &&
-                         outcome.code() != StatusCode::kFailedPrecondition;
-  if (transient) {
-    // A transient nack from one side of a hedged pair: spend this rid and
-    // keep waiting while the other dispatch is still on the wire.
-    uint64_t& slot =
-        is_hedge ? it->second.hedge_request_id : it->second.request_id;
-    slot = 0;
-    if (it->second.request_id != 0 || it->second.hedge_request_id != 0) {
-      return;
-    }
-  }
-  UnackedDispatch resolved = std::move(it->second);
-  unacked_.erase(it);
-  ResolveUnacked(db, std::move(resolved), is_hedge, outcome, now);
+  SettleUnacked(it, request_id == it->second.hedge_request_id, outcome, now);
 }
 
 void ManagementService::OnDispatchTimeout(DbId db, uint64_t request_id,
@@ -690,14 +800,42 @@ void ManagementService::OnDispatchTimeout(DbId db, uint64_t request_id,
   // state.
   UnackedDispatch resolved = std::move(it->second);
   unacked_.erase(it);
-  WorkItem item = resolved.item;
-  item.not_before = now;
-  queues_[Idx(item.cls)].push_back(item);
-  queued_dbs_.emplace(db, item.cls);
-  if (resolved.reactive_interest &&
-      item.cls != ResumeClass::kReactiveLogin) {
-    PromoteToReactive(db, now);
+  resolved.item.not_before = now;
+  Requeue(resolved.item, resolved.reactive_interest, now);
+}
+
+std::optional<Status> ManagementService::SendHedge(
+    DbId db, ResumeClass cls, int attempt_no, EpochSeconds enqueued_at,
+    WorkItem* item, uint64_t* request_id, EpochSeconds now) {
+  // Journal the hedge before dispatching it: hedging is bounded at one
+  // per workflow, and that bound must hold across a crash — a recovered
+  // control plane must never re-hedge a workflow whose hedge already went
+  // out.
+  JournalRecord rec;
+  rec.event = JournalEvent::kHedge;
+  rec.db = db;
+  rec.cls = static_cast<uint8_t>(cls);
+  rec.attempt = attempt_no;
+  rec.time = now;
+  if (!Journal(rec)) return std::nullopt;
+  Apply(rec, item);
+  ResumeAttempt attempt;
+  attempt.db = db;
+  attempt.cls = cls;
+  attempt.attempt = attempt_no;
+  attempt.hedge = true;
+  attempt.node_offset = 1;
+  attempt.enqueued_at = enqueued_at;
+  attempt.request_id = NextRequestId();
+  if (request_id != nullptr) *request_id = attempt.request_id;
+  Status s = resume_(attempt, now);
+  if (s.code() == StatusCode::kAborted) {
+    // Simulated process death inside the resume path, not a workflow
+    // failure.
+    Fence(s);
+    return std::nullopt;
   }
+  return s;
 }
 
 void ManagementService::Watchdog(EpochSeconds now) {
@@ -705,41 +843,14 @@ void ManagementService::Watchdog(EpochSeconds now) {
   for (auto& [db, f] : in_flight_) {
     if (fenced_) break;
     if (f.hedged || now <= f.deadline) continue;
-    // Journal the hedge before dispatching it: hedging is bounded at one
-    // per workflow, and that bound must hold across a crash — a recovered
-    // control plane must never re-hedge a workflow whose hedge already
-    // went out.
-    JournalRecord rec;
-    rec.event = JournalEvent::kHedge;
-    rec.db = db;
-    rec.cls = static_cast<uint8_t>(f.cls);
-    rec.attempt = f.attempts;
-    rec.time = now;
-    if (!Journal(rec)) break;
-    f.hedged = true;
-    ClassDiagnostics& cd = Cls(f.cls);
-    ++cd.deadline_breaches;
-    ++cd.hedged;
-    ResumeAttempt attempt;
-    attempt.db = db;
-    attempt.cls = f.cls;
-    attempt.attempt = f.attempts;
-    attempt.hedge = true;
-    attempt.node_offset = 1;
-    attempt.enqueued_at = f.started;
-    attempt.request_id = NextRequestId();
     // Best-effort rescue: the original dispatch is still in flight, so a
     // hedge failure changes nothing — the completion (or an incident at a
-    // higher layer) still resolves the workflow.
-    Status s = resume_(attempt, now);
-    if (s.code() == StatusCode::kAborted) {
-      // Simulated process death inside the resume path, not a workflow
-      // failure.
-      Fence(s);
-      break;
-    }
-    if (s.code() == StatusCode::kPending) continue;  // ack decides later
-    if (s.ok()) {
+    // higher layer) still resolves the workflow.  A pending hedge's ack
+    // decides later.
+    std::optional<Status> s =
+        SendHedge(db, f.cls, f.attempts, f.started, nullptr, nullptr, now);
+    if (!s.has_value()) break;
+    if (s->ok()) {
       JournalRecord win;
       win.event = JournalEvent::kHedge;
       win.db = db;
@@ -747,14 +858,14 @@ void ManagementService::Watchdog(EpochSeconds now) {
       win.time = now;
       win.flags |= kJfHedgeWin;
       if (!Journal(win)) break;
-      ++cd.hedge_wins;
+      Apply(win);
     }
   }
   if (fenced_) return;
 
   // Hedge unacked dispatches past their deadline: the primary request may
   // be delayed or lost in the transport, so one hedge to the secondary
-  // node races it.  Node-side dedup and the single-resolution rule below
+  // node races it.  Node-side dedup and the single-resolution rule
   // (whichever ack arrives first wins, the loser is a late ack) keep the
   // side effect exactly-once.
   std::vector<DbId> overdue;
@@ -769,54 +880,18 @@ void ManagementService::Watchdog(EpochSeconds now) {
     if (fenced_) break;
     auto it = unacked_.find(db);
     if (it == unacked_.end()) continue;  // resolved by an inline hedge ack
-    JournalRecord rec;
-    rec.event = JournalEvent::kHedge;
-    rec.db = db;
-    rec.cls = static_cast<uint8_t>(it->second.item.cls);
-    rec.attempt = it->second.item.attempts + 1;
-    rec.time = now;
-    if (!Journal(rec)) break;
-    it->second.item.hedged = true;
-    ClassDiagnostics& cd = Cls(it->second.item.cls);
-    ++cd.deadline_breaches;
-    ++cd.hedged;
-    ResumeAttempt attempt;
-    attempt.db = db;
-    attempt.cls = it->second.item.cls;
-    attempt.attempt = it->second.item.attempts + 1;
-    attempt.hedge = true;
-    attempt.node_offset = 1;
-    attempt.enqueued_at = it->second.item.enqueued_at;
-    attempt.request_id = NextRequestId();
-    it->second.hedge_request_id = attempt.request_id;
-    Status s = resume_(attempt, now);
-    if (s.code() == StatusCode::kAborted) {
-      Fence(s);
-      break;
-    }
-    if (s.code() == StatusCode::kPending) continue;  // races the original
-    // Inline hedge verdict (fault-free path to the secondary node).  A
-    // success or a state-changed resolves the workflow as the hedge's
-    // outcome; a transient hedge failure changes nothing — the original
-    // dispatch is still on the wire.
+    WorkItem& item = it->second.item;
+    std::optional<Status> s =
+        SendHedge(db, item.cls, item.attempts + 1, item.enqueued_at, &item,
+                  &it->second.hedge_request_id, now);
+    if (!s.has_value()) break;
+    if (s->code() == StatusCode::kPending) continue;  // races the original
+    // Inline hedge verdict (fault-free path to the secondary node),
+    // settled like an ack of the hedge: a transient nack spends the hedge
+    // rid (it is already settled on the dispatcher side), so the
+    // original's eventual timeout does not wait on it forever.
     it = unacked_.find(db);
-    if (it == unacked_.end()) continue;
-    if (s.ok() || s.code() == StatusCode::kFailedPrecondition) {
-      UnackedDispatch u = std::move(it->second);
-      unacked_.erase(it);
-      ResolveUnacked(db, std::move(u), /*is_hedge=*/true, s, now);
-    } else {
-      // Transient inline hedge nack: the hedge rid is already settled on
-      // the dispatcher side, so the slot must be spent here — leaving it
-      // set would make the original's eventual timeout wait forever on a
-      // hedge ack that can never arrive.
-      it->second.hedge_request_id = 0;
-      if (it->second.request_id == 0) {
-        UnackedDispatch u = std::move(it->second);
-        unacked_.erase(it);
-        ResolveUnacked(db, std::move(u), /*is_hedge=*/true, s, now);
-      }
-    }
+    if (it != unacked_.end()) SettleUnacked(it, /*is_hedge=*/true, *s, now);
   }
 }
 
@@ -829,10 +904,7 @@ void ManagementService::MaybeStartStorm(EpochSeconds now) {
   rec.event = JournalEvent::kStormStart;
   rec.time = now;
   if (!Journal(rec)) return;
-  storm_active_ = true;
-  ++storm_seq_;
-  ramp_step_ = 0;
-  ++diagnostics_.storms_detected;
+  Apply(rec);
   if (config_.catch_up_enabled) CatchUpSweep(now);
 }
 
@@ -852,9 +924,7 @@ void ManagementService::CatchUpSweep(EpochSeconds now) {
     ResumeClass cls = m.predicted_start < now
                           ? ResumeClass::kSpeculativeProactive
                           : ResumeClass::kImminentProactive;
-    if (AdmitNonReactive(m.db, cls, now, /*catch_up=*/true)) {
-      ++diagnostics_.catch_up_enqueued;
-    }
+    AdmitNonReactive(m.db, cls, now, /*catch_up=*/true);
   }
 }
 
@@ -901,35 +971,24 @@ uint64_t ManagementService::DrainClass(ResumeClass cls, EpochSeconds now,
       if (quota != nullptr) --*quota;
       if (breaker_ == BreakerState::kHalfOpen) ++half_open_probes_issued_;
     }
-    ClassDiagnostics& cd = Cls(item.cls);
     // Journal the dispatch before the callback runs: a crash between the
     // two leaves a dispatched-but-unacked workflow, the one case recovery
     // must reconcile against the node instead of deciding alone.
-    {
-      JournalRecord rec;
-      rec.event = JournalEvent::kDispatched;
-      rec.db = item.db;
-      rec.cls = static_cast<uint8_t>(item.cls);
-      rec.attempt = item.attempts + 1;
-      rec.time = now;
-      rec.enqueued_at = item.enqueued_at;
-      rec.deadline = item.deadline;
-      if (hedge_now) rec.flags |= kJfHedge;
-      if (!item.wait_recorded) rec.flags |= kJfFirstWait;
-      if (!Journal(rec)) {
-        q.push_front(item);
-        break;
-      }
+    JournalRecord rec;
+    rec.event = JournalEvent::kDispatched;
+    rec.db = item.db;
+    rec.cls = static_cast<uint8_t>(item.cls);
+    rec.attempt = item.attempts + 1;
+    rec.time = now;
+    rec.enqueued_at = item.enqueued_at;
+    rec.deadline = item.deadline;
+    if (hedge_now) rec.flags |= kJfHedge;
+    if (!item.wait_recorded) rec.flags |= kJfFirstWait;
+    if (!Journal(rec)) {
+      q.push_front(item);
+      break;
     }
-    if (hedge_now) {
-      item.hedged = true;
-      ++cd.deadline_breaches;
-      ++cd.hedged;
-    }
-    if (!item.wait_recorded) {
-      diagnostics_.queue_wait.Add(now - item.enqueued_at);
-      item.wait_recorded = true;
-    }
+    Apply(rec, &item);
     ResumeAttempt attempt;
     attempt.db = item.db;
     attempt.cls = item.cls;
@@ -957,123 +1016,28 @@ uint64_t ManagementService::DrainClass(ResumeClass cls, EpochSeconds now,
         break;
       }
     }
+    UnackedDispatch u;
+    u.item = item;
+    u.request_id = attempt.request_id;
+    u.gated = gated && !hedge_now;
+    u.half_open_probe = u.gated && breaker_ == BreakerState::kHalfOpen;
+    u.hedge_dispatch = hedge_now;
     if (s.code() == StatusCode::kPending) {
       // The dispatch is on the wire with its outcome deferred; it parks
       // in the unacked set until OnDispatchAck / OnDispatchTimeout.
       // Journal-wise nothing more is needed: the kDispatched above
       // without an outcome IS the unacked state, and a crash here leaves
       // exactly what FinishRecovery reconciles against the node.
-      UnackedDispatch u;
-      u.item = item;
-      u.request_id = attempt.request_id;
-      u.sent_at = now;
-      u.gated = gated && !hedge_now;
-      u.half_open_probe = u.gated && breaker_ == BreakerState::kHalfOpen;
-      u.hedge_dispatch = hedge_now;
       unacked_.emplace(item.db, std::move(u));
       queued_dbs_.erase(item.db);
       ++diagnostics_.unacked_dispatches;
       continue;
     }
-    if (s.ok()) {
-      const bool went_async = cls == ResumeClass::kReactiveLogin &&
-                              config_.deadline_hedging_enabled;
-      EpochSeconds effective_deadline =
-          item.deadline > 0 ? item.deadline : now + DeadlineFor(item.cls);
-      JournalRecord rec;
-      rec.event = JournalEvent::kOutcomeOk;
-      rec.db = item.db;
-      rec.cls = static_cast<uint8_t>(item.cls);
-      rec.attempt = item.attempts + 1;
-      rec.time = now;
-      rec.deadline = went_async ? effective_deadline : item.deadline;
-      if (hedge_now) rec.flags |= kJfHedge;
-      if (item.attempts > 0) rec.flags |= kJfWasFailed;
-      if (went_async) rec.flags |= kJfAsync;
-      if (!Journal(rec)) {
-        q.push_front(item);
-        break;
-      }
-      queued_dbs_.erase(item.db);
-      ++resumed;
-      ++cd.resumed;
-      if (item.attempts > 0) {
-        ++diagnostics_.mitigated;
-        ++cd.mitigated;
-      }
-      if (hedge_now) ++cd.hedge_wins;
-      if (gated && !hedge_now) {
-        if (breaker_ == BreakerState::kHalfOpen) {
-          ++half_open_successes_;
-          if (half_open_successes_ >= config_.breaker_half_open_probes) {
-            SetBreaker(BreakerState::kClosed, now);
-          }
-        } else {
-          RecordOutcome(/*success=*/true, now);
-        }
-      }
-      if (went_async) {
-        // Resources arrive asynchronously; the watchdog guards the wait.
-        InFlightItem f;
-        f.cls = item.cls;
-        f.attempts = item.attempts + 1;
-        f.started = now;
-        f.deadline = effective_deadline;
-        f.hedged = item.hedged;
-        in_flight_[item.db] = f;
-      }
-      continue;
+    if (!ApplyVerdict(u, /*is_hedge=*/false, s, now)) {
+      q.push_front(item);
+      break;
     }
-    if (s.code() == StatusCode::kFailedPrecondition) {
-      // The database is no longer physically paused (it resumed on its
-      // own or was already handled): nothing to do.  Breaker-neutral.
-      RetireSkipped(item);
-      continue;
-    }
-    // Transient workflow failure: the diagnostics runner mitigates by
-    // retrying after a capped exponential backoff.
-    {
-      int new_attempts = item.attempts + 1;
-      const bool incident = new_attempts >= max_attempts_;
-      DurationSeconds delay =
-          incident ? 0 : BackoffDelay(item.db, new_attempts);
-      JournalRecord rec;
-      rec.event = JournalEvent::kOutcomeFailed;
-      rec.db = item.db;
-      rec.cls = static_cast<uint8_t>(item.cls);
-      rec.attempt = new_attempts;
-      rec.time = now;
-      if (!incident) rec.not_before = now + delay;
-      if (new_attempts == 1) rec.flags |= kJfFirstFailure;
-      if (incident) rec.flags |= kJfIncident;
-      if (!Journal(rec)) {
-        q.push_front(item);
-        break;
-      }
-      item.attempts = new_attempts;
-      if (item.attempts == 1) {
-        ++diagnostics_.stuck_workflows;
-        ++cd.stuck;
-      }
-      if (gated && !hedge_now) {
-        if (breaker_ == BreakerState::kHalfOpen) {
-          SetBreaker(BreakerState::kOpen, now);  // failed probe: re-open
-        } else {
-          RecordOutcome(/*success=*/false, now);
-        }
-      }
-      if (!incident) {
-        item.not_before = now + delay;
-        ++diagnostics_.backoff_retries_scheduled;
-        diagnostics_.backoff_delay_seconds_total +=
-            static_cast<uint64_t>(delay);
-        q.push_back(item);
-      } else {
-        queued_dbs_.erase(item.db);
-        ++diagnostics_.incidents;  // mitigation failed -> on-call engineer
-        ++cd.incidents;
-      }
-    }
+    if (s.ok()) ++resumed;
   }
   return resumed;
 }
@@ -1153,15 +1117,8 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
       // skipped enqueue here would silently lose the pre-warm.  The old
       // item retires through its own class (keeping the per-class
       // invariant closed) and a fresh imminent workflow is admitted.
-      auto& q = queues_[Idx(it->second)];
-      for (auto qi = q.begin(); qi != q.end(); ++qi) {
-        if (qi->db == db) {
-          RetireSkipped(*qi);
-          if (fenced_) return fence_status_;
-          q.erase(qi);
-          break;
-        }
-      }
+      RetireQueued(it->second, db);
+      if (fenced_) return fence_status_;
     }
     AdmitNonReactive(db, ResumeClass::kImminentProactive, now);
   }
@@ -1209,9 +1166,7 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
     rec.event = JournalEvent::kStormEnd;
     rec.time = now;
     if (!Journal(rec)) return fence_status_;
-    storm_active_ = false;
-    storm_ended_at_ = now;
-    quota_this_iteration_ = 0;
+    Apply(rec);
   }
 
   // Iteration aggregates are journaled as absolutes so replay is
@@ -1242,164 +1197,64 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
       // Epoch tracking and metadata records are applied by the owner
       // (DurableControlPlane), not the service.
       return Status::OK();
-    case JournalEvent::kAccepted: {
+    case JournalEvent::kAccepted:
       if (queued_dbs_.count(rec.db) != 0) {
         return Status::Corruption(
             "journal replay: kAccepted for an already-queued database");
       }
-      WorkItem item;
-      item.db = rec.db;
-      item.cls = cls;
-      item.not_before = rec.time;
-      item.enqueued_at = rec.enqueued_at;
-      item.deadline = rec.deadline;
-      queued_dbs_.emplace(rec.db, cls);
-      queues_[Idx(cls)].push_back(item);
-      ++Cls(cls).enqueued;
-      if ((rec.flags & kJfCatchUp) != 0) ++diagnostics_.catch_up_enqueued;
       if ((rec.flags & kJfReactive) != 0) ++reactive_arrivals_;
-      if ((rec.flags & kJfFailover) != 0) ++diagnostics_.failover_requeues;
-      if (rec.attempt > 0) {
-        diagnostics_.max_brownout_level =
-            std::max(diagnostics_.max_brownout_level, rec.attempt);
-      }
+      Apply(rec);
       return Status::OK();
-    }
-    case JournalEvent::kNodeDead:
-      ++diagnostics_.node_failovers;
+    case JournalEvent::kEvicted:
+    case JournalEvent::kRetired:
+      TakeQueued(cls, rec.db, nullptr,
+                 /*from_back=*/rec.event == JournalEvent::kEvicted);
+      Apply(rec);
       return Status::OK();
-    case JournalEvent::kAdmissionShed: {
-      if ((rec.flags & kJfBreakerShed) != 0) ++diagnostics_.shed_resumes;
-      ++Cls(cls).shed_admission;
-      if (rec.attempt > 0) {
-        diagnostics_.max_brownout_level =
-            std::max(diagnostics_.max_brownout_level, rec.attempt);
-      }
-      return Status::OK();
-    }
-    case JournalEvent::kEvicted: {
-      auto& q = queues_[Idx(cls)];
-      for (auto qi = q.end(); qi != q.begin();) {
-        --qi;
-        if (qi->db != rec.db) continue;
-        q.erase(qi);
-        break;
-      }
-      queued_dbs_.erase(rec.db);
-      ++Cls(cls).shed_evicted;
-      if ((rec.flags & kJfWasFailed) != 0) {
-        ++Cls(cls).failed_then_shed;
-        ++diagnostics_.failed_then_shed;
-      }
-      return Status::OK();
-    }
-    case JournalEvent::kRetired: {
-      auto& q = queues_[Idx(cls)];
-      for (auto qi = q.begin(); qi != q.end(); ++qi) {
-        if (qi->db != rec.db) continue;
-        q.erase(qi);
-        break;
-      }
-      queued_dbs_.erase(rec.db);
-      recovery_pending_.erase(rec.db);
-      ++diagnostics_.skipped_state_changed;
-      ++Cls(cls).skipped_state_changed;
-      if ((rec.flags & kJfWasFailed) != 0) {
-        ++diagnostics_.failed_then_skipped;
-        ++Cls(cls).failed_then_skipped;
-      }
-      if ((rec.flags & kJfDeleted) != 0) ++diagnostics_.deleted_while_queued;
-      return Status::OK();
-    }
     case JournalEvent::kDispatched: {
       WorkItem* item = FindQueued(cls, rec.db);
       if (item == nullptr) {
         return Status::Corruption(
             "journal replay: kDispatched for a database not queued");
       }
-      if ((rec.flags & kJfFirstWait) != 0) {
-        diagnostics_.queue_wait.Add(rec.time - rec.enqueued_at);
-        item->wait_recorded = true;
-      }
-      if ((rec.flags & kJfHedge) != 0) {
-        item->hedged = true;
-        ++Cls(cls).deadline_breaches;
-        ++Cls(cls).hedged;
-      }
+      Apply(rec, item);
       recovery_pending_[rec.db] = cls;
       return Status::OK();
     }
     case JournalEvent::kOutcomeOk:
-      ReplaySuccess(rec, (rec.flags & kJfAsync) != 0);
+    case JournalEvent::kReconcileComplete: {
+      WorkItem item;
+      const bool queued = TakeQueued(cls, rec.db, &item);
+      Apply(rec, queued ? &item : nullptr);
       return Status::OK();
-    case JournalEvent::kOutcomeFailed: {
-      recovery_pending_.erase(rec.db);
-      ClassDiagnostics& cd = Cls(cls);
-      if ((rec.flags & kJfFirstFailure) != 0) {
-        ++diagnostics_.stuck_workflows;
-        ++cd.stuck;
-      }
-      auto& q = queues_[Idx(cls)];
+    }
+    case JournalEvent::kOutcomeFailed:
+      // Replay keeps a retried item in place; the live path moved it to
+      // the back of its queue (DESIGN.md section 10, approximation (a)).
       if ((rec.flags & kJfIncident) != 0) {
-        for (auto qi = q.begin(); qi != q.end(); ++qi) {
-          if (qi->db != rec.db) continue;
-          q.erase(qi);
-          break;
-        }
-        queued_dbs_.erase(rec.db);
-        ++diagnostics_.incidents;
-        ++cd.incidents;
-      } else if (WorkItem* item = FindQueued(cls, rec.db); item != nullptr) {
-        item->attempts = rec.attempt;
-        item->not_before = rec.not_before;
-        ++diagnostics_.backoff_retries_scheduled;
-        diagnostics_.backoff_delay_seconds_total +=
-            static_cast<uint64_t>(rec.not_before - rec.time);
+        TakeQueued(cls, rec.db, nullptr);
+        Apply(rec);
+      } else {
+        Apply(rec, FindQueued(cls, rec.db));
       }
       return Status::OK();
-    }
-    case JournalEvent::kHedge: {
-      if ((rec.flags & kJfHedgeWin) != 0) {
-        ++Cls(cls).hedge_wins;
-        return Status::OK();
-      }
-      auto it = in_flight_.find(rec.db);
-      if (it != in_flight_.end()) {
-        it->second.hedged = true;
-        ++Cls(cls).deadline_breaches;
-        ++Cls(cls).hedged;
-      } else if (WorkItem* item = FindQueued(cls, rec.db); item != nullptr) {
-        // A watchdog hedge of an unacked dispatch: replay-wise the item
-        // is still queued (kDispatched without an outcome).  Restoring
-        // the hedged bit keeps the one-hedge-per-workflow bound across a
-        // crash.
-        item->hedged = true;
-        ++Cls(cls).deadline_breaches;
-        ++Cls(cls).hedged;
-      }
+    case JournalEvent::kHedge:
+      // A watchdog hedge of an in-flight resume, or of an unacked dispatch
+      // (replay-wise still queued: kDispatched without an outcome).
+      Apply(rec, in_flight_.count(rec.db) != 0 ? nullptr
+                                               : FindQueued(cls, rec.db));
       return Status::OK();
-    }
-    case JournalEvent::kCompleted: {
-      auto it = in_flight_.find(rec.db);
-      if (it != in_flight_.end()) {
-        diagnostics_.in_flight_duration.Add(rec.time - it->second.started);
-        in_flight_.erase(it);
-      }
+    case JournalEvent::kReconcileRequeue:
+      Apply(rec, (rec.flags & kJfAsync) != 0 ? nullptr
+                                               : FindQueued(cls, rec.db));
       return Status::OK();
-    }
+    case JournalEvent::kAdmissionShed:
+    case JournalEvent::kCompleted:
     case JournalEvent::kBreaker:
-      ApplyBreaker(static_cast<BreakerState>(rec.cls), rec.time);
-      return Status::OK();
     case JournalEvent::kStormStart:
-      storm_active_ = true;
-      ++storm_seq_;
-      ramp_step_ = 0;
-      ++diagnostics_.storms_detected;
-      return Status::OK();
     case JournalEvent::kStormEnd:
-      storm_active_ = false;
-      storm_ended_at_ = rec.time;
-      quota_this_iteration_ = 0;
+    case JournalEvent::kNodeDead:
+      Apply(rec);
       return Status::OK();
     case JournalEvent::kIteration:
       ++diagnostics_.observed_iterations;
@@ -1415,113 +1270,51 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
       quota_this_iteration_ = rec.stats[3];
       reactive_arrivals_ = 0;
       return Status::OK();
-    case JournalEvent::kReconcileComplete:
-      ReplaySuccess(rec, /*async=*/false);
-      return Status::OK();
-    case JournalEvent::kReconcileRequeue: {
-      recovery_pending_.erase(rec.db);
-      if ((rec.flags & kJfAsync) != 0) {
-        // An in-flight resume the node lost: a fresh reactive workflow
-        // was started for the still-waiting customer.
-        in_flight_.erase(rec.db);
-        if (queued_dbs_.count(rec.db) == 0) {
-          WorkItem item;
-          item.db = rec.db;
-          item.cls = ResumeClass::kReactiveLogin;
-          item.not_before = rec.time;
-          item.enqueued_at = rec.enqueued_at;
-          item.deadline = rec.deadline;
-          queued_dbs_.emplace(rec.db, ResumeClass::kReactiveLogin);
-          queues_[Idx(ResumeClass::kReactiveLogin)].push_back(item);
-          ++Cls(ResumeClass::kReactiveLogin).enqueued;
-        }
-      } else if (WorkItem* item = FindQueued(cls, rec.db); item != nullptr) {
-        item->not_before = rec.time;
-      }
-      return Status::OK();
-    }
   }
   return Status::Corruption("journal replay: unknown event type");
-}
-
-void ManagementService::ReplaySuccess(const JournalRecord& rec, bool async) {
-  const ResumeClass cls = static_cast<ResumeClass>(rec.cls);
-  recovery_pending_.erase(rec.db);
-  bool hedged = false;
-  auto& q = queues_[Idx(cls)];
-  for (auto qi = q.begin(); qi != q.end(); ++qi) {
-    if (qi->db != rec.db) continue;
-    hedged = qi->hedged;
-    q.erase(qi);
-    break;
-  }
-  queued_dbs_.erase(rec.db);
-  ClassDiagnostics& cd = Cls(cls);
-  ++cd.resumed;
-  if ((rec.flags & kJfWasFailed) != 0) {
-    ++diagnostics_.mitigated;
-    ++cd.mitigated;
-  }
-  if ((rec.flags & kJfHedge) != 0) ++cd.hedge_wins;
-  if (async) {
-    InFlightItem f;
-    f.cls = cls;
-    f.attempts = rec.attempt;
-    f.started = rec.time;
-    f.deadline = rec.deadline;
-    f.hedged = hedged || (rec.flags & kJfHedge) != 0;
-    in_flight_[rec.db] = f;
-  }
 }
 
 ManagementService::ReconcileStats ManagementService::FinishRecovery(
     const std::function<bool(DbId)>& node_resumed, EpochSeconds now) {
   ReconcileStats stats;
   // Deterministic reconcile order, so a crash during recovery replays the
-  // same prefix of decisions on the next attempt.
+  // same prefix of decisions on the next attempt.  Each decision is
+  // journaled, then applied exactly as replay applies it.
   std::vector<std::pair<DbId, ResumeClass>> pending(recovery_pending_.begin(),
                                                     recovery_pending_.end());
   std::sort(pending.begin(), pending.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [db, cls] : pending) {
     if (fenced_) break;
-    WorkItem* item = FindQueued(cls, db);
+    const WorkItem* item = FindQueued(cls, db);
     if (item == nullptr) {
       recovery_pending_.erase(db);
       continue;
     }
-    if (node_resumed(db)) {
+    JournalRecord rec;
+    rec.db = db;
+    rec.cls = static_cast<uint8_t>(cls);
+    rec.time = now;
+    const bool resumed = node_resumed(db);
+    if (resumed) {
       // The dispatch went through before the crash; acknowledging it now
       // (instead of re-dispatching) is what keeps resumes exactly-once.
-      JournalRecord rec;
       rec.event = JournalEvent::kReconcileComplete;
-      rec.db = db;
-      rec.cls = static_cast<uint8_t>(cls);
       rec.attempt = item->attempts + 1;
-      rec.time = now;
       if (item->attempts > 0) rec.flags |= kJfWasFailed;
-      if (!Journal(rec)) break;
-      ReplaySuccess(rec, /*async=*/false);
-      ++stats.completed;
     } else {
       // The dispatch never reached the node: requeue, attempts unchanged.
-      JournalRecord rec;
       rec.event = JournalEvent::kReconcileRequeue;
-      rec.db = db;
-      rec.cls = static_cast<uint8_t>(cls);
       rec.attempt = item->attempts;
-      rec.time = now;
-      if (!Journal(rec)) break;
-      item->not_before = now;
-      recovery_pending_.erase(db);
-      ++stats.requeued;
     }
+    if (!Journal(rec)) break;
+    (void)ApplyForRecovery(rec);
+    ++(resumed ? stats.completed : stats.requeued);
   }
   if (!fenced_) recovery_pending_.clear();
 
   // In-flight workflows whose node no longer shows the resume: the
-  // customer is still waiting, so a fresh reactive workflow starts (the
-  // original workflow's accounting closed at its success).
+  // customer is still waiting, so a fresh reactive workflow starts.
   std::vector<DbId> lost;
   for (const auto& [db, f] : in_flight_) {
     if (!node_resumed(db)) lost.push_back(db);
@@ -1540,18 +1333,7 @@ ManagementService::ReconcileStats ManagementService::FinishRecovery(
       rec.deadline = now + DeadlineFor(ResumeClass::kReactiveLogin);
     }
     if (!Journal(rec)) break;
-    in_flight_.erase(db);
-    if (queued_dbs_.count(db) == 0) {
-      WorkItem item;
-      item.db = db;
-      item.cls = ResumeClass::kReactiveLogin;
-      item.not_before = now;
-      item.enqueued_at = now;
-      item.deadline = rec.deadline;
-      queued_dbs_.emplace(db, ResumeClass::kReactiveLogin);
-      queues_[Idx(ResumeClass::kReactiveLogin)].push_back(item);
-      ++Cls(ResumeClass::kReactiveLogin).enqueued;
-    }
+    (void)ApplyForRecovery(rec);
     ++stats.in_flight_requeued;
   }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -120,7 +121,7 @@ struct DiagnosticsReport {
   uint64_t deleted_while_queued = 0;  // db vanished from the metadata store
   int max_brownout_level = 0;
 
-  // Transport telemetry (inert-zero over the legacy direct-call path).
+  // Transport telemetry (inert-zero when dispatches return inline).
   uint64_t unacked_dispatches = 0;  // dispatches parked awaiting an ack
   uint64_t dispatch_timeouts = 0;   // ack never arrived; requeued unacked
   uint64_t late_acks = 0;           // ack after local resolution; no-op
@@ -312,8 +313,8 @@ class ManagementService {
   /// Attaches the control-plane journal: every externally visible
   /// transition is journaled before it takes effect, and the service
   /// fences itself (refusing all further work) the moment an append
-  /// fails.  nullptr detaches and restores the exact legacy in-memory
-  /// behavior.
+  /// fails.  Without a journal (nullptr) the same transitions apply
+  /// without being appended.
   void AttachJournal(ControlPlaneJournal* journal) { journal_ = journal; }
 
   /// Incarnation number, bumped by every recovery; workflow identity for
@@ -328,9 +329,11 @@ class ManagementService {
   bool fenced() const { return fenced_; }
   const Status& fence_status() const { return fence_status_; }
 
-  /// Applies one replayed journal record during recovery.  Must only be
-  /// called on a freshly constructed (or checkpoint-restored) service
-  /// with no journal attached; replay never re-journals.
+  /// Applies one replayed journal record during recovery: finds the
+  /// record's queued item, makes the checks only replay can make, and
+  /// applies the transition exactly as the live path did.  Called on a
+  /// freshly constructed (or checkpoint-restored) service, and by
+  /// FinishRecovery for its own reconcile records; it never journals.
   Status ApplyForRecovery(const JournalRecord& rec);
 
   struct ReconcileStats {
@@ -371,15 +374,16 @@ class ManagementService {
     bool hedged = false;
   };
 
-  /// A dispatch whose resume callback returned kPending: the request is
-  /// on the wire, the outcome unknown.  The item carries the full queued
-  /// state so an ack can replay the synchronous outcome path and a
-  /// timeout can requeue it unchanged.
+  /// One dispatched workflow awaiting its verdict: built for every
+  /// dispatch, and parked in the unacked set when the resume callback
+  /// returned kPending (the request is on the wire, the outcome
+  /// unknown).  The item carries the full queued state so the verdict
+  /// applies exactly as an inline one and a timeout can requeue it
+  /// unchanged.
   struct UnackedDispatch {
     WorkItem item;
     uint64_t request_id = 0;        // the primary dispatch
     uint64_t hedge_request_id = 0;  // a watchdog hedge, if one was spent
-    EpochSeconds sent_at = 0;
     bool gated = false;            // dispatch counted against the breaker
     bool half_open_probe = false;  // dispatched as a half-open probe
     bool hedge_dispatch = false;   // the primary dispatch was itself a hedge
@@ -399,8 +403,7 @@ class ManagementService {
 
   /// Full admission pipeline of a fresh non-reactive workflow: breaker
   /// shed, brownout shed, capacity bound with lower-class eviction.
-  /// Returns false when the arrival was shed (accounted).
-  bool AdmitNonReactive(DbId db, ResumeClass cls, EpochSeconds now,
+  void AdmitNonReactive(DbId db, ResumeClass cls, EpochSeconds now,
                         bool catch_up = false);
   /// Frees one capacity slot by evicting the newest item of the lowest
   /// class strictly below `cls`; false if no lower-class item exists.
@@ -411,16 +414,30 @@ class ManagementService {
   /// Retires a queued item without an attempt (promotion, deletion) via
   /// the skipped_state_changed path of its class.
   void RetireSkipped(const WorkItem& item, bool deleted = false);
+  /// Retires the queued item of `db` in the queue of `cls` and removes it
+  /// from the queue (class upgrade, promotion).
+  void RetireQueued(ResumeClass cls, DbId db);
 
   /// Next dispatch identity: (epoch << 32) | ++dispatch_seq_.  Pure
   /// counter — draws no randomness, so assigning ids never perturbs the
   /// deterministic schedule.
   uint64_t NextRequestId() { return (epoch_ << 32) | ++dispatch_seq_; }
-  /// Applies a node verdict to an unacked dispatch — the asynchronous
-  /// mirror of DrainClass's outcome handling.  `is_hedge` marks the
-  /// verdict as belonging to the hedge dispatch.
-  void ResolveUnacked(DbId db, UnackedDispatch u, bool is_hedge,
-                      const Status& outcome, EpochSeconds now);
+  /// Applies a node verdict to a dispatch, whether it returned inline
+  /// (DrainClass) or arrived on the wire: journals the outcome, applies
+  /// it, runs the breaker bookkeeping of the dispatch-time posture, and
+  /// requeues a retry.  `is_hedge` marks the verdict as the hedge's.
+  /// Returns false when the service fenced before an ok or failed outcome
+  /// was journaled; the caller then still holds the item.
+  bool ApplyVerdict(UnackedDispatch& u, bool is_hedge, const Status& outcome,
+                    EpochSeconds now);
+  /// Settles the verdict of one side of an unacked dispatch: a transient
+  /// nack waits for the other side of a hedged pair; anything else takes
+  /// the dispatch off the wire and applies the verdict.
+  void SettleUnacked(std::unordered_map<DbId, UnackedDispatch>::iterator it,
+                     bool is_hedge, const Status& outcome, EpochSeconds now);
+  /// Puts an item back at the tail of its queue after a dispatch; a login
+  /// absorbed while it was on the wire promotes it to reactive.
+  void Requeue(const WorkItem& item, bool reactive_interest, EpochSeconds now);
   /// Promotes a queued non-reactive item of `db` to a fresh reactive
   /// workflow (retire + re-enqueue), shared by EnqueueReactive and the
   /// unacked resolution paths.
@@ -430,8 +447,16 @@ class ManagementService {
   /// non-null) is the shared slow-start budget across the non-reactive
   /// classes.  Returns successful attempts.
   uint64_t DrainClass(ResumeClass cls, EpochSeconds now, uint64_t* quota);
-  /// Hedges in-flight workflows past their deadline (one hedge each).
+  /// Hedges in-flight and unacked workflows past their deadline (one
+  /// hedge each).
   void Watchdog(EpochSeconds now);
+  /// Journals, applies and dispatches the hedge of one overdue workflow:
+  /// `item` is an unacked dispatch's item (nullptr: an in-flight resume),
+  /// and `request_id` receives the hedge's id before it is sent.  Returns
+  /// the hedge's inline verdict, or nullopt once the service fenced.
+  std::optional<Status> SendHedge(DbId db, ResumeClass cls, int attempt_no,
+                                  EpochSeconds enqueued_at, WorkItem* item,
+                                  uint64_t* request_id, EpochSeconds now);
 
   void MaybeStartStorm(EpochSeconds now);
   /// Re-enqueues missed pre-warms (stale predicted starts) at storm
@@ -442,21 +467,29 @@ class ManagementService {
   /// the breaker when the failure ratio crosses the threshold.
   void RecordOutcome(bool success, EpochSeconds now);
   void SetBreaker(BreakerState next, EpochSeconds now);
-  /// The in-memory half of a breaker transition (shared with replay).
-  void ApplyBreaker(BreakerState next, EpochSeconds now);
 
   /// Journals one record (journal-before-apply).  Returns true when the
   /// caller may apply the transition; false when the service just fenced
   /// (append failed or an injected crash fired) — the caller must apply
-  /// NOTHING and unwind.  Without an attached journal this is a no-op
-  /// returning true (exact legacy behavior).
+  /// NOTHING and unwind.  Without an attached journal nothing is
+  /// appended and this returns true.
   bool Journal(JournalRecord rec);
+  /// Applies one journaled transition to the counters, the queue index,
+  /// the in-flight set and the storm and breaker state — the one apply
+  /// step of every service event, shared by the live path and replay.
+  /// `item` is the workflow's item where the event needs it: the live
+  /// path passes the item it holds, replay the one it looked up.  Apply
+  /// never adds or removes queue entries for an existing item; the
+  /// caller places them.
+  void Apply(const JournalRecord& rec, WorkItem* item = nullptr);
   void Fence(const Status& status);
   /// Locates a queued item of `cls` by database id; nullptr if absent.
   WorkItem* FindQueued(ResumeClass cls, DbId db);
-  /// Replay-time outcome application shared by kOutcomeOk and the
-  /// reconcile events.
-  void ReplaySuccess(const JournalRecord& rec, bool async);
+  /// Removes the queued item of `db` from the queue of `cls` (copied to
+  /// `out` when non-null), searching from the back when `from_back`.
+  /// False if absent.
+  bool TakeQueued(ResumeClass cls, DbId db, WorkItem* out,
+                  bool from_back = false);
 
   MetadataStore* metadata_;
   ControlPlaneConfig config_;
