@@ -6,8 +6,10 @@
 // outage and maintenance load, under random outages with injected resume
 // failures, journaled with a control-plane crash, and over the transport
 // with failure detection and a node crash; the reactive policy plain and
-// under the storm layer.  A refactor must leave every constant unchanged;
-// changing one is a deliberate, reviewed edit.
+// under the storm layer.  The other three regions each get a plain
+// proactive and a plain reactive cell on their own fleet, at the region's
+// eviction rate.  A refactor must leave every constant unchanged; changing
+// one is a deliberate, reviewed edit.
 
 #include <cstdint>
 #include <cstring>
@@ -235,6 +237,35 @@ TEST(SimReportDigestTest, GridIsBitIdentical) {
     EXPECT_EQ(digest, cell.digest)
         << cell.name << ": digest 0x" << std::hex << digest;
     if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(SimReportDigestTest, OtherRegionsAreBitIdentical) {
+  struct RegionCell {
+    workload::RegionProfile profile;
+    uint64_t proactive;
+    uint64_t reactive;
+  };
+  const RegionCell regions[] = {
+      {workload::RegionEU2(), 0x8932071ad39c9dbfULL, 0xaaf8fed7260ee7c1ULL},
+      {workload::RegionUS1(), 0x9440bbbdb677fb95ULL, 0xba35279be1acc464ULL},
+      {workload::RegionUS2(), 0xba99efa1e83d0488ULL, 0x7c060da34585be93ULL},
+  };
+  for (const RegionCell& region : regions) {
+    const auto traces =
+        workload::GenerateFleet(region.profile, 60, kT0, kEnd, 13);
+    for (PolicyMode mode : {PolicyMode::kProactive, PolicyMode::kReactive}) {
+      SimOptions options = BaseOptions(mode);
+      options.eviction_per_hour = region.profile.eviction_per_hour;
+      auto r = RunFleetSimulation(traces, options);
+      const std::string name = region.profile.name + " " +
+                               std::string(policy::PolicyModeName(mode));
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      const uint64_t digest = Digest(*r);
+      EXPECT_EQ(digest, mode == PolicyMode::kProactive ? region.proactive
+                                                       : region.reactive)
+          << name << ": digest 0x" << std::hex << digest;
+    }
   }
 }
 
