@@ -1,9 +1,9 @@
 #ifndef PRORP_BENCH_BENCH_UTIL_H_
 #define PRORP_BENCH_BENCH_UTIL_H_
 
-// Shared setup for the figure-reproduction harnesses.  Every bench prints
-// the same rows/series the paper's figure reports, prefixed with the
-// paper's expected band so the shape comparison is one glance.
+// Shared setup for the bench harnesses: allocation and RSS counters, fleet
+// and arm helpers over the fleet simulator, and the micro harnesses' JSON
+// output.
 
 #include <sys/resource.h>
 
@@ -243,21 +243,6 @@ inline void PrintHeader(const char* figure, const char* claim) {
   std::printf("%s\n", figure);
   std::printf("paper: %s\n", claim);
   std::printf("==============================================================\n");
-}
-
-inline void PrintKpiRow(const std::string& label,
-                        const telemetry::KpiReport& kpi) {
-  std::printf("%-16s %s\n", label.c_str(), kpi.ToString().c_str());
-}
-
-/// "p50=.. p95=.. p99=.. max=.." row of a latency Summary.  The Summary
-/// keeps every sample, so the tail percentiles are exact, unlike the
-/// log-bucketed telemetry histograms.
-inline void PrintLatencyRow(const std::string& label, const Summary& s) {
-  std::printf("%-16s n=%zu p50=%.0fs p95=%.0fs p99=%.0fs max=%.0fs\n",
-              label.c_str(), s.count(), s.Percentile(0.50),
-              s.Percentile(0.95), s.Percentile(0.99),
-              s.empty() ? 0.0 : s.Max());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ namespace prorp::workload {
 // the Figure 3 shape (most idle intervals are short but contribute a tiny
 // share of idle time), (b) the reactive baseline lands in the paper's
 // 60-68% QoS band under each region's capacity pressure, and (c) the
-// proactive policy lands in the 80-90% band.  bench_fig3_fragmentation and
-// bench_fig6_regions print the calibration numbers; EXPERIMENTS.md
+// proactive policy lands in the 80-90% band.  bench_paper's Figure 3 and
+// Figure 6 rows print and check the calibration numbers; EXPERIMENTS.md
 // discusses the inherent tension between Figure 3's 72% short-gap count
 // share and Figure 6's reactive QoS band.
 
