@@ -199,14 +199,9 @@ inline sim::SimOptions MakeOptions(const FleetSetup& setup,
   options.end = setup.end;
   options.eviction_per_hour = setup.profile.eviction_per_hour;
   options.seed = seed;
-  // Reactive / always-on databases share no cross-database state, so those
-  // arms additionally shard the fleet across workers (the simulator clamps
-  // and falls back to the serial loop for proactive mode).  Sharded output
-  // is bit-identical to serial, so this only changes wall-clock time.
-  if (mode != policy::PolicyMode::kProactive) {
-    options.num_threads =
-        static_cast<int>(common::ThreadPool::DefaultThreads());
-  }
+  // Each arm runs serially: RunArms already spreads the arms over
+  // DefaultThreads() workers, and a figure's long pole is its unsharded
+  // proactive arm, so sharding the reactive arms too would only nest pools.
   return options;
 }
 

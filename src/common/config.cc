@@ -1,8 +1,5 @@
 #include "common/config.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace prorp {
 
 Status PredictionConfig::Validate() const {
@@ -123,24 +120,6 @@ Status ControlPlaneConfig::Validate() const {
 Status ProrpConfig::Validate() const {
   PRORP_RETURN_IF_ERROR(policy.Validate());
   return control_plane.Validate();
-}
-
-std::string ProrpConfig::ToString() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "l=%" PRId64 "h h=%" PRId64 "d p=%" PRId64 "h c=%.2f w=%" PRId64
-      "h s=%" PRId64 "m season=%" PRId64 "d k=%" PRId64 "m op=%" PRId64 "m",
-      policy.logical_pause_duration / kSecondsPerHour,
-      policy.prediction.history_length / kSecondsPerDay,
-      policy.prediction.prediction_horizon / kSecondsPerHour,
-      policy.prediction.confidence_threshold,
-      policy.prediction.window_size / kSecondsPerHour,
-      policy.prediction.window_slide / kSecondsPerMinute,
-      policy.prediction.seasonality / kSecondsPerDay,
-      control_plane.prewarm_interval / kSecondsPerMinute,
-      control_plane.resume_operation_period / kSecondsPerMinute);
-  return buf;
 }
 
 }  // namespace prorp

@@ -2,7 +2,6 @@
 #define PRORP_COMMON_CONFIG_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
 #include "common/time_util.h"
@@ -190,10 +189,6 @@ struct ProrpConfig {
   ControlPlaneConfig control_plane;
 
   Status Validate() const;
-
-  /// Renders the configuration as a short single-line summary for bench
-  /// harness output.
-  std::string ToString() const;
 };
 
 }  // namespace prorp

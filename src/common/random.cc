@@ -67,15 +67,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  double z = std::sqrt(-2.0 * std::log(u1)) *
-             std::cos(2.0 * 3.14159265358979323846 * u2);
-  return mean + stddev * z;
-}
-
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 Rng Rng::ForkStream(uint64_t stream_id) const {

@@ -33,9 +33,6 @@ class Rng {
   /// Exponentially distributed with the given mean (> 0).
   double NextExponential(double mean);
 
-  /// Normally distributed (Box-Muller).
-  double NextGaussian(double mean, double stddev);
-
   /// Derives an independent child generator; useful to give each simulated
   /// database its own stream so fleet composition changes do not perturb
   /// other databases' traces.  Fork() consumes one draw, so the *number*

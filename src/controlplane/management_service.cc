@@ -58,32 +58,6 @@ void DiagnosticsReport::Merge(const DiagnosticsReport& other) {
   in_flight_duration.Merge(other.in_flight_duration);
 }
 
-std::string_view BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
-std::string_view ResumeClassName(ResumeClass cls) {
-  switch (cls) {
-    case ResumeClass::kReactiveLogin:
-      return "reactive";
-    case ResumeClass::kImminentProactive:
-      return "imminent";
-    case ResumeClass::kSpeculativeProactive:
-      return "speculative";
-    case ResumeClass::kMaintenance:
-      return "maintenance";
-  }
-  return "unknown";
-}
-
 ManagementService::ManagementService(MetadataStore* metadata,
                                      ControlPlaneConfig config,
                                      ResumeCallback resume,

@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 
 #include "common/config.h"
@@ -26,8 +25,6 @@ enum class BreakerState {
   kHalfOpen,  // probing: a few attempts allowed to test recovery
 };
 
-std::string_view BreakerStateName(BreakerState state);
-
 /// Workflow class of one resume request, in strict priority order: a
 /// lower value is drained first and shed last.
 enum class ResumeClass : uint8_t {
@@ -44,8 +41,6 @@ enum class ResumeClass : uint8_t {
 };
 
 inline constexpr size_t kNumResumeClasses = 4;
-
-std::string_view ResumeClassName(ResumeClass cls);
 
 /// One resume-workflow attempt handed to the resume callback.
 struct ResumeAttempt {

@@ -152,11 +152,4 @@ DurationSeconds NodeHealthTracker::LatencyP99(uint32_t node) const {
   return RingP99(it->second);
 }
 
-std::vector<uint32_t> NodeHealthTracker::Nodes() const {
-  std::vector<uint32_t> out;
-  out.reserve(nodes_.size());
-  for (const auto& [node, st] : nodes_) out.push_back(node);
-  return out;
-}
-
 }  // namespace prorp::controlplane

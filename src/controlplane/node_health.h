@@ -122,7 +122,6 @@ class NodeHealthTracker {
   /// ring is under-filled).
   DurationSeconds LatencyP99(uint32_t node) const;
 
-  std::vector<uint32_t> Nodes() const;
   const Stats& stats() const { return stats_; }
 
  private:

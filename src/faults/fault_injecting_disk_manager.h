@@ -33,7 +33,6 @@ class FaultInjectingDiskManager : public storage::DiskManager {
   Status Write(storage::PageId id, const uint8_t* buf) override;
   uint32_t num_pages() const override { return inner_->num_pages(); }
   Status Sync() override;
-  std::string path() const override { return inner_->path(); }
 
   storage::DiskManager* inner() { return inner_.get(); }
 

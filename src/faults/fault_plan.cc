@@ -2,50 +2,6 @@
 
 namespace prorp::faults {
 
-std::string_view FaultOpName(FaultOp op) {
-  switch (op) {
-    case FaultOp::kDiskRead:
-      return "disk_read";
-    case FaultOp::kDiskWrite:
-      return "disk_write";
-    case FaultOp::kDiskAllocate:
-      return "disk_allocate";
-    case FaultOp::kDiskSync:
-      return "disk_sync";
-    case FaultOp::kWalAppend:
-      return "wal_append";
-    case FaultOp::kWalSync:
-      return "wal_sync";
-    case FaultOp::kMsgRequest:
-      return "msg_request";
-    case FaultOp::kMsgAck:
-      return "msg_ack";
-    case FaultOp::kMsgLease:
-      return "msg_lease";
-  }
-  return "unknown";
-}
-
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kIoError:
-      return "io_error";
-    case FaultKind::kTornWrite:
-      return "torn_write";
-    case FaultKind::kBitFlip:
-      return "bit_flip";
-    case FaultKind::kDiskFull:
-      return "disk_full";
-    case FaultKind::kMsgDrop:
-      return "msg_drop";
-    case FaultKind::kMsgDuplicate:
-      return "msg_duplicate";
-    case FaultKind::kMsgDelay:
-      return "msg_delay";
-  }
-  return "unknown";
-}
-
 void FaultPlan::FailNth(FaultOp op, uint64_t nth, FaultKind kind) {
   scripted_[static_cast<size_t>(op)].push_back({nth, kind, std::nullopt});
 }

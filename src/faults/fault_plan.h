@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -24,14 +23,12 @@ enum class FaultOp : uint8_t {
   // DESIGN.md section 11).  One Next() per message send, keyed by the
   // message's direction/class so a plan can torture requests and acks
   // independently.
-  kMsgRequest,  ///< plane -> node requests (resume/pause)
+  kMsgRequest,  ///< plane -> node resume requests
   kMsgAck,      ///< node -> plane replies (ack/nack)
   kMsgLease,    ///< lease renewals/grants, either direction
 };
 
 inline constexpr int kNumFaultOps = 9;
-
-std::string_view FaultOpName(FaultOp op);
 
 /// What kind of fault to inject when a trigger fires.
 enum class FaultKind : uint8_t {
@@ -58,8 +55,6 @@ enum class FaultKind : uint8_t {
   /// other, so reordering is emergent rather than a separate kind.
   kMsgDelay,
 };
-
-std::string_view FaultKindName(FaultKind kind);
 
 /// A fired trigger: the kind plus a deterministic 64-bit argument the
 /// injection site interprets (torn-write cut offset, bit index, ...).

@@ -66,37 +66,6 @@ Status TransportDispatcher::DispatchResume(
   return Status::Pending("resume dispatch awaiting ack");
 }
 
-uint64_t TransportDispatcher::NextPauseId() {
-  // Pause ids live in a reserved high band so they can never collide with
-  // service-issued resume ids ((epoch << 32) | seq with seq < 2^32).
-  return (0xffffffffULL << 32) | ++pause_seq_;
-}
-
-Status TransportDispatcher::DispatchPause(DbId db, EndpointId node,
-                                          EpochSeconds now) {
-  Envelope env;
-  env.type = MessageType::kPauseRequest;
-  env.src = kControlPlaneEndpoint;
-  env.dst = node;
-  env.request_id = NextPauseId();
-  env.epoch = service_ != nullptr ? service_->epoch() : 0;
-  env.sent_at = now;
-  env.db = db;
-
-  ++stats_.dispatched;
-  outstanding_[env.request_id] = Outstanding{env, now, 1};
-  in_dispatch_ = true;
-  inline_rid_ = env.request_id;
-  inline_result_.reset();
-  transport_->Send(env);
-  in_dispatch_ = false;
-  if (inline_result_.has_value()) {
-    ++stats_.inline_acked;
-    return *inline_result_;
-  }
-  return Status::Pending("pause dispatch awaiting ack");
-}
-
 void TransportDispatcher::HandleReply(const Envelope& env, EpochSeconds now) {
   switch (env.type) {
     case MessageType::kAck:
@@ -155,7 +124,6 @@ void TransportDispatcher::HandleReply(const Envelope& env, EpochSeconds now) {
       return;
     }
     case MessageType::kResumeRequest:
-    case MessageType::kPauseRequest:
     case MessageType::kLeaseRenew:
       // Requests addressed to the plane (misrouted); ignore.
       return;

@@ -86,10 +86,6 @@ class TransportDispatcher {
   Status DispatchResume(const controlplane::ResumeAttempt& attempt,
                         EpochSeconds now);
 
-  /// Sends a pause request (fire-and-resolve like resumes; exercised by
-  /// tests — the simulator's pause path is node-local).
-  Status DispatchPause(DbId db, EndpointId node, EpochSeconds now);
-
   /// Drives time forward: surfaces due deferred messages, retransmits
   /// unanswered requests, reports exhausted ones, renews leases.
   void Tick(EpochSeconds now);
@@ -107,7 +103,6 @@ class TransportDispatcher {
 
  private:
   void HandleReply(const Envelope& env, EpochSeconds now);
-  uint64_t NextPauseId();
 
   Transport* transport_;
   Options options_;
@@ -133,7 +128,6 @@ class TransportDispatcher {
   std::optional<Status> inline_result_;
 
   EpochSeconds next_lease_at_ = 0;
-  uint64_t pause_seq_ = 0;
   Stats stats_;
 };
 

@@ -11,7 +11,6 @@ FaultInjectingTransport::FaultInjectingTransport(faults::FaultPlan* plan,
 faults::FaultOp FaultInjectingTransport::OpFor(MessageType type) {
   switch (type) {
     case MessageType::kResumeRequest:
-    case MessageType::kPauseRequest:
       return faults::FaultOp::kMsgRequest;
     case MessageType::kAck:
     case MessageType::kNack:

@@ -2,24 +2,6 @@
 
 namespace prorp::net {
 
-std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kResumeRequest:
-      return "resume_request";
-    case MessageType::kPauseRequest:
-      return "pause_request";
-    case MessageType::kAck:
-      return "ack";
-    case MessageType::kNack:
-      return "nack";
-    case MessageType::kLeaseRenew:
-      return "lease_renew";
-    case MessageType::kLeaseGrant:
-      return "lease_grant";
-  }
-  return "unknown";
-}
-
 Status StatusFromCode(StatusCode code, std::string_view msg) {
   switch (code) {
     case StatusCode::kOk:

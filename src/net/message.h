@@ -18,17 +18,15 @@ using EndpointId = uint32_t;
 
 inline constexpr EndpointId kControlPlaneEndpoint = 0;
 
-/// Typed messages of the resume/pause protocol (DESIGN.md section 11).
+/// Typed messages of the resume protocol (DESIGN.md section 11).  Pause
+/// is node-local, so no pause request crosses the wire.
 enum class MessageType : uint8_t {
   kResumeRequest = 0,  ///< plane -> node: run one resume-workflow attempt
-  kPauseRequest,       ///< plane -> node: physically pause a database
   kAck,                ///< node -> plane: request executed, OK
   kNack,               ///< node -> plane: request refused/failed (see code)
   kLeaseRenew,         ///< plane -> node: liveness/epoch advertisement
   kLeaseGrant,         ///< node -> plane: lease renewal acknowledged
 };
-
-std::string_view MessageTypeName(MessageType type);
 
 // Envelope flag bits (replies only).
 /// The node had already executed this request id; the reply repeats the

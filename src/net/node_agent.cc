@@ -5,12 +5,8 @@
 
 namespace prorp::net {
 
-NodeAgent::NodeAgent(EndpointId id, Transport* transport, Executor resume,
-                     Executor pause)
-    : id_(id),
-      transport_(transport),
-      resume_(std::move(resume)),
-      pause_(std::move(pause)) {
+NodeAgent::NodeAgent(EndpointId id, Transport* transport, Executor resume)
+    : id_(id), transport_(transport), resume_(std::move(resume)) {
   transport_->RegisterEndpoint(
       id_, [this](const Envelope& env, EpochSeconds now) {
         HandleMessage(env, now);
@@ -77,8 +73,7 @@ void NodeAgent::HandleMessage(const Envelope& env, EpochSeconds now) {
   // the node before anything else is considered.
   AdvanceTime(now);
   switch (env.type) {
-    case MessageType::kResumeRequest:
-    case MessageType::kPauseRequest: {
+    case MessageType::kResumeRequest: {
       ++stats_.requests;
       if (env.epoch < fence_epoch_) {
         // A previous incarnation's late message: reject, never execute.
@@ -108,12 +103,6 @@ void NodeAgent::HandleMessage(const Envelope& env, EpochSeconds now) {
               it->second, kMfDuplicateDelivery, now);
         return;
       }
-      const Executor& exec =
-          env.type == MessageType::kResumeRequest ? resume_ : pause_;
-      if (!exec) {
-        Reply(env, MessageType::kNack, StatusCode::kNotSupported, 0, now);
-        return;
-      }
       controlplane::ResumeAttempt attempt;
       attempt.db = env.db;
       attempt.cls = static_cast<controlplane::ResumeClass>(env.cls);
@@ -123,7 +112,7 @@ void NodeAgent::HandleMessage(const Envelope& env, EpochSeconds now) {
       attempt.enqueued_at = env.enqueued_at;
       attempt.request_id = env.request_id;
       ++stats_.executed;
-      Status s = exec(attempt, now);
+      Status s = resume_(attempt, now);
       if (s.ok()) applied_[env.request_id] = s.code();
       Reply(env, s.ok() ? MessageType::kAck : MessageType::kNack, s.code(),
             0, now);

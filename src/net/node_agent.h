@@ -10,7 +10,7 @@
 
 namespace prorp::net {
 
-/// Node-side endpoint of the resume/pause protocol: receives requests
+/// Node-side endpoint of the resume protocol: receives requests
 /// from the transport, makes apply idempotent and epoch-fenced, and acks.
 ///
 /// Idempotence: a per-node applied-request table records every request id
@@ -39,8 +39,8 @@ namespace prorp::net {
 /// still be executing work after the plane's fence-safe time.
 class NodeAgent {
  public:
-  /// Executes one workflow attempt on the node (the actual resume/pause
-  /// side effect).  Same shape as the management service's callback.
+  /// Executes one workflow attempt on the node (the actual resume side
+  /// effect).  Same shape as the management service's callback.
   using Executor = std::function<Status(const controlplane::ResumeAttempt&,
                                         EpochSeconds now)>;
 
@@ -50,7 +50,7 @@ class NodeAgent {
   using QuiesceHandler = std::function<void(EpochSeconds now)>;
 
   struct Stats {
-    uint64_t requests = 0;              ///< resume/pause requests received
+    uint64_t requests = 0;              ///< resume requests received
     uint64_t executed = 0;              ///< executor invocations
     uint64_t duplicate_suppressed = 0;  ///< redeliveries served from table
     uint64_t stale_epoch_rejected = 0;  ///< fenced requests, never executed
@@ -59,10 +59,8 @@ class NodeAgent {
     uint64_t self_quiesces = 0;           ///< lease-lapse fence trips
   };
 
-  /// Registers the agent as `id` on `transport`.  `pause` may be null
-  /// (pause requests then nack NotSupported).
-  NodeAgent(EndpointId id, Transport* transport, Executor resume,
-            Executor pause = nullptr);
+  /// Registers the agent as `id` on `transport`.
+  NodeAgent(EndpointId id, Transport* transport, Executor resume);
 
   /// Raises the epoch fence (never lowers it).  The recovery path calls
   /// this on every node before re-dispatching, so stragglers from the
@@ -111,7 +109,6 @@ class NodeAgent {
   EndpointId id_;
   Transport* transport_;
   Executor resume_;
-  Executor pause_;
   QuiesceHandler quiesce_;
   uint64_t fence_epoch_ = 0;
   bool down_ = false;

@@ -716,8 +716,10 @@ Status FleetSimulation::HandleMaintenanceTick(const SimEvent& ev) {
 
 void FleetSimulation::HandleMeasureStart(const SimEvent& ev) {
   // Swap in a fresh ledger/recorder/counter set seeded with the current
-  // phases: the warm-up period does not count toward the KPIs.
-  auto fresh = std::make_unique<telemetry::UsageLedger>(num_dbs_, ev.time);
+  // phases: the warm-up period does not count toward the KPIs.  Like the
+  // warm-up ledger, it keeps fleet totals only.
+  auto fresh = std::make_unique<telemetry::UsageLedger>(
+      num_dbs_, ev.time, /*track_per_db=*/false);
   for (DbId db = 0; db < num_dbs_; ++db) {
     if (controllers_[db] != nullptr) {
       fresh->SetPhase(db, current_phase_[db], ev.time);

@@ -85,11 +85,6 @@ Status Table::UpdateByKey(Value key, const Row& row) {
   return tree_->Update(key, value.data());
 }
 
-Result<Row> Table::FindByKey(Value key) const {
-  PRORP_ASSIGN_OR_RETURN(std::vector<uint8_t> value, tree_->Find(key));
-  return UnpackRow(key, value.data());
-}
-
 Status Table::ScanKeyRange(
     Value lo, Value hi, const std::function<bool(const Row&)>& cb) const {
   return tree_->ScanRange(lo, hi, [&](int64_t key, const uint8_t* value) {

@@ -49,9 +49,6 @@ class Table {
   /// Overwrites the non-key columns of the row with this key.
   Status UpdateByKey(Value key, const Row& row);
 
-  /// Point lookup by primary key.
-  Result<Row> FindByKey(Value key) const;
-
   /// Visits rows with key in [lo, hi] ascending.  Return false to stop.
   Status ScanKeyRange(Value lo, Value hi,
                       const std::function<bool(const Row&)>& cb) const;

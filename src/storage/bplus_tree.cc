@@ -208,35 +208,6 @@ Result<std::unique_ptr<BPlusTree>> BPlusTree::Create(BufferPool* pool,
   return tree;
 }
 
-Result<std::unique_ptr<BPlusTree>> BPlusTree::Open(BufferPool* pool) {
-  if (pool->disk()->num_pages() == 0) {
-    return Status::NotFound("no meta page: backing store is empty");
-  }
-  // LoadMeta reads the value width and sizes the nodes from it.
-  std::unique_ptr<BPlusTree> tree(new BPlusTree(pool, 0));
-  PRORP_RETURN_IF_ERROR(tree->LoadMeta());
-  return tree;
-}
-
-Status BPlusTree::LoadMeta() {
-  PRORP_ASSIGN_OR_RETURN(PageGuard meta, pool_->Fetch(0));
-  const uint8_t* mp = meta.data();
-  if (Load<uint32_t>(mp) != kMagic) {
-    return Status::Corruption("bad B+tree magic");
-  }
-  if (Load<uint32_t>(mp + 4) != kFormatV2) {
-    return Status::Corruption("unsupported B+tree format version");
-  }
-  value_width_ = Load<uint32_t>(mp + 8);
-  uint32_t usable = pool_->usable_size();
-  leaf_capacity_ = (usable - kHeaderSize) / (8 + value_width_);
-  internal_capacity_ = (usable - kHeaderSize - 4) / 12;
-  root_ = Load<uint32_t>(mp + 12);
-  free_list_head_ = Load<uint32_t>(mp + 16);
-  num_entries_ = Load<uint64_t>(mp + 20);
-  return Status::OK();
-}
-
 Status BPlusTree::StoreMeta() {
   PRORP_ASSIGN_OR_RETURN(PageGuard meta, pool_->Fetch(0));
   uint8_t* mp = meta.mutable_data();

@@ -26,7 +26,9 @@ namespace prorp::storage {
 ///
 /// Node layouts live inside the buffer pool's usable payload: every page
 /// loses kPageHeaderSize bytes to the integrity header.  The meta page
-/// carries a magic number and a format version, which Open checks.
+/// carries a magic number and a format version.  The tree is only ever
+/// created, never reopened from a page image: the page store under it is
+/// ephemeral, and durability comes from the WAL and snapshots above it.
 ///
 /// Single-writer; not internally synchronized.
 class BPlusTree {
@@ -40,9 +42,6 @@ class BPlusTree {
   /// backing store (page 0 not yet allocated).
   static Result<std::unique_ptr<BPlusTree>> Create(BufferPool* pool,
                                                    uint32_t value_width);
-
-  /// Opens an existing tree (meta page 0 must exist and be valid).
-  static Result<std::unique_ptr<BPlusTree>> Open(BufferPool* pool);
 
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
@@ -100,7 +99,6 @@ class BPlusTree {
 
   BPlusTree(BufferPool* pool, uint32_t value_width);
 
-  Status LoadMeta();
   Status StoreMeta();
 
   Result<PageId> AllocNodePage();

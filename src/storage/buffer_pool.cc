@@ -52,7 +52,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
     return s;
   }
   ++stats_.pages_verified;
-  Status v = VerifyPage(f.data.get(), id, disk_->path());
+  Status v = VerifyPage(f.data.get(), id);
   if (!v.ok()) {
     // The corrupt image never reaches a caller: drop the frame so a retry
     // after repair re-reads from disk.
@@ -94,16 +94,6 @@ Status BufferPool::WriteBack(Frame& f) {
   PRORP_RETURN_IF_ERROR(disk_->Write(f.id, f.data.get()));
   ++stats_.dirty_writebacks;
   f.dirty = false;
-  return Status::OK();
-}
-
-Status BufferPool::Flush(PageId id) {
-  auto it = page_to_frame_.find(id);
-  if (it == page_to_frame_.end()) return Status::OK();
-  Frame& f = frames_[it->second];
-  if (f.dirty) {
-    PRORP_RETURN_IF_ERROR(WriteBack(f));
-  }
   return Status::OK();
 }
 

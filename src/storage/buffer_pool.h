@@ -105,9 +105,6 @@ class BufferPool {
   /// Allocates a fresh zeroed page on disk and pins it.
   Result<PageGuard> New();
 
-  /// Writes back a page if dirty.
-  Status Flush(PageId id);
-
   /// Writes back all dirty pages (a checkpoint primitive).
   Status FlushAll();
 

@@ -1,12 +1,6 @@
 #include "storage/disk_manager.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
-
-#include "storage/io_util.h"
 
 namespace prorp::storage {
 
@@ -52,83 +46,6 @@ Status InMemoryDiskManager::Write(PageId id, const uint8_t* buf) {
 
 uint32_t InMemoryDiskManager::num_pages() const {
   return static_cast<uint32_t>(pages_.size());
-}
-
-Result<std::unique_ptr<FileDiskManager>> FileDiskManager::Open(
-    const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status::IoError("open failed: " + std::string(strerror(errno)));
-  }
-  off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) {
-    ::close(fd);
-    return Status::IoError("lseek failed");
-  }
-  if (size % kPageSize != 0) {
-    ::close(fd);
-    return Status::Corruption("page file size is not a multiple of the page "
-                              "size: " + path);
-  }
-  uint32_t num_pages = static_cast<uint32_t>(size / kPageSize);
-  return std::unique_ptr<FileDiskManager>(
-      new FileDiskManager(fd, num_pages, path));
-}
-
-FileDiskManager::~FileDiskManager() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Result<PageId> FileDiskManager::Allocate() {
-  uint8_t zeros[kPageSize] = {};
-  if (!free_ids_.empty()) {
-    PageId id = free_ids_.back();
-    off_t offset = static_cast<off_t>(id) * kPageSize;
-    PRORP_RETURN_IF_ERROR(
-        io::PWriteFull(fd_, zeros, kPageSize, offset, "page recycle"));
-    free_ids_.pop_back();
-    return id;
-  }
-  if (num_pages_ >= kInvalidPageId) {
-    return Status::ResourceExhausted("page id space exhausted");
-  }
-  off_t offset = static_cast<off_t>(num_pages_) * kPageSize;
-  PRORP_RETURN_IF_ERROR(
-      io::PWriteFull(fd_, zeros, kPageSize, offset, "page allocate"));
-  return num_pages_++;
-}
-
-Status FileDiskManager::Release(PageId id) {
-  if (id >= num_pages_) {
-    return Status::OutOfRange("release of unallocated page");
-  }
-  free_ids_.push_back(id);
-  return Status::OK();
-}
-
-Status FileDiskManager::Read(PageId id, uint8_t* buf) {
-  if (id >= num_pages_) {
-    return Status::OutOfRange("read of unallocated page");
-  }
-  off_t offset = static_cast<off_t>(id) * kPageSize;
-  return io::PReadFull(fd_, buf, kPageSize, offset, "page read");
-}
-
-Status FileDiskManager::Write(PageId id, const uint8_t* buf) {
-  if (id >= num_pages_) {
-    return Status::OutOfRange("write of unallocated page");
-  }
-  off_t offset = static_cast<off_t>(id) * kPageSize;
-  return io::PWriteFull(fd_, buf, kPageSize, offset, "page write");
-}
-
-uint32_t FileDiskManager::num_pages() const { return num_pages_; }
-
-Status FileDiskManager::Sync() {
-  if (::fsync(fd_) != 0) {
-    return Status::IoError("fsync failed");
-  }
-  return Status::OK();
 }
 
 }  // namespace prorp::storage

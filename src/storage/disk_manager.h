@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -40,9 +39,6 @@ class DiskManager {
 
   /// Flushes OS buffers where applicable.
   virtual Status Sync() = 0;
-
-  /// Backing file path for diagnostics; empty for in-memory stores.
-  virtual std::string path() const { return std::string(); }
 };
 
 /// Heap-backed page store.  Used by unit tests and by the fleet simulator,
@@ -59,36 +55,6 @@ class InMemoryDiskManager : public DiskManager {
 
  private:
   std::vector<std::unique_ptr<uint8_t[]>> pages_;
-  std::vector<PageId> free_ids_;
-};
-
-/// File-backed page store using pread/pwrite on a single database file.
-class FileDiskManager : public DiskManager {
- public:
-  /// Opens (creating if necessary) the page file at `path`.
-  static Result<std::unique_ptr<FileDiskManager>> Open(
-      const std::string& path);
-
-  ~FileDiskManager() override;
-
-  FileDiskManager(const FileDiskManager&) = delete;
-  FileDiskManager& operator=(const FileDiskManager&) = delete;
-
-  Result<PageId> Allocate() override;
-  Status Release(PageId id) override;
-  Status Read(PageId id, uint8_t* buf) override;
-  Status Write(PageId id, const uint8_t* buf) override;
-  uint32_t num_pages() const override;
-  Status Sync() override;
-  std::string path() const override { return path_; }
-
- private:
-  FileDiskManager(int fd, uint32_t num_pages, std::string path)
-      : fd_(fd), num_pages_(num_pages), path_(std::move(path)) {}
-
-  int fd_;
-  uint32_t num_pages_;
-  std::string path_;
   std::vector<PageId> free_ids_;
 };
 

@@ -252,35 +252,6 @@ Status DurableTree::ScanRange(int64_t lo, int64_t hi,
   });
 }
 
-Result<uint64_t> DurableTree::CountRange(int64_t lo, int64_t hi) const {
-  uint64_t count = 0;
-  PRORP_RETURN_IF_ERROR(ScanRange(lo, hi, [&](int64_t, const uint8_t*) {
-    ++count;
-    return true;
-  }));
-  return count;
-}
-
-Result<int64_t> DurableTree::MinKey() const {
-  DurableTree* self = const_cast<DurableTree*>(this);
-  int64_t key = 0;
-  PRORP_RETURN_IF_ERROR(self->WithRepair([&]() -> Status {
-    PRORP_ASSIGN_OR_RETURN(key, self->tree_->MinKey());
-    return Status::OK();
-  }));
-  return key;
-}
-
-Result<int64_t> DurableTree::MaxKey() const {
-  DurableTree* self = const_cast<DurableTree*>(this);
-  int64_t key = 0;
-  PRORP_RETURN_IF_ERROR(self->WithRepair([&]() -> Status {
-    PRORP_ASSIGN_OR_RETURN(key, self->tree_->MaxKey());
-    return Status::OK();
-  }));
-  return key;
-}
-
 Status DurableTree::MaybeAutoCheckpoint() {
   if (wal_ == nullptr || options_.checkpoint_wal_bytes == 0) {
     return Status::OK();

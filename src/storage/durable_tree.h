@@ -95,9 +95,6 @@ class DurableTree {
   bool Contains(int64_t key) const { return Find(key).ok(); }
   Status ScanRange(int64_t lo, int64_t hi,
                    const BPlusTree::ScanCallback& cb) const;
-  Result<uint64_t> CountRange(int64_t lo, int64_t hi) const;
-  Result<int64_t> MinKey() const;
-  Result<int64_t> MaxKey() const;
 
   uint64_t size() const { return tree_->size(); }
   bool empty() const { return tree_->empty(); }

@@ -1,8 +1,6 @@
 #ifndef PRORP_STORAGE_IO_UTIL_H_
 #define PRORP_STORAGE_IO_UTIL_H_
 
-#include <sys/types.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -12,24 +10,14 @@
 
 namespace prorp::storage::io {
 
-/// Full-transfer syscall wrappers.  POSIX allows pread/pwrite/read/write
-/// to transfer fewer bytes than requested (signal interruption, pipe-ish
-/// media, RLIMIT_FSIZE edges) and to fail outright with EINTR.  The
-/// storage engine treats any partial transfer of a page or WAL frame as
-/// an I/O error, so every call site goes through these wrappers, which
-/// retry on EINTR and resume after short transfers until the full count
-/// is moved or a real error occurs.
+/// Full-transfer syscall wrappers.  POSIX allows read/write to transfer
+/// fewer bytes than requested (signal interruption, pipe-ish media,
+/// RLIMIT_FSIZE edges) and to fail outright with EINTR.  The WAL treats
+/// any partial transfer of a frame as an I/O error, so every call site
+/// goes through these wrappers, which retry on EINTR and resume after
+/// short transfers until the full count is moved or a real error occurs.
 ///
-/// `what` names the caller in error messages ("WAL append", "page read").
-
-/// Reads exactly `n` bytes at `off`.  Hitting end-of-file before `n`
-/// bytes is an IoError (pages and frames are never legitimately split by
-/// EOF at these call sites).
-Status PReadFull(int fd, void* buf, size_t n, off_t off, const char* what);
-
-/// Writes exactly `n` bytes at `off`.
-Status PWriteFull(int fd, const void* buf, size_t n, off_t off,
-                  const char* what);
+/// `what` names the caller in error messages ("WAL append").
 
 /// Reads up to `n` bytes from the current offset, retrying EINTR and
 /// resuming after short reads.  Returns the number of bytes actually

@@ -46,8 +46,7 @@ bool IsAllZeroPage(const uint8_t* page) {
   return true;
 }
 
-Status VerifyPage(const uint8_t* page, PageId expected_id,
-                  const std::string& file) {
+Status VerifyPage(const uint8_t* page, PageId expected_id) {
   PageHeader h = ReadPageHeader(page);
   uint32_t actual = ComputePageCrc(page);
   if (IsAllZeroPage(page)) {
@@ -55,19 +54,19 @@ Status VerifyPage(const uint8_t* page, PageId expected_id,
     // writeback never reached the medium (lost write).
     return Status::Corruption(
         "page image is all zero (lost write)",
-        CorruptionContext{expected_id, h.crc, actual, file});
+        CorruptionContext{expected_id, h.crc, actual, {}});
   }
   if (h.crc != actual) {
     return Status::Corruption(
         "page checksum mismatch",
-        CorruptionContext{expected_id, h.crc, actual, file});
+        CorruptionContext{expected_id, h.crc, actual, {}});
   }
   if (h.page_id != expected_id) {
     // CRC is intact, so the image is a valid page — just the wrong one:
     // a misdirected read or write.
     return Status::Corruption(
         "page id self-reference mismatch (misdirected I/O)",
-        CorruptionContext{expected_id, h.crc, actual, file});
+        CorruptionContext{expected_id, h.crc, actual, {}});
   }
   return Status::OK();
 }

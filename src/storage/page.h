@@ -2,7 +2,6 @@
 #define PRORP_STORAGE_PAGE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
 
@@ -52,10 +51,8 @@ bool IsAllZeroPage(const uint8_t* page);
 
 /// Verifies a raw page image read from disk: non-zero, crc matches, and
 /// the header's page_id is `expected_id`.  Returns OK or a Corruption
-/// status carrying structured context (page id, expected/actual CRC,
-/// `file` naming the backing store).
-Status VerifyPage(const uint8_t* page, PageId expected_id,
-                  const std::string& file);
+/// status carrying structured context (page id, expected/actual CRC).
+Status VerifyPage(const uint8_t* page, PageId expected_id);
 
 }  // namespace prorp::storage
 

@@ -1,7 +1,5 @@
 #include "telemetry/events.h"
 
-#include <cstdio>
-
 namespace prorp::telemetry {
 
 std::string_view EventKindName(EventKind kind) {
@@ -24,26 +22,6 @@ std::string_view EventKindName(EventKind kind) {
       return "prediction";
   }
   return "unknown";
-}
-
-uint64_t Recorder::Count(EventKind kind) const {
-  uint64_t n = 0;
-  for (const FleetEvent& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
-Status Recorder::ExportCsv(const std::string& path) const {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot create " + path);
-  std::fputs("time,db,kind\n", f);
-  for (const FleetEvent& e : events_) {
-    std::fprintf(f, "%lld,%u,%s\n", static_cast<long long>(e.time), e.db,
-                 std::string(EventKindName(e.kind)).c_str());
-  }
-  if (std::fclose(f) != 0) return Status::IoError("close failed");
-  return Status::OK();
 }
 
 }  // namespace prorp::telemetry

@@ -3,11 +3,9 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "common/time_util.h"
 
 namespace prorp::telemetry {
@@ -41,7 +39,7 @@ struct FleetEvent {
 };
 
 /// Append-only in-memory event log standing in for the Cosmos long-term
-/// telemetry store; exportable to CSV for offline analysis.
+/// telemetry store.
 class Recorder {
  public:
   void Record(EpochSeconds time, DbId db, EventKind kind) {
@@ -50,12 +48,6 @@ class Recorder {
 
   const std::vector<FleetEvent>& events() const { return events_; }
   size_t size() const { return events_.size(); }
-
-  /// Number of events of `kind`.
-  uint64_t Count(EventKind kind) const;
-
-  /// Writes "time,db,kind" rows (with a header) to `path`.
-  Status ExportCsv(const std::string& path) const;
 
  private:
   std::vector<FleetEvent> events_;

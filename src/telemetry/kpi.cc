@@ -19,14 +19,6 @@ std::string KpiReport::ToString() const {
   return buf;
 }
 
-KpiReport ComputeKpi(const Recorder& recorder, const UsageLedger& ledger) {
-  return ComputeKpi(recorder, ledger.fleet_total());
-}
-
-KpiReport ComputeKpi(const Recorder& recorder, const TimeBreakdown& t) {
-  return ComputeKpi(EventCounts::FromRecorder(recorder), t);
-}
-
 KpiReport ComputeKpi(const EventCounts& counts, const TimeBreakdown& t) {
   KpiReport report;
   report.logins_available = counts.Count(EventKind::kLoginAvailable);

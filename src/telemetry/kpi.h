@@ -52,17 +52,12 @@ struct KpiReport {
   std::string ToString() const;
 };
 
-/// Computes the KPI report from the event log and a finished ledger.
-KpiReport ComputeKpi(const Recorder& recorder, const UsageLedger& ledger);
-
-/// Same, from a pre-summed fleet time breakdown.  Used when merging
-/// per-shard simulation reports: shard breakdowns are integer-second
-/// sums, so adding them and recomputing the percentages here reproduces
-/// the single-ledger result exactly.
-KpiReport ComputeKpi(const Recorder& recorder, const TimeBreakdown& total);
-
-/// Same, from streaming event counters instead of a buffered event log.
-/// The recorder overloads delegate here after counting, so full and
+/// Computes the KPI report from the event counters and a fleet time
+/// breakdown (a finished ledger's fleet_total()).  Merged per-shard
+/// reports call it on summed breakdowns: shard breakdowns are
+/// integer-second sums, so adding them and recomputing the percentages
+/// here reproduces the single-ledger result exactly.  A buffered event
+/// log is counted first (EventCounts::FromRecorder), so full and
 /// streaming telemetry modes produce bit-identical KPI reports.
 KpiReport ComputeKpi(const EventCounts& counts, const TimeBreakdown& total);
 

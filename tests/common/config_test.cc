@@ -101,16 +101,5 @@ TEST(ConfigTest, PolicyAndControlPlaneValidation) {
   EXPECT_TRUE(cp.Validate().ok());
 }
 
-TEST(ConfigTest, ToStringMentionsEveryKnob) {
-  ProrpConfig cfg;
-  std::string s = cfg.ToString();
-  EXPECT_NE(s.find("l=7h"), std::string::npos) << s;
-  EXPECT_NE(s.find("h=28d"), std::string::npos) << s;
-  EXPECT_NE(s.find("c=0.10"), std::string::npos) << s;
-  EXPECT_NE(s.find("w=7h"), std::string::npos) << s;
-  EXPECT_NE(s.find("s=5m"), std::string::npos) << s;
-  EXPECT_NE(s.find("k=5m"), std::string::npos) << s;
-}
-
 }  // namespace
 }  // namespace prorp

@@ -77,21 +77,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / 50000, 120.0, 5.0);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(17);
-  double sum = 0, sq = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    double v = rng.NextGaussian(10.0, 2.0);
-    sum += v;
-    sq += v * v;
-  }
-  double mean = sum / n;
-  double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.1);
-  EXPECT_NEAR(var, 4.0, 0.3);
-}
-
 TEST(RngTest, ForkIsIndependentAndDeterministic) {
   Rng a(42);
   Rng child1 = a.Fork();

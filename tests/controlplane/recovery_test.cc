@@ -59,8 +59,12 @@ void DriveWorkload(MetadataStore* meta, ManagementService* svc) {
   ASSERT_TRUE(meta->UpsertState(20, DbState::kResumed, 0).ok());
   for (int step = 0; step < 8; ++step) {
     EpochSeconds now = kT0 + step * 60;
-    if (step == 3) ASSERT_TRUE(svc->EnqueueReactive(2, now).ok());
-    if (step == 5) ASSERT_TRUE(svc->EnqueueReactive(9, now).ok());
+    if (step == 3) {
+      ASSERT_TRUE(svc->EnqueueReactive(2, now).ok());
+    }
+    if (step == 5) {
+      ASSERT_TRUE(svc->EnqueueReactive(9, now).ok());
+    }
     ASSERT_TRUE(svc->RunOnce(now).ok());
     svc->Pump(now + 30);
   }

@@ -329,34 +329,6 @@ TEST(TransportDispatcherTest, HedgePlusDelayedOriginalIsExactlyOnce) {
   EXPECT_TRUE(f.service->AccountingReconciles());
 }
 
-TEST(TransportDispatcherTest, PauseDispatchResolvesInline) {
-  InProcessTransport transport;
-  int pauses = 0;
-  TransportDispatcher dispatcher(&transport, {});
-  NodeAgent agent(1, &transport,
-                  [](const ResumeAttempt&, EpochSeconds) {
-                    return Status::OK();
-                  },
-                  [&pauses](const ResumeAttempt&, EpochSeconds) {
-                    ++pauses;
-                    return Status::OK();
-                  });
-
-  Status s = dispatcher.DispatchPause(5, 1, kT0);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(pauses, 1);
-  EXPECT_TRUE(dispatcher.Idle());
-
-  // A node without a pause executor nacks NotSupported — still inline.
-  NodeAgent bare(2, &transport,
-                 [](const ResumeAttempt&, EpochSeconds) {
-                   return Status::OK();
-                 });
-  s = dispatcher.DispatchPause(5, 2, kT0);
-  EXPECT_EQ(s.code(), StatusCode::kNotSupported);
-  EXPECT_TRUE(dispatcher.Idle());
-}
-
 TEST(TransportDispatcherTest, LeaseRenewalsAdvertiseTheEpochToEveryNode) {
   InProcessTransport transport;
   TransportDispatcher::Options dopt;

@@ -162,36 +162,6 @@ TEST(NodeAgentTest, LeaseRenewalRaisesFenceAndGrants) {
   EXPECT_EQ(agent.stats().stale_epoch_rejected, 1u);
 }
 
-TEST(NodeAgentTest, PauseWithoutExecutorIsNackedNotSupported) {
-  Fixture f;
-  NodeAgent agent(1, &f.transport, f.Executor());  // pause executor omitted
-
-  f.transport.Send(f.Request(42, 3, MessageType::kPauseRequest));
-
-  EXPECT_TRUE(f.executed.empty());
-  ASSERT_EQ(f.plane.replies.size(), 1u);
-  EXPECT_EQ(f.plane.replies[0].type, MessageType::kNack);
-  EXPECT_EQ(f.plane.replies[0].code, StatusCode::kNotSupported);
-}
-
-TEST(NodeAgentTest, PauseExecutorRunsAndDedupsLikeResume) {
-  Fixture f;
-  int pauses = 0;
-  NodeAgent agent(1, &f.transport, f.Executor(),
-                  [&pauses](const ResumeAttempt&, EpochSeconds) {
-                    ++pauses;
-                    return Status::OK();
-                  });
-
-  f.transport.Send(f.Request(42, 3, MessageType::kPauseRequest));
-  f.transport.Send(f.Request(42, 3, MessageType::kPauseRequest));
-
-  EXPECT_EQ(pauses, 1);
-  EXPECT_EQ(agent.stats().duplicate_suppressed, 1u);
-  ASSERT_EQ(f.plane.replies.size(), 2u);
-  EXPECT_EQ(f.plane.replies[0].type, MessageType::kAck);
-}
-
 Envelope Renewal(uint64_t epoch, EpochSeconds sent_at,
                  DurationSeconds ttl) {
   Envelope env;

@@ -275,21 +275,6 @@ TEST_F(BPlusTreeTest, SmallBufferPoolStillCorrect) {
   EXPECT_GT(pool_->stats().evictions, 0u);
 }
 
-TEST_F(BPlusTreeTest, OpenExistingTree) {
-  Make();
-  for (int64_t k = 0; k < 1000; ++k) {
-    ASSERT_TRUE(tree_->Insert(k, Value64(k + 7).data()).ok());
-  }
-  ASSERT_TRUE(pool_->FlushAll().ok());
-  // Reopen through a fresh buffer pool over the same disk.
-  BufferPool pool2(disk_.get(), 16);
-  auto reopened = BPlusTree::Open(&pool2);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->size(), 1000u);
-  EXPECT_EQ(AsI64(*(*reopened)->Find(500)), 507);
-  ASSERT_TRUE((*reopened)->CheckInvariants().ok());
-}
-
 TEST_F(BPlusTreeTest, CreateRequiresEmptyStore) {
   Make();
   auto second = BPlusTree::Create(pool_.get(), 8);
@@ -297,32 +282,25 @@ TEST_F(BPlusTreeTest, CreateRequiresEmptyStore) {
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST_F(BPlusTreeTest, OpenRejectsEmptyStoreAndBadMetaPage) {
-  InMemoryDiskManager empty;
-  BufferPool empty_pool(&empty, 4);
-  EXPECT_TRUE(BPlusTree::Open(&empty_pool).status().IsNotFound());
-
-  Make();
-  // The meta page starts with the magic number, then the format version.
-  // Both are checked even when the page's checksum holds.
-  for (uint32_t offset : {0u, 4u}) {
-    {
-      auto meta = pool_->Fetch(0);
-      ASSERT_TRUE(meta.ok());
-      meta->mutable_data()[offset] ^= 0x01;
-    }
-    ASSERT_TRUE(pool_->FlushAll().ok());
-    BufferPool fresh(disk_.get(), 4);
-    EXPECT_TRUE(BPlusTree::Open(&fresh).status().IsCorruption()) << offset;
-    {
-      auto meta = pool_->Fetch(0);
-      ASSERT_TRUE(meta.ok());
-      meta->mutable_data()[offset] ^= 0x01;
-    }
+TEST_F(BPlusTreeTest, MetaPageLayoutIsStable) {
+  // Page 0: uint32 magic "PRPB", format 2, value width, root, free-list
+  // head, then the uint64 entry count.  No tree is reopened from it, but
+  // the page format stays byte-identical.
+  Make(/*value_width=*/12);
+  std::vector<uint8_t> value(12, 0);
+  for (int64_t k = 0; k < 5; ++k) {
+    ASSERT_TRUE(tree_->Insert(k, value.data()).ok());
   }
-  ASSERT_TRUE(pool_->FlushAll().ok());
-  BufferPool restored(disk_.get(), 4);
-  EXPECT_TRUE(BPlusTree::Open(&restored).ok());
+  auto meta = pool_->Fetch(0);
+  ASSERT_TRUE(meta.ok());
+  uint32_t words[5];
+  uint64_t entries;
+  std::memcpy(words, meta->data(), sizeof(words));
+  std::memcpy(&entries, meta->data() + sizeof(words), sizeof(entries));
+  EXPECT_EQ(words[0], 0x50525042u);
+  EXPECT_EQ(words[1], 2u);
+  EXPECT_EQ(words[2], 12u);
+  EXPECT_EQ(entries, 5u);
 }
 
 // Randomized differential test against std::map across mixed operations.

@@ -1,21 +1,11 @@
 #include "storage/disk_manager.h"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
-#include <string>
 
 #include <gtest/gtest.h>
 
-#include "storage/io_util.h"
-
 namespace prorp::storage {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 TEST(InMemoryDiskManagerTest, AllocateReadWrite) {
   InMemoryDiskManager disk;
@@ -48,110 +38,6 @@ TEST(InMemoryDiskManagerTest, OutOfRangeAccess) {
   uint8_t buf[kPageSize];
   EXPECT_EQ(disk.Read(0, buf).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(disk.Write(0, buf).code(), StatusCode::kOutOfRange);
-}
-
-TEST(FileDiskManagerTest, PersistsAcrossReopen) {
-  std::string path = TempPath("fdm_test.db");
-  std::remove(path.c_str());
-  {
-    auto disk = FileDiskManager::Open(path);
-    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-    auto id0 = (*disk)->Allocate();
-    auto id1 = (*disk)->Allocate();
-    ASSERT_TRUE(id0.ok());
-    ASSERT_TRUE(id1.ok());
-    uint8_t buf[kPageSize];
-    std::memset(buf, 0x11, kPageSize);
-    ASSERT_TRUE((*disk)->Write(*id0, buf).ok());
-    std::memset(buf, 0x22, kPageSize);
-    ASSERT_TRUE((*disk)->Write(*id1, buf).ok());
-    ASSERT_TRUE((*disk)->Sync().ok());
-  }
-  {
-    auto disk = FileDiskManager::Open(path);
-    ASSERT_TRUE(disk.ok());
-    EXPECT_EQ((*disk)->num_pages(), 2u);
-    uint8_t buf[kPageSize];
-    ASSERT_TRUE((*disk)->Read(0, buf).ok());
-    EXPECT_EQ(buf[100], 0x11);
-    ASSERT_TRUE((*disk)->Read(1, buf).ok());
-    EXPECT_EQ(buf[100], 0x22);
-  }
-  std::remove(path.c_str());
-}
-
-/// Restores the interposed I/O faults even if an assertion bails out.
-struct IoFaultGuard {
-  ~IoFaultGuard() { io::ResetIoFaultsForTest(); }
-};
-
-TEST(FileDiskManagerTest, SurvivesPartialTransfersAndEintr) {
-  // Regression: the pread/pwrite wrappers used to fail the whole page
-  // operation on any partial transfer or EINTR.  With the syscall capped
-  // to 97-byte chunks and an EINTR burst interposed, every page write and
-  // read must still move the full kPageSize.
-  std::string path = TempPath("fdm_partial_io.db");
-  std::remove(path.c_str());
-  IoFaultGuard guard;
-  {
-    auto disk = FileDiskManager::Open(path);
-    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-    io::SetMaxBytesPerCallForTest(97);  // not a divisor of kPageSize
-    io::SetEintrBurstForTest(25);
-    auto id0 = (*disk)->Allocate();
-    auto id1 = (*disk)->Allocate();
-    ASSERT_TRUE(id0.ok()) << id0.status().ToString();
-    ASSERT_TRUE(id1.ok()) << id1.status().ToString();
-    uint8_t buf[kPageSize];
-    for (uint32_t i = 0; i < kPageSize; ++i) {
-      buf[i] = static_cast<uint8_t>(i * 31 + 7);
-    }
-    ASSERT_TRUE((*disk)->Write(*id1, buf).ok());
-    io::SetEintrBurstForTest(25);
-    uint8_t in[kPageSize] = {};
-    ASSERT_TRUE((*disk)->Read(*id1, in).ok());
-    EXPECT_EQ(std::memcmp(in, buf, kPageSize), 0);
-    ASSERT_TRUE((*disk)->Sync().ok());
-  }
-  io::ResetIoFaultsForTest();
-  {
-    // The fragmented writes must have produced a well-formed page file.
-    auto disk = FileDiskManager::Open(path);
-    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-    EXPECT_EQ((*disk)->num_pages(), 2u);
-    uint8_t in[kPageSize];
-    ASSERT_TRUE((*disk)->Read(1, in).ok());
-    EXPECT_EQ(in[100], static_cast<uint8_t>(100 * 31 + 7));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, ReadPastEofIsAnIoErrorNotAHang) {
-  // A short read caused by true end-of-file must fail cleanly (pages are
-  // never legitimately split by EOF), not loop forever.
-  std::string path = TempPath("fdm_eof.db");
-  std::remove(path.c_str());
-  auto disk = FileDiskManager::Open(path);
-  ASSERT_TRUE(disk.ok());
-  ASSERT_TRUE((*disk)->Allocate().ok());
-  // Truncate the file behind the manager's back so page 0 is half gone.
-  ASSERT_EQ(::truncate(path.c_str(), kPageSize / 2), 0);
-  uint8_t buf[kPageSize];
-  Status s = (*disk)->Read(0, buf);
-  EXPECT_TRUE(s.IsIoError()) << s.ToString();
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, RejectsNonPageAlignedFile) {
-  std::string path = TempPath("fdm_misaligned.db");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a page file", f);
-  std::fclose(f);
-  auto disk = FileDiskManager::Open(path);
-  EXPECT_FALSE(disk.ok());
-  EXPECT_TRUE(disk.status().IsCorruption());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -52,10 +52,13 @@ TEST(ScrubberTest, CleanTreeScrubsClean) {
 
 TEST(ScrubberTest, ScrubTreeChecksStructureToo) {
   InMemoryDiskManager disk;
-  BuildSealedTree(&disk, 600);
   BufferPool pool(&disk, 128);
-  auto tree = BPlusTree::Open(&pool);
+  auto tree = BPlusTree::Create(&pool, 8);
   ASSERT_TRUE(tree.ok());
+  for (int64_t k = 0; k < 600; ++k) {
+    ASSERT_TRUE((*tree)->Insert(k, Value64(k * 7).data()).ok());
+  }
+  ASSERT_GT(disk.num_pages(), 3u) << "tree should span several pages";
   auto report = ScrubTree(&pool, tree->get());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean()) << report->ToString();

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/io_util.h"
+
 namespace prorp::storage {
 namespace {
 
@@ -177,6 +179,52 @@ TEST(WalTest, ShortWriteRollsBackTornFrame) {
   });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(keys, (std::vector<int64_t>{1, 3, 4}));
+  std::remove(path.c_str());
+}
+
+/// Restores the interposed I/O faults even if an assertion bails out.
+struct IoFaultGuard {
+  ~IoFaultGuard() { io::ResetIoFaultsForTest(); }
+};
+
+TEST(WalTest, SurvivesPartialTransfersAndEintr) {
+  // Every write and read syscall is capped at 97 bytes, so the 1000-byte
+  // records span many calls, and EINTR bursts are interposed.  WriteFull
+  // and ReadUpTo must still move whole frames, so append and replay
+  // round-trip every record through both the buffered and the
+  // group-commit path.
+  std::string path = TempPath("wal_partial_io.log");
+  std::remove(path.c_str());
+  IoFaultGuard guard;
+  io::SetMaxBytesPerCallForTest(97);
+  std::vector<uint8_t> big(1000);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    io::SetEintrBurstForTest(25);
+    ASSERT_TRUE((*wal)->Append(Insert(1, big)).ok());
+    io::SetEintrBurstForTest(25);
+    ASSERT_TRUE((*wal)->AppendDurable(Insert(2, {0x02})).ok());
+    ASSERT_TRUE((*wal)->Append(Insert(3, big)).ok());
+  }
+  io::SetEintrBurstForTest(25);
+  std::vector<WalRecord> seen;
+  auto n = WriteAheadLog::Replay(path, [&](const WalRecord& r) {
+    seen.push_back(r);
+    return Status::OK();
+  });
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, 3u);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].key, 1);
+  EXPECT_EQ(seen[0].value, big);
+  EXPECT_EQ(seen[1].key, 2);
+  EXPECT_EQ(seen[1].value, (std::vector<uint8_t>{0x02}));
+  EXPECT_EQ(seen[2].key, 3);
+  EXPECT_EQ(seen[2].value, big);
   std::remove(path.c_str());
 }
 
