@@ -2,12 +2,16 @@
 // the faithful SQL stored procedure (p/s x h range queries, the paper's
 // production implementation whose latency Figure 10(c) reports) versus
 // the vectorized FastPredictor the fleet simulator uses, across history
-// sizes.
+// sizes.  The full-scan case is a history in which no window clears c,
+// so selection reads every window of the horizon: the fleet's slowest
+// predictions look like this, and the dense fills never reach it.
 //
 // Self-timed like bench_micro_storage: every call is timed on its own, so
 // each case reports exact per-call p50/p95/p99 over enough calls that at
 // least ten lie beyond p99.  Prints a table and, with --out, persists the
 // same rows as JSON (BENCH_micro_predictor.json is the committed run).
+// Before timing a history, checks that FastPredictor's prediction equals
+// the faithful predictor's on it; exits 1 if any differs.
 //
 // Usage:
 //   bench_micro_predictor [--out=PATH]
@@ -35,9 +39,11 @@ constexpr EpochSeconds kNow = Days(1004);
 /// Calls per case: 1000 leaves ten samples beyond p99.
 constexpr uint64_t kCalls = 1000;
 
-template <typename Store>
-void Fill(Store& store, int sessions_per_day) {
-  for (int d = 1; d <= 28; ++d) {
+/// `sessions_per_day` sessions, 30 minutes apart from 06:00, on each of
+/// `days` days before kNow (1 = yesterday).
+void Fill(history::HistoryStore& store, int sessions_per_day,
+          const std::vector<int>& days) {
+  for (int d : days) {
     EpochSeconds day = kNow - Days(d);
     for (int s = 0; s < sessions_per_day; ++s) {
       EpochSeconds login = day + Hours(6) + s * Minutes(30);
@@ -47,6 +53,16 @@ void Fill(Store& store, int sessions_per_day) {
     }
   }
 }
+
+std::vector<int> AllDays() {
+  std::vector<int> days;
+  for (int d = 1; d <= 28; ++d) days.push_back(d);
+  return days;
+}
+
+/// Activity on two of the 28 days: every window has at most 2/28 < c
+/// seasons with activity, so no prediction and a full scan.
+const std::vector<int> kTwoDays = {3, 17};
 
 /// Times kCalls predictions one at a time, after one untimed warm-up call.
 MicroResult Measure(std::string name, const forecast::Predictor& predictor,
@@ -74,38 +90,35 @@ MicroResult Measure(std::string name, const forecast::Predictor& predictor,
   return r;
 }
 
-MicroResult FaithfulSql(int sessions_per_day) {
-  auto store = history::SqlHistoryStore::Open().value();
-  Fill(*store, sessions_per_day);
-  forecast::SlidingWindowPredictor predictor(PredictionConfig{});
-  return Measure("faithful_sql_" + std::to_string(sessions_per_day) + "pd",
-                 predictor, *store);
-}
+/// One history and configuration the bench times.
+struct Case {
+  std::string name;  // suffix of the row names, e.g. "8pd"
+  int sessions_per_day;
+  std::vector<int> days;
+  PredictionConfig config;
+  bool time_sql;  // also time the faithful predictor over SQL
+  bool time_mem;  // also time the faithful predictor in memory
+};
 
-MicroResult FaithfulOverMemStore(int sessions_per_day) {
-  history::MemHistoryStore store;
-  Fill(store, sessions_per_day);
-  forecast::SlidingWindowPredictor predictor(PredictionConfig{});
-  return Measure("faithful_mem_" + std::to_string(sessions_per_day) + "pd",
-                 predictor, store);
-}
-
-MicroResult Fast(int sessions_per_day) {
-  history::MemHistoryStore store;
-  Fill(store, sessions_per_day);
-  forecast::FastPredictor predictor(PredictionConfig{});
-  return Measure("fast_" + std::to_string(sessions_per_day) + "pd",
-                 predictor, store);
-}
-
-MicroResult WeeklySeasonality() {
-  history::MemHistoryStore store;
-  Fill(store, 4);
-  PredictionConfig cfg;
-  cfg.seasonality = Weeks(1);
-  cfg.prediction_horizon = Days(7);
-  forecast::FastPredictor predictor(cfg);
-  return Measure("fast_weekly_4pd", predictor, store);
+/// Checks that FastPredictor over `mem` predicts what the faithful
+/// predictor predicts over `mem` and over `sql`.
+bool FastEqualsFaithful(const Case& c, const history::HistoryStore& mem,
+                        const history::HistoryStore& sql) {
+  forecast::FastPredictor fast(c.config);
+  forecast::SlidingWindowPredictor faithful(c.config);
+  Result<forecast::ActivityPrediction> want =
+      fast.PredictNextActivity(mem, kNow);
+  bool equal = want.ok();
+  for (const history::HistoryStore* store : {&mem, &sql}) {
+    Result<forecast::ActivityPrediction> got =
+        faithful.PredictNextActivity(*store, kNow);
+    equal = equal && got.ok() && *got == *want;
+  }
+  if (!equal) {
+    std::fprintf(stderr, "FAIL: %s: fast and faithful predictions differ\n",
+                 c.name.c_str());
+  }
+  return equal;
 }
 
 int Run(const std::string& out_path) {
@@ -113,11 +126,40 @@ int Run(const std::string& out_path) {
               "prediction latency < 1 s and grows with history size "
               "(Figure 10(c)); the vectorized predictor is bit-identical");
 
-  std::vector<MicroResult> results;
-  for (int spd : {1, 8, 32}) results.push_back(FaithfulSql(spd));
-  results.push_back(FaithfulOverMemStore(8));
-  for (int spd : {1, 8, 32}) results.push_back(Fast(spd));
-  results.push_back(WeeklySeasonality());
+  PredictionConfig weekly;
+  weekly.seasonality = Weeks(1);
+  weekly.prediction_horizon = Days(7);
+  const std::vector<Case> cases = {
+      {"1pd", 1, AllDays(), PredictionConfig{}, true, false},
+      {"8pd", 8, AllDays(), PredictionConfig{}, true, true},
+      {"32pd", 32, AllDays(), PredictionConfig{}, true, false},
+      {"weekly_4pd", 4, AllDays(), weekly, false, false},
+      {"full_scan", 32, kTwoDays, PredictionConfig{}, false, true},
+  };
+
+  bool all_equal = true;
+  std::vector<MicroResult> sql_rows;
+  std::vector<MicroResult> mem_rows;
+  std::vector<MicroResult> fast_rows;
+  for (const Case& c : cases) {
+    auto sql = history::SqlHistoryStore::Open().value();
+    history::MemHistoryStore mem;
+    Fill(*sql, c.sessions_per_day, c.days);
+    Fill(mem, c.sessions_per_day, c.days);
+    all_equal = FastEqualsFaithful(c, mem, *sql) && all_equal;
+    forecast::SlidingWindowPredictor faithful(c.config);
+    if (c.time_sql) {
+      sql_rows.push_back(Measure("faithful_sql_" + c.name, faithful, *sql));
+    }
+    if (c.time_mem) {
+      mem_rows.push_back(Measure("faithful_mem_" + c.name, faithful, mem));
+    }
+    fast_rows.push_back(Measure("fast_" + c.name,
+                                forecast::FastPredictor(c.config), mem));
+  }
+  std::vector<MicroResult> results = sql_rows;
+  results.insert(results.end(), mem_rows.begin(), mem_rows.end());
+  results.insert(results.end(), fast_rows.begin(), fast_rows.end());
 
   for (const MicroResult& r : results) PrintMicroRow(r);
 
@@ -127,7 +169,7 @@ int Run(const std::string& out_path) {
     }
     std::printf("wrote %s\n", out_path.c_str());
   }
-  return 0;
+  return all_equal ? 0 : 1;
 }
 
 }  // namespace

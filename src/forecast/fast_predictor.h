@@ -10,14 +10,24 @@ namespace prorp::forecast {
 /// Vectorized Algorithm 4: algebraically identical to
 /// SlidingWindowPredictor but restructured for fleet-scale simulation.
 /// Instead of one range query per (window, season) pair — p/s x h queries
-/// per prediction — it performs one bulk login scan per season and sweeps
-/// all window positions with two monotone pointers:
+/// per prediction — it makes one prediction in three steps:
 ///
-///   O(h/season x (logins_per_season + p/s))
+///  1. one CollectLogins read from the start of the oldest season's first
+///     window to the end of the latest season's last window (the
+///     seasons' spans of windows are disjoint because p <= season);
+///  2. one counting pass: each login becomes the range of windows that
+///     contain it, overlapping ranges of one season merge into a run, and
+///     each run adds 1 to a difference array, whose prefix sums are the
+///     per-window season counts that WindowSelector consumes, up to where
+///     it stops;
+///  3. the first/last login offsets of the chosen window only.
+///
+///   O(m + p/s + h/season) for m logins in the last h, with no
+///   window x season loop,
 ///
 /// versus the faithful p/s x h/season x O(log m).  Property tests assert
-/// both produce bit-identical predictions on random histories; the
-/// ablation bench quantifies the speedup.
+/// both produce bit-identical predictions on random histories and that a
+/// prediction reads the history exactly once.
 class FastPredictor : public Predictor {
  public:
   explicit FastPredictor(PredictionConfig config) : config_(config) {}

@@ -18,43 +18,18 @@ Result<ActivityPrediction> SelectPrediction(
     const std::function<Result<WindowStats>(EpochSeconds win_start)>&
         stats_fn) {
   PRORP_RETURN_IF_ERROR(config.Validate());
-  const int64_t num_seasons = config.NumSeasons();
-  const EpochSeconds pred_end = now + config.prediction_horizon;
-
-  ActivityPrediction result;
-  double prev_prob = 0.0;
-  // Outer loop, Algorithm 4 line 9.
-  for (EpochSeconds win_start = now;
-       win_start + config.window_size <= pred_end;
-       win_start += config.window_slide) {
-    PRORP_ASSIGN_OR_RETURN(WindowStats stats, stats_fn(win_start));
-    double prob = static_cast<double>(stats.seasons_with_activity) /
-                  static_cast<double>(num_seasons);
-    // Selection, lines 37-46: take the window if it clears the confidence
-    // threshold and its probability still improves on the previous
-    // candidate.  (seasons_with_activity > 0 guards the degenerate c = 0
-    // case, where the printed code would emit an empty window.)
-    if (config.confidence_threshold <= prob &&
-        stats.seasons_with_activity > 0 &&
-        (prev_prob < prob || prev_prob == 0.0)) {
-      result.start = win_start + stats.first_login_offset;
-      result.end = win_start + stats.last_login_offset;
-      result.confidence = prob;
-      prev_prob = prob;
-      continue;
-    }
-    if (config.literal_break) {
-      // The printed ELSE BREAK: abort at the first non-qualifying window.
-      break;
-    }
-    if (prev_prob > 0.0) {
-      // Corrected reading: a candidate exists and confidence stopped
-      // increasing — the earliest-start locally-maximal window is final.
-      break;
-    }
-    // No candidate yet: keep sliding past sub-threshold windows.
+  const int64_t num_windows = config.NumWindows();
+  WindowSelector selector(config);
+  WindowStats chosen;
+  for (int64_t i = 0; i < num_windows; ++i) {
+    PRORP_ASSIGN_OR_RETURN(WindowStats stats,
+                           stats_fn(now + i * config.window_slide));
+    const bool more = selector.Offer(stats.seasons_with_activity);
+    if (selector.chosen() == i) chosen = stats;
+    if (!more) break;
   }
-  return result;
+  return selector.Prediction(now + selector.chosen() * config.window_slide,
+                             chosen);
 }
 
 }  // namespace prorp::forecast

@@ -21,16 +21,80 @@ struct WindowStats {
   DurationSeconds last_login_offset = 0;
 };
 
-/// The outer loop and candidate selection of Algorithm 4 (lines 9, 36-47),
-/// shared by the faithful and the vectorized predictor: slides the window
-/// across [now, now + p], computes the activity probability per window via
-/// `stats_fn`, and returns the earliest-start window whose confidence
-/// clears the threshold and is locally maximal.
+/// Candidate selection of Algorithm 4 (lines 36-47), shared by the
+/// faithful and the vectorized predictor.  The caller offers each
+/// window's count of seasons with activity in slide order, starting at
+/// the window that opens at `now`; selection needs nothing else, so the
+/// login offsets are computed only for the window it finally chooses.
+/// The earliest-start window whose confidence clears the threshold and
+/// is locally maximal wins.
 ///
 /// When config.literal_break is set, reproduces the printed pseudo-code's
 /// ELSE BREAK, which aborts the scan at the first sub-threshold window
 /// (see DESIGN.md section 3 for why that is treated as a transcription
 /// artifact).
+///
+/// The config must be valid; the predictor validates it once per call.
+class WindowSelector {
+ public:
+  explicit WindowSelector(const PredictionConfig& config)
+      : threshold_(config.confidence_threshold),
+        num_seasons_(static_cast<double>(config.NumSeasons())),
+        literal_break_(config.literal_break) {}
+
+  /// Offers the next window's count; returns false once the choice is
+  /// final and later windows can no longer change it.
+  bool Offer(int64_t seasons_with_activity) {
+    const int64_t index = next_++;
+    double prob = static_cast<double>(seasons_with_activity) / num_seasons_;
+    // Lines 37-46: take the window if it clears the confidence threshold
+    // and its probability still improves on the previous candidate.
+    // (seasons_with_activity > 0 guards the degenerate c = 0 case, where
+    // the printed code would emit an empty window.)
+    if (threshold_ <= prob && seasons_with_activity > 0 &&
+        (confidence_ < prob || confidence_ == 0.0)) {
+      chosen_ = index;
+      confidence_ = prob;
+      return true;
+    }
+    // The printed ELSE BREAK aborts at the first non-qualifying window.
+    if (literal_break_) return false;
+    // Corrected reading: once a candidate exists and confidence stopped
+    // increasing, the earliest-start locally-maximal window is final.
+    // Without a candidate, keep sliding past sub-threshold windows.
+    return chosen_ < 0;
+  }
+
+  /// Index of the chosen window (0 opens at `now`), or -1 if none
+  /// qualified.
+  int64_t chosen() const { return chosen_; }
+  double confidence() const { return confidence_; }
+
+  /// The prediction (lines 38-40): the chosen window, which opens at
+  /// `win_start`, narrowed to its extreme login offsets `stats`; None()
+  /// when no window qualified.
+  ActivityPrediction Prediction(EpochSeconds win_start,
+                                const WindowStats& stats) const {
+    if (chosen_ < 0) return ActivityPrediction::None();
+    return {win_start + stats.first_login_offset,
+            win_start + stats.last_login_offset, confidence_};
+  }
+
+ private:
+  double threshold_;
+  double num_seasons_;
+  bool literal_break_;
+  int64_t next_ = 0;
+  int64_t chosen_ = -1;
+  double confidence_ = 0.0;
+};
+
+/// Algorithm 4's outer loop (line 9) over per-window stats computed on
+/// demand: validates `config`, slides the window across [now, now + p],
+/// asks `stats_fn` for each window until the selection is final, and
+/// returns the chosen window's prediction.  `stats_fn` is called once per
+/// evaluated window, in slide order, so a store-backed implementation
+/// issues no query beyond where the selection stops.
 Result<ActivityPrediction> SelectPrediction(
     const PredictionConfig& config, EpochSeconds now,
     const std::function<Result<WindowStats>(EpochSeconds win_start)>&

@@ -62,10 +62,12 @@ Result<LoginRangeAgg> MemHistoryStore::LoginMinMax(EpochSeconds lo,
 
 Result<std::vector<EpochSeconds>> MemHistoryStore::CollectLogins(
     EpochSeconds lo, EpochSeconds hi) const {
+  auto first = std::lower_bound(tuples_.begin(), tuples_.end(), lo,
+                                TupleTimeLess);
+  auto last = std::lower_bound(first, tuples_.end(), hi, TupleTimeLess);
   std::vector<EpochSeconds> out;
-  auto it = std::lower_bound(tuples_.begin(), tuples_.end(), lo,
-                             TupleTimeLess);
-  for (; it != tuples_.end() && it->time_snapshot < hi; ++it) {
+  out.reserve(static_cast<size_t>(last - first));
+  for (auto it = first; it != last; ++it) {
     if (it->event_type == kEventLogin) out.push_back(it->time_snapshot);
   }
   return out;

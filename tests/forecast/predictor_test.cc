@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -244,6 +245,74 @@ TEST(FastPredictorTest, MatchesFaithfulOnDailyPattern) {
   EXPECT_TRUE(a->HasPrediction());
 }
 
+/// A random valid configuration: any c, window and slide, with daily or
+/// (one time in four) weekly seasonality.
+PredictionConfig RandomConfig(Rng& rng) {
+  PredictionConfig cfg;
+  cfg.history_length = Days(rng.NextInt(7, 28));
+  cfg.window_size = Hours(rng.NextInt(1, 8));
+  cfg.window_slide = Minutes(rng.NextInt(1, 12) * 5);
+  cfg.confidence_threshold = rng.NextDouble();
+  cfg.literal_break = rng.NextBool(0.3);
+  if (rng.NextBool(0.25)) {
+    cfg.seasonality = Weeks(1);
+    cfg.prediction_horizon = Days(rng.NextInt(1, 7));
+    cfg.history_length = Weeks(rng.NextInt(1, 4));
+  }
+  return cfg;
+}
+
+/// Adds `sessions_per_day` random sessions on each of `days` days before
+/// `now`'s day, skipping each day with probability 1 - `day_coverage`.
+void AddRandomSessions(Rng& rng, history::HistoryStore& store,
+                       EpochSeconds now, int days, int sessions_per_day,
+                       double day_coverage) {
+  for (int d = 1; d <= days; ++d) {
+    if (!rng.NextBool(day_coverage)) continue;
+    for (int s = 0; s < sessions_per_day; ++s) {
+      EpochSeconds login = StartOfDay(now) - Days(d) +
+                           rng.NextInt(0, Days(1) - Hours(1));
+      ASSERT_TRUE(store.InsertHistory(login, kEventLogin).ok());
+      ASSERT_TRUE(
+          store.InsertHistory(login + rng.NextInt(60, Hours(3)),
+                              kEventLogout)
+              .ok());
+    }
+  }
+}
+
+/// The faithful predictor over `faithful_store` and the vectorized one
+/// over `fast_store` agree on `cfg` and on `cfg` with literal_break
+/// flipped.
+void ExpectFastEqualsFaithful(const history::HistoryStore& faithful_store,
+                              const history::HistoryStore& fast_store,
+                              PredictionConfig cfg, EpochSeconds now) {
+  for (int flip = 0; flip < 2; ++flip) {
+    SlidingWindowPredictor slow(cfg);
+    FastPredictor fast(cfg);
+    auto a = slow.PredictNextActivity(faithful_store, now);
+    auto b = fast.PredictNextActivity(fast_store, now);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(*a, *b) << "cfg h=" << cfg.history_length
+                      << " p=" << cfg.prediction_horizon
+                      << " w=" << cfg.window_size
+                      << " s=" << cfg.window_slide
+                      << " season=" << cfg.seasonality
+                      << " c=" << cfg.confidence_threshold
+                      << " literal_break=" << cfg.literal_break
+                      << " now=" << now << ": " << a->ToString() << " vs "
+                      << b->ToString();
+    cfg.literal_break = !cfg.literal_break;
+  }
+}
+
+void ExpectFastEqualsFaithful(const history::HistoryStore& store,
+                              const PredictionConfig& cfg,
+                              EpochSeconds now) {
+  ExpectFastEqualsFaithful(store, store, cfg, now);
+}
+
 // Property sweep: on random histories and random configurations the
 // faithful and vectorized predictors are bit-identical.
 class PredictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
@@ -252,44 +321,127 @@ class PredictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 TEST_P(PredictorEquivalenceTest, FastEqualsFaithful) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
     MemHistoryStore store;
-    EpochSeconds now =
-        kAnchor + rng.NextInt(0, Days(1) - 1);
-    // Random history: sessions with random day coverage and jitter.
-    int days = static_cast<int>(rng.NextInt(0, 35));
-    for (int d = 1; d <= days; ++d) {
-      if (!rng.NextBool(0.7)) continue;
-      int sessions = static_cast<int>(rng.NextInt(1, 3));
-      for (int s = 0; s < sessions; ++s) {
-        EpochSeconds login = StartOfDay(now) - Days(d) +
-                             rng.NextInt(0, Days(1) - Hours(1));
-        ASSERT_TRUE(store.InsertHistory(login, kEventLogin).ok());
-        ASSERT_TRUE(
-            store.InsertHistory(login + rng.NextInt(60, Hours(3)),
-                                kEventLogout)
-                .ok());
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, static_cast<int>(rng.NextInt(0, 35)),
+                      static_cast<int>(rng.NextInt(1, 3)), 0.7);
+    ExpectFastEqualsFaithful(store, RandomConfig(rng), now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, DenseHistories) {
+  // 32 sessions a day: every window holds logins from many seasons, and
+  // the logins of one season overlap in most windows.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, 35, 32, rng.NextDouble());
+    ExpectFastEqualsFaithful(store, RandomConfig(rng), now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, LoginsOnWindowAndSpanBoundaries) {
+  // Logins exactly on slide multiples, on window ends and on both ends
+  // of a season's span (and one second outside it), where an off-by-one
+  // in the half-open windows or in the one-read range would show.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    PredictionConfig cfg = RandomConfig(rng);
+    // Half the time `now` is itself on a slide multiple of midnight.
+    EpochSeconds now = kAnchor + (rng.NextBool(0.5)
+                                      ? rng.NextInt(0, 24) * cfg.window_slide
+                                      : rng.NextInt(0, Days(1) - 1));
+    const DurationSeconds span =
+        (cfg.NumWindows() - 1) * cfg.window_slide + cfg.window_size;
+    // Thresholds of a few seasons let logins on one shared window index
+    // decide between neighbouring windows.
+    if (rng.NextBool(0.5)) {
+      const int64_t needed =
+          rng.NextInt(1, std::min<int64_t>(3, cfg.NumSeasons()));
+      cfg.confidence_threshold = static_cast<double>(needed) /
+                                 static_cast<double>(cfg.NumSeasons());
+    }
+    const int64_t shared = rng.NextInt(0, cfg.NumWindows() - 1);
+    const double density = rng.NextDouble();
+    MemHistoryStore store;
+    const int64_t seasons = cfg.NumSeasons() + 1;  // one season too old
+    for (int64_t k = 1; k <= seasons; ++k) {
+      if (!rng.NextBool(density)) continue;
+      const EpochSeconds base = now - k * cfg.seasonality;
+      const int64_t i = rng.NextBool(0.5)
+                            ? shared
+                            : rng.NextInt(0, cfg.NumWindows() - 1);
+      for (EpochSeconds t :
+           {base + i * cfg.window_slide, base + i * cfg.window_slide - 1,
+            base + i * cfg.window_slide + cfg.window_size,
+            base + i * cfg.window_slide + cfg.window_size - 1, base,
+            base - 1, base + span - 1, base + span}) {
+        if (rng.NextBool(density)) {
+          ASSERT_TRUE(store.InsertHistory(t, kEventLogin).ok());
+        }
       }
     }
-    PredictionConfig cfg;
-    cfg.history_length = Days(rng.NextInt(7, 28));
-    cfg.window_size = Hours(rng.NextInt(1, 8));
-    cfg.window_slide = Minutes(rng.NextInt(1, 12) * 5);
-    cfg.confidence_threshold = rng.NextDouble();
-    cfg.literal_break = rng.NextBool(0.3);
-    if (rng.NextBool(0.25)) {
-      cfg.seasonality = Weeks(1);
-      cfg.prediction_horizon = Days(rng.NextInt(1, 7));
-      cfg.history_length = Weeks(rng.NextInt(1, 4));
+    ExpectFastEqualsFaithful(store, cfg, now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, ConfidenceThresholdExtremes) {
+  // c = 0 takes the first window with any activity; c = 1 needs a login
+  // in every season.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, 35, static_cast<int>(rng.NextInt(1, 4)),
+                      rng.NextBool(0.5) ? 1.0 : 0.9);
+    PredictionConfig cfg = RandomConfig(rng);
+    for (double c : {0.0, 1.0}) {
+      cfg.confidence_threshold = c;
+      ExpectFastEqualsFaithful(store, cfg, now);
     }
-    SlidingWindowPredictor slow(cfg);
-    FastPredictor fast(cfg);
-    auto a = slow.PredictNextActivity(store, now);
-    auto b = fast.PredictNextActivity(store, now);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(*a, *b) << "trial " << trial << " cfg "
-                      << cfg.window_size << "/" << cfg.window_slide << "/"
-                      << cfg.confidence_threshold;
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, WeeklySeasonality) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 15; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Weeks(1) - 1);
+    AddRandomSessions(rng, store, now, 35, static_cast<int>(rng.NextInt(1, 8)),
+                      rng.NextDouble());
+    PredictionConfig cfg = RandomConfig(rng);
+    cfg.seasonality = Weeks(1);
+    cfg.history_length = Weeks(rng.NextInt(1, 5));
+    cfg.prediction_horizon = Days(rng.NextInt(1, 7));
+    ExpectFastEqualsFaithful(store, cfg, now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, SqlFaithfulEqualsMemFastOnRandomConfigs) {
+  // The faithful predictor's literal SQL queries against the fast
+  // predictor's one in-memory read, on the same random history.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(trial);
+    auto sql_store = history::SqlHistoryStore::Open();
+    ASSERT_TRUE(sql_store.ok());
+    MemHistoryStore mem_store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, mem_store, now, 35,
+                      static_cast<int>(rng.NextInt(1, 4)), rng.NextDouble());
+    auto tuples = mem_store.ReadAll();
+    ASSERT_TRUE(tuples.ok());
+    for (const history::HistoryTuple& t : *tuples) {
+      ASSERT_TRUE(
+          (*sql_store)->InsertHistory(t.time_snapshot, t.event_type).ok());
+    }
+    ExpectFastEqualsFaithful(**sql_store, mem_store, RandomConfig(rng), now);
   }
 }
 
@@ -324,6 +476,71 @@ TEST(PredictorEquivalenceTest, SqlStoreMatchesMemStore) {
   EXPECT_TRUE(a->HasPrediction());
 }
 
+/// Forwards to a MemHistoryStore and counts the predictors' reads.
+class CountingHistoryStore : public history::HistoryStore {
+ public:
+  Status InsertHistory(EpochSeconds time, int event_type) override {
+    return inner.InsertHistory(time, event_type);
+  }
+  Result<bool> DeleteOldHistory(DurationSeconds h,
+                                EpochSeconds now) override {
+    return inner.DeleteOldHistory(h, now);
+  }
+  Result<history::LoginRangeAgg> LoginMinMax(
+      EpochSeconds lo, EpochSeconds hi) const override {
+    ++login_min_max_calls;
+    return inner.LoginMinMax(lo, hi);
+  }
+  Result<std::vector<EpochSeconds>> CollectLogins(
+      EpochSeconds lo, EpochSeconds hi) const override {
+    ++collect_calls;
+    return inner.CollectLogins(lo, hi);
+  }
+  Result<std::vector<history::HistoryTuple>> ReadAll() const override {
+    return inner.ReadAll();
+  }
+  Result<EpochSeconds> MinTimestamp() const override {
+    return inner.MinTimestamp();
+  }
+  uint64_t NumTuples() const override { return inner.NumTuples(); }
+
+  MemHistoryStore inner;
+  mutable int collect_calls = 0;
+  mutable int login_min_max_calls = 0;
+};
+
+TEST(FastPredictorTest, OneHistoryReadPerPrediction) {
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    CountingHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, 35,
+                      static_cast<int>(rng.NextInt(0, 8)), rng.NextDouble());
+    FastPredictor fast(RandomConfig(rng));
+    ASSERT_TRUE(fast.PredictNextActivity(store, now).ok());
+    EXPECT_EQ(store.collect_calls, 1);
+    EXPECT_EQ(store.login_min_max_calls, 0);
+  }
+}
+
+TEST(SlidingWindowPredictorTest, QueriesStopWhereSelectionStops) {
+  // Daily 9:00 logins, now at midnight, w = 7 h, s = 5 min: window 25,
+  // [2:05, 9:05), is the first to hold 9:00 (in all 28 seasons), window
+  // 26 does not improve on it, and the scan stops there after
+  // 27 windows x 28 seasons = 756 range queries.
+  CountingHistoryStore store;
+  AddDailySessions(store.inner, kAnchor, 28, Hours(9), Hours(10));
+  SlidingWindowPredictor faithful(DefaultConfig());
+  auto pred = faithful.PredictNextActivity(store, kAnchor);
+  ASSERT_TRUE(pred.ok());
+  EXPECT_EQ(pred->start, kAnchor + Hours(9));
+  EXPECT_EQ(pred->end, kAnchor + Hours(9));
+  EXPECT_DOUBLE_EQ(pred->confidence, 1.0);
+  EXPECT_EQ(store.login_min_max_calls, 27 * 28);
+  EXPECT_EQ(store.collect_calls, 0);
+}
+
 TEST(BaselinePredictorsTest, NeverPredictsNothing) {
   MemHistoryStore store;
   NeverPredictor never;
@@ -354,9 +571,11 @@ TEST(PredictionConfigValidationTest, InvalidConfigSurfacesAsError) {
   PredictionConfig bad;
   bad.window_slide = 0;
   SlidingWindowPredictor p1(bad);
-  EXPECT_FALSE(p1.PredictNextActivity(store, kAnchor).ok());
+  EXPECT_TRUE(
+      p1.PredictNextActivity(store, kAnchor).status().IsInvalidArgument());
   FastPredictor p2(bad);
-  EXPECT_FALSE(p2.PredictNextActivity(store, kAnchor).ok());
+  EXPECT_TRUE(
+      p2.PredictNextActivity(store, kAnchor).status().IsInvalidArgument());
 }
 
 }  // namespace

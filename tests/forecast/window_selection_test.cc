@@ -1,6 +1,7 @@
 #include "forecast/window_selection.h"
 
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +88,64 @@ TEST(WindowSelectionTest, ZeroConfidenceWindowsNeverSelectedEvenAtCZero) {
   auto r = SelectPrediction(cfg, 0, StatsFromTable(cfg, 0, {}));
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->HasPrediction());  // degenerate c=0 guard
+}
+
+/// Offers `counts` in order until the selector stops; returns how many
+/// windows it read.
+int64_t OfferAll(WindowSelector& selector, std::vector<int64_t> counts) {
+  int64_t read = 0;
+  for (int64_t c : counts) {
+    ++read;
+    if (!selector.Offer(c)) break;
+  }
+  return read;
+}
+
+TEST(WindowSelectionTest, LiteralBreakChosenWindow) {
+  PredictionConfig cfg = SmallConfig();  // 10 seasons, c = 0.3
+  cfg.literal_break = true;
+  // Improving windows are taken; the first window that does not improve
+  // ends the scan, whether it qualifies (a plateau) or not.
+  WindowSelector plateau(cfg);
+  EXPECT_EQ(OfferAll(plateau, {4, 6, 6, 9}), 3);
+  EXPECT_EQ(plateau.chosen(), 1);
+  EXPECT_DOUBLE_EQ(plateau.confidence(), 0.6);
+  WindowSelector drop(cfg);
+  EXPECT_EQ(OfferAll(drop, {5, 2, 9}), 2);
+  EXPECT_EQ(drop.chosen(), 0);
+  // The chosen window's offsets, not the last window read, make the
+  // prediction: window 1 opens at now + 1 h.
+  WindowStats stats{6, Minutes(10), Minutes(40)};
+  ActivityPrediction p = plateau.Prediction(Hours(1), stats);
+  EXPECT_EQ(p.start, Hours(1) + Minutes(10));
+  EXPECT_EQ(p.end, Hours(1) + Minutes(40));
+  EXPECT_DOUBLE_EQ(p.confidence, 0.6);
+  // Through SelectPrediction, the same counts choose the same window.
+  std::map<int64_t, WindowStats> table;
+  table[0] = {4, Minutes(1), Minutes(2)};
+  table[1] = stats;
+  table[2] = {6, Minutes(3), Minutes(4)};
+  auto r = SelectPrediction(cfg, 0, StatsFromTable(cfg, 0, table));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, p);
+}
+
+TEST(WindowSelectionTest, CZeroChosenWindow) {
+  PredictionConfig cfg = SmallConfig();
+  cfg.confidence_threshold = 0.0;
+  // Empty windows are passed over; the first window with any activity
+  // is taken and kept until confidence stops rising.
+  WindowSelector selector(cfg);
+  EXPECT_EQ(OfferAll(selector, {0, 0, 1, 3, 3, 8}), 5);
+  EXPECT_EQ(selector.chosen(), 3);
+  EXPECT_DOUBLE_EQ(selector.confidence(), 0.3);
+  // With literal_break, c = 0 still skips nothing: the empty window 0
+  // is not a candidate, so the printed ELSE BREAK fires there.
+  cfg.literal_break = true;
+  WindowSelector literal(cfg);
+  EXPECT_EQ(OfferAll(literal, {0, 1}), 1);
+  EXPECT_EQ(literal.chosen(), -1);
+  EXPECT_FALSE(literal.Prediction(0, WindowStats{}).HasPrediction());
 }
 
 TEST(WindowSelectionTest, StatsErrorPropagates) {
