@@ -18,6 +18,10 @@
 //    proactive, so every database keeps an in-memory history and runs
 //    Algorithm 4 after each logout and expired logical pause.  Run at 10k
 //    and 100k.
+//  * durable_10k — proactive_10k with a durable control plane: every
+//    transition journaled (buffered, with checkpoints) and every pre-warm
+//    sent over the transport, as in perfbench's durable workload.  The
+//    journal lives in a scratch directory under the current directory.
 //
 // Both configurations produce bit-identical KPIs at equal fleet size and
 // source (tests/sim/timer_wheel_differential_test.cc holds that pledge);
@@ -36,12 +40,15 @@
 // at less than 0.10x scale_10k's events/sec.  The ratio of two arms on
 // the same machine does not depend on the machine; with one history read
 // and one counting pass per prediction it is about 0.17, and with one
-// history read per season it was about 0.05.
+// history read per season it was about 0.05.  Likewise it exits non-zero
+// if durable_10k runs at less than kSmokeDurableRatioFloor10k x
+// proactive_10k's events/sec (see that constant for the measured ratios).
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -70,6 +77,11 @@ constexpr uint64_t kSmokeRssBudget100k = uint64_t{1200} * 1024 * 1024;
 constexpr double kSmokeSpeedupFloor10k = 3.0;
 // Floor on proactive_10k events/sec over scale_10k events/sec.
 constexpr double kSmokeProactiveRatioFloor10k = 0.10;
+// Floor on durable_10k events/sec over proactive_10k events/sec.  About
+// 0.47 with the journal's mapped tail and fsync-free buffered checkpoints;
+// 0.20 with one write(2) per journal record and three fsyncs per
+// checkpoint.
+constexpr double kSmokeDurableRatioFloor10k = 0.30;
 
 struct ScaleResult {
   std::string name;
@@ -100,11 +112,16 @@ sim::SimOptions BaseOptions(policy::PolicyMode mode) {
   return options;
 }
 
+/// Scratch directory of the durable arm's journal and checkpoints.
+constexpr char kJournalDir[] = "prorp_bench_fleet_scale.journal";
+
 /// The million-database configuration: everything streams.  The reactive
 /// policy never reads history, so its databases share one null store; the
-/// proactive policy keeps one in-memory history per database.
+/// proactive policy keeps one in-memory history per database.  `durable`
+/// routes the control plane through a journal in kJournalDir and every
+/// dispatch through the transport.
 Result<ScaleResult> RunScaleConfig(const std::string& name, size_t num_dbs,
-                                   policy::PolicyMode mode) {
+                                   policy::PolicyMode mode, bool durable) {
   ResetPeakRss();
   uint64_t allocs_before = AllocationCount();
   workload::StreamingFleetSource source(ScaleProfile(), num_dbs, kT0,
@@ -113,15 +130,23 @@ Result<ScaleResult> RunScaleConfig(const std::string& name, size_t num_dbs,
   options.telemetry = sim::SimOptions::Telemetry::kStreaming;
   options.use_null_history = mode == policy::PolicyMode::kReactive;
   options.use_lite_metadata = true;
+  if (durable) {
+    std::filesystem::remove_all(kJournalDir);
+    options.control_plane_journal_dir = kJournalDir;
+    options.use_transport = true;
+  }
 
   Clock::time_point t0 = Clock::now();
-  PRORP_ASSIGN_OR_RETURN(sim::SimReport report,
-                         sim::RunFleetSimulation(source, options));
+  Result<sim::SimReport> run = sim::RunFleetSimulation(source, options);
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  if (durable) std::filesystem::remove_all(kJournalDir);
+  PRORP_ASSIGN_OR_RETURN(sim::SimReport report, std::move(run));
   ScaleResult r;
   r.name = name;
   r.num_dbs = num_dbs;
   r.events = report.events_processed;
-  r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  r.seconds = seconds;
   r.peak_rss_bytes = PeakRssSinceResetBytes();
   r.allocations = AllocationsSince(allocs_before);
   return r;
@@ -219,6 +244,7 @@ int Run(bool smoke, const std::string& out_path) {
     bool legacy;
     PolicyMode mode;
     bool smoke_too;
+    bool durable = false;
   };
   // Scale configs run smallest-first so each attributed peak reflects its
   // own fleet (the watermark reset is best-effort; without it the peak is
@@ -227,6 +253,7 @@ int Run(bool smoke, const std::string& out_path) {
       {"scale_10k", 10'000, false, PolicyMode::kReactive, true},
       {"legacy_10k", 10'000, true, PolicyMode::kReactive, true},
       {"proactive_10k", 10'000, false, PolicyMode::kProactive, true},
+      {"durable_10k", 10'000, false, PolicyMode::kProactive, true, true},
       {"scale_100k", 100'000, false, PolicyMode::kReactive, true},
       {"legacy_100k", 100'000, true, PolicyMode::kReactive, false},
       {"proactive_100k", 100'000, false, PolicyMode::kProactive, false},
@@ -239,7 +266,7 @@ int Run(bool smoke, const std::string& out_path) {
     Result<ScaleResult> r = job.legacy
                                 ? RunLegacyConfig(job.name, job.num_dbs)
                                 : RunScaleConfig(job.name, job.num_dbs,
-                                                 job.mode);
+                                                 job.mode, job.durable);
     if (!r.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", job.name,
                    r.status().ToString().c_str());
@@ -257,6 +284,7 @@ int Run(bool smoke, const std::string& out_path) {
   const ScaleResult* scale1m = Find(results, "scale_1m");
   const ScaleResult* proactive10k = Find(results, "proactive_10k");
   const ScaleResult* proactive100k = Find(results, "proactive_100k");
+  const ScaleResult* durable10k = Find(results, "durable_10k");
   double speedup10k = 0;
   if (scale10k != nullptr && legacy10k != nullptr &&
       legacy10k->events_per_sec() > 0) {
@@ -284,6 +312,13 @@ int Run(bool smoke, const std::string& out_path) {
     derived.emplace_back(
         "proactive_vs_scale_100k",
         proactive100k->events_per_sec() / scale100k->events_per_sec());
+  }
+  double durable_ratio10k = 0;
+  if (proactive10k != nullptr && durable10k != nullptr &&
+      proactive10k->events_per_sec() > 0) {
+    durable_ratio10k =
+        durable10k->events_per_sec() / proactive10k->events_per_sec();
+    derived.emplace_back("durable_vs_proactive_10k", durable_ratio10k);
   }
 
   for (const auto& [name, value] : derived) {
@@ -329,6 +364,14 @@ int Run(bool smoke, const std::string& out_path) {
                    "%.3fx the reactive scale config's events/s (floor "
                    "%.2fx)\n",
                    proactive_ratio10k, kSmokeProactiveRatioFloor10k);
+      return 1;
+    }
+    if (durable_ratio10k < kSmokeDurableRatioFloor10k) {
+      std::fprintf(stderr,
+                   "FAIL: durable control plane at 10k databases runs at "
+                   "only %.3fx the proactive config's events/s (floor "
+                   "%.2fx)\n",
+                   durable_ratio10k, kSmokeDurableRatioFloor10k);
       return 1;
     }
   }

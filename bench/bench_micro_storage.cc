@@ -1,8 +1,10 @@
 // Microbenchmarks of the storage substrate hot path: CRC32 (slice-by-8 vs
 // the byte-at-a-time reference), the clustered B+tree behind
 // sys.pause_resume_history, the SQL history insert, and the WAL — serial
-// buffered appends, serial per-append fsync, and the group-commit path
-// under 2/4/8 concurrent appenders.
+// buffered appends, serial per-append fsync, the group-commit path under
+// 2/4/8 concurrent appenders, and the control-plane journal's buffered
+// append (one ControlPlaneJournal::Append, the durable simulator's
+// per-transition cost).
 //
 // Unlike the figure harnesses this binary is self-timed (no
 // google-benchmark): each workload reports throughput plus exact
@@ -28,6 +30,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/stats.h"
+#include "controlplane/journal.h"
 #include "history/sql_history_store.h"
 #include "storage/bplus_tree.h"
 #include "storage/buffer_pool.h"
@@ -230,6 +233,29 @@ MicroResult BenchWalGroupSync(int threads, uint64_t ops_per_thread) {
   return r;
 }
 
+MicroResult BenchJournalAppendBuffered(uint64_t total_ops) {
+  // The fleet simulator's journal mode: each append reaches the page
+  // cache through the WAL's mapped tail, with no fsync.
+  std::string path = WalPath("prorp_bench_journal.wal");
+  std::remove(path.c_str());
+  using controlplane::ControlPlaneJournal;
+  auto journal =
+      ControlPlaneJournal::Open(path, ControlPlaneJournal::SyncMode::kBuffered)
+          .value();
+  controlplane::JournalRecord rec;
+  rec.event = controlplane::JournalEvent::kMetaUpsert;
+  rec.epoch = 1;
+  MicroResult r =
+      MeasureBatched("journal_append_buffered", total_ops, 64, [&] {
+        rec.db = static_cast<uint32_t>(journal->next_seq() % 250);
+        rec.time += 60;
+        (void)journal->Append(rec);
+      });
+  journal.reset();
+  std::remove(path.c_str());
+  return r;
+}
+
 int Run(bool smoke, const std::string& out_path) {
   PrintHeader("micro_storage: history-store hot path",
               "O(log n) tree ops; group commit amortizes fsync across "
@@ -243,6 +269,7 @@ int Run(bool smoke, const std::string& out_path) {
   const uint64_t kWalNoSync = smoke ? 10'000 : 100'000;
   const uint64_t kWalSerial = smoke ? 400 : 4'000;
   const uint64_t kWalGroupPerThread = smoke ? 400 : 4'000;
+  const uint64_t kJournalAppends = smoke ? 20'000 : 200'000;
 
   std::vector<MicroResult> results;
   results.push_back(BenchCrc32("crc32_bytewise_4k", kCrcOps, false));
@@ -256,6 +283,7 @@ int Run(bool smoke, const std::string& out_path) {
   for (int threads : {2, 4, 8}) {
     results.push_back(BenchWalGroupSync(threads, kWalGroupPerThread));
   }
+  results.push_back(BenchJournalAppendBuffered(kJournalAppends));
 
   for (const MicroResult& r : results) PrintMicroRow(r);
 
@@ -269,16 +297,20 @@ int Run(bool smoke, const std::string& out_path) {
   const MicroResult* slice = find("crc32_slice8_4k", 1);
   const MicroResult* serial = find("wal_append_serial_sync", 1);
   const MicroResult* group8 = find("wal_append_group_sync", 8);
+  const MicroResult* journal = find("journal_append_buffered", 1);
   double crc_speedup = slice->ops_per_sec() / bytewise->ops_per_sec();
   double wal_speedup = group8->ops_per_sec() / serial->ops_per_sec();
+  double journal_ns = 1e9 / journal->ops_per_sec();
 
   std::vector<std::pair<std::string, double>> derived = {
       {"crc32_slice8_vs_bytewise_speedup", crc_speedup},
       {"wal_group8_vs_serial_sync_speedup", wal_speedup},
+      {"journal_append_buffered_ns", journal_ns},
   };
   std::printf("\nderived: crc32 slice-by-8 %.2fx bytewise; "
-              "group commit (8 appenders) %.2fx serial per-append sync\n",
-              crc_speedup, wal_speedup);
+              "group commit (8 appenders) %.2fx serial per-append sync; "
+              "buffered journal append %.0f ns\n",
+              crc_speedup, wal_speedup, journal_ns);
 
   if (!out_path.empty() &&
       !WriteMicroJson(out_path, "micro_storage", smoke ? "smoke" : "full",

@@ -20,14 +20,27 @@ constexpr uint32_t kCheckpointMagic = 0x5052434a;  // "PRCJ"
 // v3 appends the failover counters (node health tracker).
 constexpr uint32_t kCheckpointVersion = 3;
 
-void PutBytes(std::vector<uint8_t>& out, const void* p, size_t n) {
-  const uint8_t* b = static_cast<const uint8_t*>(p);
-  out.insert(out.end(), b, b + n);
-}
+/// Checkpoint body writer.  The body is serialized twice by the same
+/// code: first with no buffer, which only counts the bytes, then into a
+/// buffer allocated once at exactly that size.
+class Writer {
+ public:
+  explicit Writer(uint8_t* out) : out_(out) {}
+
+  void PutBytes(const void* p, size_t n) {
+    if (out_ != nullptr && n > 0) std::memcpy(out_ + size_, p, n);
+    size_ += n;
+  }
+  size_t size() const { return size_; }
+
+ private:
+  uint8_t* out_;
+  size_t size_ = 0;
+};
 
 template <typename T>
-void Put(std::vector<uint8_t>& out, T v) {
-  PutBytes(out, &v, sizeof(T));
+void Put(Writer& out, T v) {
+  out.PutBytes(&v, sizeof(T));
 }
 
 /// Bounds-checked reader over the checkpoint body (the CRC already
@@ -57,7 +70,7 @@ Status SyncStream(FILE* f) {
   return Status::OK();
 }
 
-void PutHistogram(std::vector<uint8_t>& out, const telemetry::Histogram& h) {
+void PutHistogram(Writer& out, const telemetry::Histogram& h) {
   for (uint64_t b : h.buckets()) Put<uint64_t>(out, b);
   Put<uint64_t>(out, h.count());
   Put<int64_t>(out, h.max());
@@ -82,7 +95,7 @@ struct ServiceStateCodec {
   using WorkItem = ManagementService::WorkItem;
 
   /// The one work-item codec, shared by the queue and unacked sections.
-  static void PutItem(std::vector<uint8_t>& out, const WorkItem& item) {
+  static void PutItem(Writer& out, const WorkItem& item) {
     Put<uint32_t>(out, item.db);
     Put<uint8_t>(out, static_cast<uint8_t>(item.cls));
     Put<int32_t>(out, item.attempts);
@@ -106,8 +119,7 @@ struct ServiceStateCodec {
     return item;
   }
 
-  static void Serialize(const ManagementService& s,
-                        std::vector<uint8_t>& out) {
+  static void Serialize(const ManagementService& s, Writer& out) {
     for (const auto& q : s.queues_) {
       Put<uint64_t>(out, q.size());
       for (const WorkItem& item : q) PutItem(out, item);
@@ -129,7 +141,7 @@ struct ServiceStateCodec {
     }
     const std::vector<double>& samples = s.resumed_per_iteration_.values();
     Put<uint64_t>(out, samples.size());
-    for (double v : samples) Put<double>(out, v);
+    out.PutBytes(samples.data(), samples.size() * sizeof(double));
 
     const DiagnosticsReport& d = s.diagnostics_;
     Put<uint64_t>(out, d.observed_iterations);
@@ -303,18 +315,24 @@ struct ServiceStateCodec {
 
 Status SaveCheckpoint(const std::string& path, const MetadataStore& meta,
                       const ManagementService& svc, uint64_t epoch,
-                      uint64_t last_seq) {
-  std::vector<uint8_t> body;
-  Put<uint64_t>(body, epoch);
-  Put<uint64_t>(body, last_seq);
-  std::vector<MetadataStore::ExportedEntry> rows = meta.Export();
-  Put<uint64_t>(body, rows.size());
-  for (const MetadataStore::ExportedEntry& row : rows) {
-    Put<uint32_t>(body, row.db);
-    Put<int32_t>(body, row.state_code);
-    Put<int64_t>(body, row.predicted_start);
-  }
-  ServiceStateCodec::Serialize(svc, body);
+                      uint64_t last_seq, bool sync) {
+  const std::vector<MetadataStore::ExportedEntry> rows = meta.Export();
+  auto serialize = [&](Writer& out) {
+    Put<uint64_t>(out, epoch);
+    Put<uint64_t>(out, last_seq);
+    Put<uint64_t>(out, rows.size());
+    for (const MetadataStore::ExportedEntry& row : rows) {
+      Put<uint32_t>(out, row.db);
+      Put<int32_t>(out, row.state_code);
+      Put<int64_t>(out, row.predicted_start);
+    }
+    ServiceStateCodec::Serialize(svc, out);
+  };
+  Writer count(nullptr);
+  serialize(count);
+  std::vector<uint8_t> body(count.size());
+  Writer fill(body.data());
+  serialize(fill);
   uint32_t crc = storage::Crc32(body.data(), body.size());
 
   std::string tmp = path + ".tmp";
@@ -339,7 +357,7 @@ Status SaveCheckpoint(const std::string& path, const MetadataStore& meta,
        (body.size() == half ||
         std::fwrite(body.data() + half, body.size() - half, 1, f) == 1) &&
        std::fwrite(&crc, 4, 1, f) == 1;
-  ok = ok && SyncStream(f).ok();
+  ok = ok && (!sync || SyncStream(f).ok());
   ok = (std::fclose(f) == 0) && ok;
   if (!ok) {
     std::remove(tmp.c_str());
@@ -349,7 +367,7 @@ Status SaveCheckpoint(const std::string& path, const MetadataStore& meta,
     std::remove(tmp.c_str());
     return Status::IoError("checkpoint rename failed");
   }
-  PRORP_RETURN_IF_ERROR(storage::io::SyncParentDir(path));
+  if (sync) PRORP_RETURN_IF_ERROR(storage::io::SyncParentDir(path));
   return Status::OK();
 }
 

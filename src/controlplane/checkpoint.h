@@ -24,12 +24,14 @@ struct LoadedCheckpoint {
 /// Writes one atomic control-plane checkpoint: metadata-store rows plus
 /// the full externally visible ManagementService state (queues, in-flight
 /// workflows, diagnostics, breaker and storm posture), CRC-framed and
-/// published by tmp-write + fsync + rename + parent-dir fsync.  Crash
-/// points kSnapshotMidCopy and kCpCheckpointMidWrite both fire mid-body,
-/// leaving a partial .tmp the next recovery ignores.
+/// published by tmp-write + fsync + rename + parent-dir fsync.  With
+/// `sync` false both fsyncs are skipped: the publish is then atomic
+/// against process death (the rename) but not power loss.  Crash points
+/// kSnapshotMidCopy and kCpCheckpointMidWrite both fire mid-body, leaving
+/// a partial .tmp the next recovery ignores.
 Status SaveCheckpoint(const std::string& path, const MetadataStore& meta,
                       const ManagementService& svc, uint64_t epoch,
-                      uint64_t last_seq);
+                      uint64_t last_seq, bool sync = true);
 
 /// Loads a checkpoint into a freshly opened store and service.  Returns
 /// NotFound when no checkpoint exists (cold start); Corruption when the

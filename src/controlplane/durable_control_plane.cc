@@ -21,7 +21,8 @@ Result<std::unique_ptr<DurableControlPlane>> DurableControlPlane::Open(
   plane->options_ = options;
   plane->journal_path_ = JournalPathFor(options.dir);
   plane->checkpoint_path_ = CheckpointPathFor(options.dir);
-  PRORP_ASSIGN_OR_RETURN(plane->metadata_, MetadataStore::Open());
+  PRORP_ASSIGN_OR_RETURN(plane->metadata_,
+                         MetadataStore::Open(options.metadata_backing));
   plane->service_ = std::make_unique<ManagementService>(
       plane->metadata_.get(), options.config, std::move(resume),
       options.max_attempts);
@@ -110,14 +111,20 @@ Result<std::unique_ptr<DurableControlPlane>> DurableControlPlane::Open(
 Status DurableControlPlane::Checkpoint() {
   if (!journal_->healthy()) return journal_->dead_status();
   if (service_->fenced()) return service_->fence_status();
-  // In buffered mode the journal tail may still sit in user-space
-  // buffers; a checkpoint subsumes those records, so flush first to keep
-  // the on-disk journal never behind the checkpoint's last_seq.
-  PRORP_RETURN_IF_ERROR(journal_->Sync());
+  // Power-loss durability (kDurable) needs the journal on stable storage
+  // before the checkpoint that subsumes it, and the checkpoint's bytes
+  // and directory entry synced before the journal is cut.  kBuffered
+  // promises only survival of process death: the page cache already
+  // holds every journaled record, and the rename publishes either the
+  // old checkpoint or the whole new one, so neither fsync buys anything
+  // (DESIGN.md section 10).
+  const bool durable =
+      options_.sync_mode == ControlPlaneJournal::SyncMode::kDurable;
+  if (durable) PRORP_RETURN_IF_ERROR(journal_->Sync());
   uint64_t last_seq = journal_->next_seq() - 1;
   PRORP_RETURN_IF_ERROR(SaveCheckpoint(checkpoint_path_, *metadata_,
                                        *service_, recovery_stats_.epoch,
-                                       last_seq));
+                                       last_seq, /*sync=*/durable));
   // Crash window: checkpoint published, journal not yet truncated.  Safe —
   // replay skips seq <= last_seq.
   PRORP_RETURN_IF_ERROR(journal_->TruncateAfterCheckpoint());

@@ -50,6 +50,11 @@ class DurableControlPlane {
     uint64_t checkpoint_every = 256;
     /// Optional fault plan injected into the journal's WAL I/O.
     faults::FaultPlan* fault_plan = nullptr;
+    /// Storage of the metadata store.  kIndexOnly drops the SQL mirror of
+    /// sys.databases (MetadataStore::Backing); journal, checkpoints and
+    /// recovery are the same under both.
+    MetadataStore::Backing metadata_backing =
+        MetadataStore::Backing::kSqlMirrored;
   };
 
   struct RecoveryStats {
@@ -78,7 +83,10 @@ class DurableControlPlane {
 
   /// Serializes the full control-plane state, publishes it atomically,
   /// and truncates the journal.  A crash anywhere inside is safe: the
-  /// checkpoint's last_seq makes replay skip folded-in records.
+  /// checkpoint's last_seq makes replay skip folded-in records.  Under
+  /// SyncMode::kBuffered nothing is fsynced (the mode promises survival
+  /// of process death only, which the rename's atomicity gives);
+  /// kDurable syncs the journal, the checkpoint and its directory.
   Status Checkpoint();
 
   /// Checkpoints when enough journal records accumulated (Options::

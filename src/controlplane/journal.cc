@@ -1,7 +1,5 @@
 #include "controlplane/journal.h"
 
-#include <unistd.h>
-
 #include <cstring>
 
 #include "faults/crash_points.h"
@@ -14,11 +12,13 @@ namespace {
 ///   [i64 time][i64 enqueued_at][i64 not_before][i64 deadline]
 ///   [i64 predicted_start][u64 stats[4]]
 constexpr size_t kRecordBytes = 1 + 8 + 4 + 1 + 4 + 4 + 8 * 5 + 8 * 4;
+constexpr size_t kFrameBytes =
+    storage::WriteAheadLog::InsertFrameBytes(kRecordBytes);
 
 template <typename T>
-void Put(std::vector<uint8_t>& out, T v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+uint8_t* Put(uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
 }
 
 template <typename T>
@@ -29,24 +29,24 @@ T Get(const uint8_t*& p) {
   return v;
 }
 
-storage::WalRecord Encode(uint64_t seq, const JournalRecord& r) {
-  storage::WalRecord wr;
-  wr.type = storage::WalRecord::Type::kInsert;
-  wr.key = static_cast<int64_t>(seq);
-  wr.value.reserve(kRecordBytes);
-  Put<uint8_t>(wr.value, static_cast<uint8_t>(r.event));
-  Put<uint64_t>(wr.value, r.epoch);
-  Put<uint32_t>(wr.value, r.db);
-  Put<uint8_t>(wr.value, r.cls);
-  Put<uint32_t>(wr.value, r.flags);
-  Put<int32_t>(wr.value, r.attempt);
-  Put<int64_t>(wr.value, r.time);
-  Put<int64_t>(wr.value, r.enqueued_at);
-  Put<int64_t>(wr.value, r.not_before);
-  Put<int64_t>(wr.value, r.deadline);
-  Put<int64_t>(wr.value, r.predicted_start);
-  for (uint64_t s : r.stats) Put<uint64_t>(wr.value, s);
-  return wr;
+/// Encodes one record as the WAL frame of a kInsert record keyed by
+/// `seq`: the value in place, then the frame header and CRC.
+void EncodeFrame(uint64_t seq, const JournalRecord& r, uint8_t* frame) {
+  uint8_t* p = frame + storage::WriteAheadLog::kInsertValueOffset;
+  p = Put<uint8_t>(p, static_cast<uint8_t>(r.event));
+  p = Put<uint64_t>(p, r.epoch);
+  p = Put<uint32_t>(p, r.db);
+  p = Put<uint8_t>(p, r.cls);
+  p = Put<uint32_t>(p, r.flags);
+  p = Put<int32_t>(p, r.attempt);
+  p = Put<int64_t>(p, r.time);
+  p = Put<int64_t>(p, r.enqueued_at);
+  p = Put<int64_t>(p, r.not_before);
+  p = Put<int64_t>(p, r.deadline);
+  p = Put<int64_t>(p, r.predicted_start);
+  for (uint64_t s : r.stats) p = Put<uint64_t>(p, s);
+  storage::WriteAheadLog::SealInsertFrame(static_cast<int64_t>(seq),
+                                          kRecordBytes, frame);
 }
 
 Result<JournalRecord> Decode(const storage::WalRecord& wr) {
@@ -126,9 +126,9 @@ Result<std::unique_ptr<ControlPlaneJournal>> ControlPlaneJournal::Open(
 
 Status ControlPlaneJournal::Append(const JournalRecord& record) {
   if (!dead_.ok()) return dead_;
-  uint64_t pre_size = 0;
-  if (auto size = wal_->SizeBytes(); size.ok()) pre_size = *size;
-  Status s = wal_->Append(Encode(next_seq_, record));
+  uint8_t frame[kFrameBytes];
+  EncodeFrame(next_seq_, record, frame);
+  Status s = wal_->AppendFrame(frame, kFrameBytes);
   if (!s.ok()) {
     dead_ = s;
     return dead_;
@@ -137,18 +137,14 @@ Status ControlPlaneJournal::Append(const JournalRecord& record) {
   // dies before the fsync (and before the transition is acknowledged).
   // The armed payload picks the surviving prefix: 0 keeps the whole frame
   // (durable but unacknowledged — recovery replays it), n > 0 keeps
-  // n % frame_size bytes (a torn tail recovery must trim).
+  // n % frame_size bytes (a torn tail recovery must trim).  The cut goes
+  // through the WAL, which owns the mapped tail.
   if (Status crash = faults::HitCrashPoint(faults::kCpJournalPreSync);
       !crash.ok()) {
     uint64_t payload = faults::CrashPointRegistry::Global().payload();
     if (payload > 0) {
-      uint64_t frame_size = pre_size;
       if (auto size = wal_->SizeBytes(); size.ok()) {
-        frame_size = *size - pre_size;
-      }
-      if (frame_size > 0) {
-        (void)!::truncate(path_.c_str(),
-                          static_cast<off_t>(pre_size + payload % frame_size));
+        (void)wal_->Truncate(*size - kFrameBytes + payload % kFrameBytes);
       }
     }
     dead_ = crash;

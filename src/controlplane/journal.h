@@ -107,9 +107,12 @@ class ControlPlaneJournal {
     /// fsync per record: a transition is acknowledged only when durable
     /// (the default for torture and production-shaped use).
     kDurable,
-    /// Buffered appends; durability rides on checkpoints and explicit
-    /// Sync().  Survives process death (the page cache persists), not
-    /// power loss.  The fleet simulator uses this mode.
+    /// Buffered appends: each record is copied into the WAL's mapped
+    /// tail, so it is in the page cache when Append returns, with no
+    /// system call.  Survives process death (the page cache persists),
+    /// not power loss; only an explicit Sync() reaches stable storage,
+    /// and checkpoints skip their fsyncs.  The fleet simulator uses this
+    /// mode.
     kBuffered,
   };
 

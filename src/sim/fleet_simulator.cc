@@ -360,6 +360,10 @@ class FleetSimulation {
   /// Opens (or, after a crash, recovers) the durable control plane and
   /// repoints metadata_/management_ at its components.
   Status OpenDurableControlPlane(EpochSeconds now);
+  MetadataStore::Backing MetadataBacking() const {
+    return options_.use_lite_metadata ? MetadataStore::Backing::kIndexOnly
+                                      : MetadataStore::Backing::kSqlMirrored;
+  }
 
   const workload::TraceSource* source_;
   size_t num_dbs_;
@@ -924,6 +928,7 @@ Status FleetSimulation::OpenDurableControlPlane(EpochSeconds now) {
   cp.config = options_.config.control_plane;
   cp.sync_mode = controlplane::ControlPlaneJournal::SyncMode::kBuffered;
   cp.checkpoint_every = options_.control_plane_checkpoint_every;
+  cp.metadata_backing = MetadataBacking();
   PRORP_ASSIGN_OR_RETURN(
       plane_, controlplane::DurableControlPlane::Open(
                   cp, MakeServiceCallback(),
@@ -1077,11 +1082,8 @@ Result<SimReport> FleetSimulation::Run() {
   if (!options_.control_plane_journal_dir.empty()) {
     PRORP_RETURN_IF_ERROR(OpenDurableControlPlane(/*now=*/0));
   } else {
-    PRORP_ASSIGN_OR_RETURN(
-        owned_metadata_,
-        MetadataStore::Open(options_.use_lite_metadata
-                                ? MetadataStore::Backing::kIndexOnly
-                                : MetadataStore::Backing::kSqlMirrored));
+    PRORP_ASSIGN_OR_RETURN(owned_metadata_,
+                           MetadataStore::Open(MetadataBacking()));
     metadata_ = owned_metadata_.get();
     owned_management_ = std::make_unique<controlplane::ManagementService>(
         metadata_, options_.config.control_plane, MakeServiceCallback());

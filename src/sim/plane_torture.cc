@@ -619,6 +619,7 @@ class Harness {
     popt.config = TortureConfig(opt_);
     popt.max_attempts = 10;
     popt.checkpoint_every = opt_.checkpoint_every;
+    popt.sync_mode = opt_.sync_mode;
     journal_plan_ = nullptr;
     if (opt_.journal_fault_probability > 0 && !drain_mode_) {
       journal_plan_ = std::make_unique<faults::FaultPlan>(

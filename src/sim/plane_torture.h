@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "controlplane/journal.h"
 #include "net/transport.h"
 
 namespace prorp::sim {
@@ -91,6 +92,12 @@ struct PlaneTortureOptions {
   /// Probability a journal WAL append/sync fails per op, via a
   /// per-incarnation FaultPlan; each failure fail-stops the incarnation.
   double journal_fault_probability = 0.0;
+  /// Journal sync mode of every incarnation.  kDurable fsyncs each
+  /// record; kBuffered is the fleet simulator's mode (records reach the
+  /// page cache through the WAL's mapped tail, checkpoints skip their
+  /// fsyncs).
+  controlplane::ControlPlaneJournal::SyncMode sync_mode =
+      controlplane::ControlPlaneJournal::SyncMode::kDurable;
   int max_recoveries = 64;
 };
 

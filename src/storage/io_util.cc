@@ -57,27 +57,6 @@ Result<size_t> ReadUpTo(int fd, void* buf, size_t n, const char* what) {
   return done;
 }
 
-Status WriteFull(int fd, const void* buf, size_t n, const char* what) {
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  size_t done = 0;
-  while (done < n) {
-    if (ConsumeEintr()) {
-      errno = EINTR;
-      continue;
-    }
-    ssize_t put = ::write(fd, p + done, ClampChunk(n - done));
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return Errno(what, "write");
-    }
-    if (put == 0) {
-      return Status::IoError(std::string(what) + ": write made no progress");
-    }
-    done += static_cast<size_t>(put);
-  }
-  return Status::OK();
-}
-
 Status SyncParentDir(const std::string& path) {
   size_t slash = path.find_last_of('/');
   std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);

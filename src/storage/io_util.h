@@ -10,14 +10,15 @@
 
 namespace prorp::storage::io {
 
-/// Full-transfer syscall wrappers.  POSIX allows read/write to transfer
-/// fewer bytes than requested (signal interruption, pipe-ish media,
-/// RLIMIT_FSIZE edges) and to fail outright with EINTR.  The WAL treats
-/// any partial transfer of a frame as an I/O error, so every call site
-/// goes through these wrappers, which retry on EINTR and resume after
-/// short transfers until the full count is moved or a real error occurs.
+/// Full-transfer syscall wrappers.  POSIX allows read to transfer fewer
+/// bytes than requested (signal interruption, pipe-ish media) and to fail
+/// outright with EINTR.  WAL replay must not mistake either for a torn
+/// frame, so it reads through this wrapper, which retries on EINTR and
+/// resumes after short transfers until the full count is moved, end of
+/// file is reached, or a real error occurs.  (WAL appends make no
+/// read/write calls: they are copied into a mapped tail, wal.h.)
 ///
-/// `what` names the caller in error messages ("WAL append").
+/// `what` names the caller in error messages ("WAL replay").
 
 /// Reads up to `n` bytes from the current offset, retrying EINTR and
 /// resuming after short reads.  Returns the number of bytes actually
@@ -25,9 +26,6 @@ namespace prorp::storage::io {
 /// this: a genuinely missing tail is a torn record, but a signal must
 /// not masquerade as one.
 Result<size_t> ReadUpTo(int fd, void* buf, size_t n, const char* what);
-
-/// Writes exactly `n` bytes at the current offset (append-mode fds).
-Status WriteFull(int fd, const void* buf, size_t n, const char* what);
 
 /// fsyncs the directory containing `path`, making the entry itself (a
 /// rename or creation) durable.  Every atomic-publish writer (snapshots,

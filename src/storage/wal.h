@@ -36,21 +36,41 @@ struct WalRecord {
 /// Append-only write-ahead log on a single file.  Record framing:
 ///   [u32 payload_len][payload][u32 crc32(payload)]
 /// Replay stops cleanly at the first truncated or corrupt record, which is
-/// the expected state after a crash mid-append.
+/// the expected state after a crash mid-append.  A zero length word also
+/// ends the log (see the mapped tail below).
+///
+/// Mapped tail.  Frames are not written with write(2): they are copied
+/// into a MAP_SHARED window over the end of the file, so an append makes
+/// no system call.  Each window (kTailChunk bytes) is reserved with
+/// posix_fallocate before it is mapped, so running out of space is an
+/// IoError at the append that needs the window, never a SIGBUS.  The
+/// bytes are in the page cache as soon as the copy returns, so a buffered
+/// append survives process death (not power loss) just as a write(2)
+/// would; Sync() ends in fsync, which also writes back pages dirtied
+/// through the mapping.  Invariants:
+///  * bytes past the logical end are zeros or one torn frame prefix,
+///    never a stale intact frame: Truncate() and every rollback cut the
+///    file with ftruncate, and new windows come from fallocate (zeros);
+///  * SizeBytes() is the logical end, not the preallocated file size;
+///  * Open() scans the log and appends right behind the last intact
+///    frame, so a log left by a dead process (zero-filled tail, maybe a
+///    torn prefix) is appendable with or without a Replay first;
+///  * a clean close (the destructor) cuts the file back to the bytes
+///    written, so a closed log holds its frames and nothing else.
 ///
 /// Thread safety: all mutating entry points are safe to call from
 /// concurrent threads.  `AppendDurable` is the group-commit fast path:
 /// concurrent appenders enqueue encoded frames and a leader (the first
-/// appender to find no commit in flight) drains the whole queue, writes
-/// it as one contiguous batch, and issues a single fsync; followers block
-/// until their record's LSN is durable.  `Append` + `Sync` remain the
-/// buffered path (durability deferred to the OS page cache) and take the
-/// same committer slot, so mixed use stays serialized.
+/// appender to find no commit in flight) drains the whole queue, copies
+/// it into the tail, and issues a single fsync; followers block until
+/// their record's LSN is durable.  `Append` + `Sync` remain the buffered
+/// path (durability deferred to the OS page cache) and wait for any
+/// commit round in flight, so mixed use stays serialized.
 class WriteAheadLog {
  public:
   /// Counters of the group-commit path (test/bench visibility).
   struct GroupCommitStats {
-    /// Physical commit rounds (one batched write + at most one fsync).
+    /// Physical commit rounds (one batched copy + at most one fsync).
     uint64_t commits = 0;
     /// Logical records pushed through commit rounds.
     uint64_t records = 0;
@@ -60,7 +80,27 @@ class WriteAheadLog {
     uint64_t durable_lsn = 0;
   };
 
-  /// Opens (creating if necessary) the log file at `path` for appending.
+  /// Bytes reserved and mapped per tail window.  Small on purpose: the
+  /// window's touched pages count toward the process's resident set.
+  static constexpr uint64_t kTailChunk = 64 * 1024;
+
+  /// Frame of a kInsert record with an n-byte value:
+  ///   [u32 len][u8 type][i64 key][u32 n][value][u32 crc32]
+  /// A caller that appends many fixed-size records (the control-plane
+  /// journal) encodes this frame itself into a reused buffer: it writes
+  /// the value at kInsertValueOffset, calls SealInsertFrame, and appends
+  /// the result with AppendFrame.  The bytes equal Append's encoding.
+  static constexpr size_t kInsertValueOffset = 4 + 1 + 8 + 4;
+  static constexpr size_t InsertFrameBytes(size_t value_bytes) {
+    return kInsertValueOffset + value_bytes + 4;
+  }
+  /// Fills in the length words, type, key and CRC of a kInsert frame
+  /// whose `value_bytes`-byte value is already at kInsertValueOffset.
+  static void SealInsertFrame(int64_t key, size_t value_bytes,
+                              uint8_t* frame);
+
+  /// Opens (creating if necessary) the log file at `path` for appending,
+  /// behind its last intact frame; anything after that frame is cut off.
   static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path);
 
   ~WriteAheadLog();
@@ -68,34 +108,40 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends a record and flushes it to the OS (no fsync).  On a short
-  /// write (disk full, injected fault) the file is rolled back to the
-  /// pre-append offset so the torn frame cannot make later appends
-  /// unreachable at replay time.
+  /// Appends a record to the page cache (no fsync).  On a short write
+  /// (disk full, injected fault) the file is cut back to the pre-append
+  /// end so the torn frame cannot make later appends unreachable at
+  /// replay time.
   Status Append(const WalRecord& record);
+
+  /// Appends one frame built with SealInsertFrame; same contract as
+  /// Append.
+  Status AppendFrame(const uint8_t* frame, size_t size);
 
   /// Group-commit append: blocks until the record is on stable storage
   /// and returns its LSN.  Concurrent callers are coalesced into one
-  /// batched write + one fsync; a failed batched write acknowledges no
-  /// record in the batch (the file is rolled back to the batch start).
+  /// batched copy + one fsync; a failed batched copy acknowledges no
+  /// record in the batch (the file is cut back to the batch start).
   Result<uint64_t> AppendDurable(const WalRecord& record);
 
   /// Forces the log to stable storage.
   Status Sync();
 
-  /// Truncates the log (after a checkpoint has captured its effects).
-  Status Truncate();
+  /// Cuts the log to its first `size` bytes (default: empties it after a
+  /// checkpoint has captured its effects) and unmaps the tail.  A `size`
+  /// inside a frame models a write torn by a crash: replay stops before
+  /// that frame.  InvalidArgument if `size` exceeds SizeBytes().
+  Status Truncate(uint64_t size = 0);
 
   /// Replays all intact records in `path` in order.  Returns the number of
   /// records replayed.  A trailing torn record is not an error: it is
-  /// trimmed off the file so that appends issued after recovery land
-  /// directly behind the last valid record instead of behind unreachable
-  /// garbage.
+  /// trimmed off the file.  A zero-filled tail (a mapped writer's
+  /// reservation) is left in place, since a live writer may own it.
   static Result<uint64_t> Replay(
       const std::string& path,
       const std::function<Status(const WalRecord&)>& apply);
 
-  /// Current log size in bytes.
+  /// Logical log size in bytes: the end of the last appended frame.
   Result<uint64_t> SizeBytes() const;
 
   /// Attaches a fault plan consulted on every append/sync (kWalAppend and
@@ -123,22 +169,43 @@ class WriteAheadLog {
     uint64_t lsn = 0;
     Status result;
     bool done = false;
-    bool written = false;  // reached the batched write (vs excluded)
+    bool written = false;  // reached the tail (vs excluded)
   };
 
-  WriteAheadLog(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
+  WriteAheadLog(int fd, std::string path, uint64_t end)
+      : fd_(fd),
+        path_(std::move(path)),
+        end_(end),
+        written_end_(end),
+        file_size_(end) {}
 
-  /// Serial append body (old behavior).  Caller holds the committer slot.
-  Status AppendExclusive(const WalRecord& record);
+  /// Serial append body.  Caller holds `mu_` with no commit in flight.
+  Status AppendExclusive(const uint8_t* frame, size_t size);
 
   /// Sync body.  Caller holds the committer slot.
   Status SyncExclusive();
 
-  /// Writes `batch` as one contiguous write and makes it durable with a
-  /// single fsync, filling each entry's `result`.  Caller holds the
-  /// committer slot; runs without `mu_` held.
+  /// Copies `batch` into the tail and makes it durable with a single
+  /// fsync, filling each entry's `result`.  Caller holds the committer
+  /// slot; runs without `mu_` held.
   void CommitBatch(const std::vector<Pending*>& batch);
+
+  /// The one frame writer: copies `n` bytes to file offset `offset`
+  /// through the mapped tail, mapping a new window first if needed.
+  /// Does not move the logical end.  IoError (nothing copied) if the
+  /// window cannot be reserved or mapped.
+  Status CopyAt(uint64_t offset, const uint8_t* bytes, size_t n);
+
+  /// Makes [offset, offset + n) part of the mapped window.
+  Status MapTail(uint64_t offset, size_t n);
+  void Unmap();
+
+  /// Flips one bit of the frame just copied to `offset` (fault kBitFlip).
+  void FlipBit(uint64_t offset, uint64_t bit);
+
+  /// Unmaps the tail and cuts the file to `offset`, discarding the bytes
+  /// behind it; the logical end becomes `offset`.
+  Status CutTo(uint64_t offset);
 
   /// Blocks until this thread owns the committer slot (no commit round or
   /// serial append in flight).
@@ -149,8 +216,18 @@ class WriteAheadLog {
   std::string path_;
   faults::FaultPlan* fault_plan_ = nullptr;
 
+  // The tail.  Written only by the holder of `mu_` with no commit in
+  // flight, or by the holder of the committer slot.
+  uint8_t* map_ = nullptr;  // window [map_off_, map_off_ + map_len_)
+  uint64_t map_off_ = 0;
+  uint64_t map_len_ = 0;
+  uint64_t end_;          // logical end: behind the last whole frame
+  uint64_t written_end_;  // behind the last byte copied (>= end_)
+  uint64_t file_size_;    // file length, preallocated windows included
+  std::vector<uint8_t> scratch_;  // Append's encoding buffer
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  mutable std::condition_variable cv_;
   std::deque<Pending*> queue_;
   bool committing_ = false;       // the committer slot
   bool paused_for_test_ = false;  // leaders blocked (batch buildup)

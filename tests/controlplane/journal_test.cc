@@ -1,4 +1,5 @@
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "controlplane/journal.h"
 #include "faults/crash_points.h"
 #include "faults/fault_plan.h"
+#include "storage/wal.h"
 
 namespace prorp::controlplane {
 namespace {
@@ -189,6 +191,151 @@ TEST(ControlPlaneJournalTest, DiskFullFailsStopCleanly) {
       path, [&](uint64_t, const JournalRecord&) { return Status::OK(); });
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(*replayed, 1u);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// What a process death leaves of a journal that is still open: the file
+/// as the page cache holds it, mapped tail and preallocated zeros
+/// included.
+std::string ProcessDeathImage(const std::string& path) {
+  std::string image = path + ".img";
+  fs::copy_file(path, image, fs::copy_options::overwrite_existing);
+  return image;
+}
+
+std::vector<uint64_t> ReplaySeqs(const std::string& path,
+                                 std::vector<JournalRecord>* records) {
+  std::vector<uint64_t> seqs;
+  auto replayed = ControlPlaneJournal::Replay(
+      path, [&](uint64_t seq, const JournalRecord& rec) {
+        seqs.push_back(seq);
+        if (records != nullptr) records->push_back(rec);
+        return Status::OK();
+      });
+  EXPECT_TRUE(replayed.ok()) << replayed.status().ToString();
+  return seqs;
+}
+
+TEST(ControlPlaneJournalTest, BufferedProcessDeathImageReplaysExactly) {
+  // kBuffered appends across several mapped windows, then the process
+  // dies with the journal open.  The page cache holds every record.
+  constexpr uint64_t kRecords = 3000;
+  std::string path = FreshDir("journal_death") + "/j.wal";
+  auto journal =
+      ControlPlaneJournal::Open(path, ControlPlaneJournal::SyncMode::kBuffered);
+  ASSERT_TRUE(journal.ok());
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE((*journal)->Append(SampleRecord(i)).ok());
+  }
+  const uint64_t size = *(*journal)->SizeBytes();
+  ASSERT_GT(size, 2 * storage::WriteAheadLog::kTailChunk);
+  const std::string image = ProcessDeathImage(path);
+  ASSERT_GT(fs::file_size(image), size);  // the window's zeros came along
+
+  std::vector<JournalRecord> records;
+  std::vector<uint64_t> seqs = ReplaySeqs(image, &records);
+  ASSERT_EQ(seqs.size(), kRecords);
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(seqs[i], i + 1);
+    EXPECT_EQ(records[i].db, SampleRecord(i).db);
+    EXPECT_EQ(records[i].stats, SampleRecord(i).stats);
+  }
+  // The next incarnation's first record lands right behind them.
+  {
+    auto next = ControlPlaneJournal::Open(
+        image, ControlPlaneJournal::SyncMode::kBuffered);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(*(*next)->SizeBytes(), size);
+    (*next)->set_next_seq(kRecords + 1);
+    ASSERT_TRUE((*next)->Append(SampleRecord(kRecords)).ok());
+  }
+  seqs = ReplaySeqs(image, nullptr);
+  ASSERT_EQ(seqs.size(), kRecords + 1);
+  EXPECT_EQ(seqs.back(), kRecords + 1);
+}
+
+TEST(ControlPlaneJournalTest, TruncateLeavesNoStaleFrames) {
+  std::string path = FreshDir("journal_truncate_stale") + "/j.wal";
+  auto journal =
+      ControlPlaneJournal::Open(path, ControlPlaneJournal::SyncMode::kBuffered);
+  ASSERT_TRUE(journal.ok());
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE((*journal)->Append(SampleRecord(i)).ok());
+  }
+  ASSERT_TRUE((*journal)->TruncateAfterCheckpoint().ok());
+  ASSERT_TRUE((*journal)->Append(SampleRecord(10)).ok());
+  // Every frame has the same size, so a stale frame 2 would sit intact
+  // right behind the new frame 11 had the truncation kept the bytes.
+  EXPECT_EQ(ReplaySeqs(ProcessDeathImage(path), nullptr),
+            (std::vector<uint64_t>{11}));
+}
+
+TEST(ControlPlaneJournalTest, DiskFullLeavesTheFileAppendable) {
+  std::string path = FreshDir("journal_enospc_reopen") + "/j.wal";
+  {
+    auto journal = ControlPlaneJournal::Open(
+        path, ControlPlaneJournal::SyncMode::kBuffered);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)->Append(SampleRecord(0)).ok());
+    faults::FaultPlan plan(9);
+    plan.FailNthWithArg(faults::FaultOp::kWalAppend, 1,
+                        faults::FaultKind::kDiskFull, 50);
+    (*journal)->set_fault_plan(&plan);
+    Status s = (*journal)->Append(SampleRecord(1));
+    EXPECT_TRUE(s.IsIoError()) << s.ToString();
+    EXPECT_FALSE((*journal)->healthy());
+    (*journal)->set_fault_plan(nullptr);
+    // The 50 bytes that reached the tail were cut off again.
+    const std::string bytes = ReadFileBytes(ProcessDeathImage(path));
+    const uint64_t size = *(*journal)->SizeBytes();
+    for (size_t i = size; i < bytes.size(); ++i) {
+      ASSERT_EQ(bytes[i], 0) << "byte " << i << " past the logical end";
+    }
+  }
+  // The journal latched dead; the next incarnation appends behind the
+  // one intact record.
+  {
+    auto next = ControlPlaneJournal::Open(
+        path, ControlPlaneJournal::SyncMode::kBuffered);
+    ASSERT_TRUE(next.ok());
+    (*next)->set_next_seq(2);
+    ASSERT_TRUE((*next)->Append(SampleRecord(1)).ok());
+  }
+  EXPECT_EQ(ReplaySeqs(path, nullptr), (std::vector<uint64_t>{1, 2}));
+}
+
+TEST(ControlPlaneJournalTest, FramesAreTheWalEncodingOfTheRecord) {
+  // The journal builds its frames itself; they must be byte for byte the
+  // frames WriteAheadLog::Append writes for the same kInsert record, so
+  // every journal already on disk still replays.
+  std::string dir = FreshDir("journal_frame_bytes");
+  std::string path = dir + "/j.wal";
+  {
+    auto journal = ControlPlaneJournal::Open(
+        path, ControlPlaneJournal::SyncMode::kBuffered);
+    ASSERT_TRUE(journal.ok());
+    for (uint64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE((*journal)->Append(SampleRecord(i)).ok());
+    }
+  }
+  std::string copy = dir + "/copy.wal";
+  {
+    auto wal = storage::WriteAheadLog::Open(copy);
+    ASSERT_TRUE(wal.ok());
+    auto n = storage::WriteAheadLog::Replay(
+        path, [&](const storage::WalRecord& rec) {
+          EXPECT_EQ(rec.type, storage::WalRecord::Type::kInsert);
+          return (*wal)->Append(rec);
+        });
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 5u);
+  }
+  EXPECT_EQ(ReadFileBytes(copy), ReadFileBytes(path));
 }
 
 }  // namespace

@@ -182,6 +182,68 @@ TEST(DurableControlPlaneTest, ColdStartThenEpochsClimbAcrossRestarts) {
   }
 }
 
+/// Runs the mixed workload on a durable plane with the given metadata
+/// backing, checkpoints halfway, dies, recovers, and returns the
+/// recovered plane's checkpoint bytes.  `sql_mirrored` receives whether
+/// the recovered store still answers the literal SQL scan.
+std::string DurableRunCheckpointBytes(MetadataStore::Backing backing,
+                                      const std::string& dir,
+                                      bool* sql_mirrored) {
+  DurableControlPlane::Options opt;
+  opt.dir = dir;
+  opt.config = SmallConfig();
+  opt.sync_mode = ControlPlaneJournal::SyncMode::kBuffered;
+  opt.metadata_backing = backing;
+  auto ok_cb = [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); };
+  auto not_resumed = [](DbId) { return false; };
+  {
+    auto plane = DurableControlPlane::Open(opt, ok_cb, not_resumed, kT0);
+    EXPECT_TRUE(plane.ok()) << plane.status().ToString();
+    if (!plane.ok()) return "";
+    for (DbId db = 1; db <= 12; ++db) {
+      EXPECT_TRUE((*plane)->metadata()
+                      .UpsertState(db, DbState::kPhysicallyPaused,
+                                   kT0 + 400 + db * 60)
+                      .ok());
+    }
+    EXPECT_TRUE((*plane)->Checkpoint().ok());
+    for (int step = 0; step < 8; ++step) {
+      EXPECT_TRUE((*plane)->service().RunOnce(kT0 + step * 60).ok());
+    }
+    EXPECT_TRUE((*plane)->service().EnqueueReactive(3, kT0 + 500).ok());
+    // Death: dropped with no orderly shutdown.
+  }
+  auto plane = DurableControlPlane::Open(opt, ok_cb, not_resumed, kT0 + 600);
+  EXPECT_TRUE(plane.ok()) << plane.status().ToString();
+  if (!plane.ok()) return "";
+  EXPECT_TRUE((*plane)->service().AccountingReconciles());
+  *sql_mirrored =
+      (*plane)->metadata().SelectDueForResumeSql(kT0, 0, 3600).ok();
+  std::string path = dir + "/compare.ckpt";
+  EXPECT_TRUE(SaveCheckpoint(path, (*plane)->metadata(), (*plane)->service(),
+                             (*plane)->recovery_stats().epoch,
+                             (*plane)->journal().next_seq() - 1)
+                  .ok());
+  return ReadFileBytes(path);
+}
+
+// An index-only durable plane keeps no SQL mirror, before and after a
+// recovery, and recovers exactly the state the mirrored plane does.
+TEST(DurableControlPlaneTest, IndexOnlyBackingHasNoSqlMirror) {
+  bool lite_mirrored = true;
+  bool full_mirrored = false;
+  std::string lite = DurableRunCheckpointBytes(
+      MetadataStore::Backing::kIndexOnly, FreshDir("dcp_index_only"),
+      &lite_mirrored);
+  std::string full = DurableRunCheckpointBytes(
+      MetadataStore::Backing::kSqlMirrored, FreshDir("dcp_sql_mirrored"),
+      &full_mirrored);
+  EXPECT_FALSE(lite_mirrored);
+  EXPECT_TRUE(full_mirrored);
+  ASSERT_FALSE(lite.empty());
+  EXPECT_EQ(lite, full);
+}
+
 // Tentpole guarantee 1: an acknowledged reactive login survives an
 // abrupt control-plane death (no checkpoint, nothing but the journal).
 TEST(DurableControlPlaneTest, AcceptedReactiveSurvivesAbruptDeath) {

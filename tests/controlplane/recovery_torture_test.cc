@@ -121,20 +121,38 @@ int RunCrashPointCells(const PlaneTortureOptions& base,
 }
 
 /// Every control-plane crash point, >= 8 seeds, under storm and outage
-/// pressure.  Each cell kills the control plane at a crash site that the
-/// counting pass proved is actually reached, recovers, and asserts the
-/// recovery guarantees.
-TEST(RecoveryTortureTest, MatrixEveryPointManySeeds) {
+/// pressure, with the journal in `mode`.  Each cell kills the control
+/// plane at a crash site that the counting pass proved is actually
+/// reached, recovers, and asserts the recovery guarantees.  Returns the
+/// cell count.
+int RunMatrix(controlplane::ControlPlaneJournal::SyncMode mode,
+              const std::string& prefix) {
   int cells = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     PlaneTortureOptions base = RecoveryOptions(seed);
     base.storm = (seed % 2 == 0);
     base.outage = (seed % 4 < 2);
     base.checkpoint_every = (seed % 3 == 0) ? 32 : 64;
-    cells += RunCrashPointCells(base, "rt", ExpectInvariants);
+    base.sync_mode = mode;
+    cells += RunCrashPointCells(base, prefix, ExpectInvariants);
   }
+  return cells;
+}
+
+TEST(RecoveryTortureTest, MatrixEveryPointManySeeds) {
   // 8 seeds x 4 points x up to 3 nth choices.
-  EXPECT_GE(cells, 32);
+  EXPECT_GE(
+      RunMatrix(controlplane::ControlPlaneJournal::SyncMode::kDurable, "rt"),
+      32);
+}
+
+/// The same matrix with the journal in the mode the fleet simulator
+/// ships: appends reach only the page cache and checkpoints publish with
+/// no fsync, so recovery rests on process-death durability alone.
+TEST(RecoveryTortureTest, MatrixEveryPointBufferedJournal) {
+  EXPECT_GE(RunMatrix(controlplane::ControlPlaneJournal::SyncMode::kBuffered,
+                      "rt_buffered"),
+            32);
 }
 
 /// The crash points once more over a lossy wire: drops and delays leave

@@ -240,6 +240,30 @@ TEST(SimReportDigestTest, GridIsBitIdentical) {
   }
 }
 
+TEST(SimReportDigestTest, LiteMetadataDurableRunMatchesMirroredDigest) {
+  // use_lite_metadata on the durable path: the plane opens an index-only
+  // metadata store (no SQL mirror), and the run, crash and recovery
+  // included, reports exactly the mirrored journal cell's digest.
+  const auto traces =
+      workload::GenerateFleet(workload::RegionEU1(), 60, kT0, kEnd, 13);
+  for (Cell& cell : Cells()) {
+    if (cell.name != "proactive_journal_crash") continue;
+    const std::string dir = testing::TempDir() + "/sim_digest_journal_lite";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    cell.options.control_plane_journal_dir = dir;
+    cell.options.use_lite_metadata = true;
+    auto r = RunFleetSimulation(traces, cell.options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->control_plane_recoveries, 1u);
+    const uint64_t digest = Digest(*r);
+    EXPECT_EQ(digest, cell.digest) << "digest 0x" << std::hex << digest;
+    std::filesystem::remove_all(dir);
+    return;
+  }
+  FAIL() << "no proactive_journal_crash cell";
+}
+
 TEST(SimReportDigestTest, OtherRegionsAreBitIdentical) {
   struct RegionCell {
     workload::RegionProfile profile;

@@ -116,6 +116,9 @@ TEST_F(DurableTreeTest, AutoCheckpointTriggersOnWalGrowth) {
     ASSERT_TRUE((*t)->Insert(k, Value64(k).data()).ok());
   }
   // 100 records x ~29 bytes >> 512, so at least one auto checkpoint ran.
+  // A live log's file also holds its preallocated tail window; closing
+  // the tree cuts the file back to the bytes written.
+  t->reset();
   EXPECT_LT(fs::file_size(dir_ + "/wal.log"), 600u);
   EXPECT_TRUE(fs::exists(dir_ + "/snapshot.db"));
 }

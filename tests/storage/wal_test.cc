@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -9,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/crash_points.h"
 #include "storage/io_util.h"
 
 namespace prorp::storage {
@@ -24,6 +27,40 @@ WalRecord Insert(int64_t key, std::vector<uint8_t> value) {
   r.key = key;
   r.value = std::move(value);
   return r;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// What a process death leaves of a log that is still open: the file as
+/// the page cache holds it, mapped tail and preallocated zeros included.
+std::string ProcessDeathImage(const std::string& path,
+                              const std::string& name) {
+  std::string image = TempPath(name);
+  std::filesystem::copy_file(
+      path, image, std::filesystem::copy_options::overwrite_existing);
+  return image;
+}
+
+std::vector<int64_t> ReplayKeys(const std::string& path) {
+  std::vector<int64_t> keys;
+  auto n = WriteAheadLog::Replay(path, [&](const WalRecord& r) {
+    keys.push_back(r.key);
+    return Status::OK();
+  });
+  EXPECT_TRUE(n.ok()) << n.status().ToString();
+  return keys;
+}
+
+/// Whether every byte of `bytes` from `from` on is zero.
+bool ZerosFrom(const std::string& bytes, size_t from) {
+  for (size_t i = from; i < bytes.size(); ++i) {
+    if (bytes[i] != 0) return false;
+  }
+  return true;
 }
 
 TEST(WalTest, AppendAndReplayRoundTrip) {
@@ -188,11 +225,10 @@ struct IoFaultGuard {
 };
 
 TEST(WalTest, SurvivesPartialTransfersAndEintr) {
-  // Every write and read syscall is capped at 97 bytes, so the 1000-byte
-  // records span many calls, and EINTR bursts are interposed.  WriteFull
-  // and ReadUpTo must still move whole frames, so append and replay
-  // round-trip every record through both the buffered and the
-  // group-commit path.
+  // Every read syscall is capped at 97 bytes, so the 1000-byte records
+  // span many calls, and EINTR bursts are interposed.  ReadUpTo must
+  // still move whole frames, so replay round-trips every record appended
+  // through both the buffered and the group-commit path.
   std::string path = TempPath("wal_partial_io.log");
   std::remove(path.c_str());
   IoFaultGuard guard;
@@ -204,9 +240,7 @@ TEST(WalTest, SurvivesPartialTransfersAndEintr) {
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_TRUE(wal.ok());
-    io::SetEintrBurstForTest(25);
     ASSERT_TRUE((*wal)->Append(Insert(1, big)).ok());
-    io::SetEintrBurstForTest(25);
     ASSERT_TRUE((*wal)->AppendDurable(Insert(2, {0x02})).ok());
     ASSERT_TRUE((*wal)->Append(Insert(3, big)).ok());
   }
@@ -439,6 +473,44 @@ TEST(WalTest, GroupCommitFailedBatchedWriteAcksNothing) {
   std::remove(path.c_str());
 }
 
+TEST(WalTest, GroupCommitTornMidBatchLeavesNoFrameOfTheBatch) {
+  // The batch dies inside its second record, after the first one's frame
+  // is already in the tail.  The rollback must cut that frame too: it
+  // was never acknowledged.
+  constexpr int kAppenders = 3;
+  std::string path = TempPath("wal_group_torn_mid.log");
+  std::remove(path.c_str());
+  faults::FaultPlan plan(14);
+  plan.FailNthWithArg(faults::FaultOp::kWalAppend, 2,
+                      faults::FaultKind::kTornWrite, 5);
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  (*wal)->set_fault_plan(&plan);
+  (*wal)->PauseGroupCommitForTest(true);
+
+  std::atomic<int> io_errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kAppenders; ++t) {
+    threads.emplace_back([&, t] {
+      auto lsn = (*wal)->AppendDurable(Insert(t, {0x77}));
+      if (!lsn.ok() && lsn.status().IsIoError()) ++io_errors;
+    });
+  }
+  while ((*wal)->QueuedForTest() < static_cast<size_t>(kAppenders)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  (*wal)->PauseGroupCommitForTest(false);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(io_errors.load(), kAppenders);
+  EXPECT_EQ(*(*wal)->SizeBytes(), 0u);
+  EXPECT_TRUE(ZerosFrom(ReadFileBytes(path), 0));
+  (*wal)->set_fault_plan(nullptr);
+  ASSERT_TRUE((*wal)->AppendDurable(Insert(100, {0x64})).ok());
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{100}));
+  std::remove(path.c_str());
+}
+
 TEST(WalTest, GroupCommitInjectedIoErrorFailsOnlyThatRecord) {
   // A per-record injected IoError means "no bytes of this record reached
   // the medium"; the rest of the batch still commits and acks.
@@ -514,6 +586,175 @@ TEST(WalTest, GroupCommitSyncFaultAcksNothing) {
 
   EXPECT_EQ(io_errors.load(), kAppenders);
   EXPECT_EQ((*wal)->group_commit_stats().durable_lsn, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(WalTest, ProcessDeathImageReplaysAndAppendsBehind) {
+  // Enough 64-byte records to cross several mapped windows; then the
+  // process dies inside the next frame, leaving a 7-byte torn prefix.
+  constexpr int64_t kRecords = 3000;
+  std::string path = TempPath("wal_death.log");
+  std::remove(path.c_str());
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  uint64_t expect_size = 0;
+  for (int64_t k = 1; k <= kRecords; ++k) {
+    std::vector<uint8_t> value(64, static_cast<uint8_t>(k));
+    ASSERT_TRUE((*wal)->Append(Insert(k, value)).ok());
+    expect_size += 4 + 1 + 8 + 4 + 64 + 4;
+  }
+  ASSERT_GT(expect_size, 2 * WriteAheadLog::kTailChunk);
+  EXPECT_EQ(*(*wal)->SizeBytes(), expect_size);  // logical, not the file's
+  auto& registry = faults::CrashPointRegistry::Global();
+  registry.Reset();
+  registry.Arm(faults::kWalAppendPartial, 1, /*payload=*/7);
+  EXPECT_FALSE((*wal)->Append(Insert(kRecords + 1, {0x01})).ok());
+  registry.Reset();
+  EXPECT_EQ(*(*wal)->SizeBytes(), expect_size);
+
+  const std::string image = ProcessDeathImage(path, "wal_death_a.img");
+  const std::string image_b = ProcessDeathImage(path, "wal_death_b.img");
+  wal->reset();
+  std::string bytes = ReadFileBytes(image);
+  // Past the logical end: the torn prefix, then the window's zeros.
+  ASSERT_GT(bytes.size(), expect_size + 7);
+  EXPECT_NE(bytes.substr(expect_size, 7), std::string(7, '\0'));
+  EXPECT_TRUE(ZerosFrom(bytes, expect_size + 7));
+
+  std::vector<int64_t> want;
+  for (int64_t k = 1; k <= kRecords; ++k) want.push_back(k);
+  EXPECT_EQ(ReplayKeys(image), want);
+  {
+    // Reopened after a replay: the append lands right behind the last
+    // intact frame.
+    auto reopened = WriteAheadLog::Open(image);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(*(*reopened)->SizeBytes(), expect_size);
+    ASSERT_TRUE((*reopened)->Append(Insert(-1, {0x02})).ok());
+  }
+  {
+    // Reopened with no replay first: the same.
+    auto reopened = WriteAheadLog::Open(image_b);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(*(*reopened)->SizeBytes(), expect_size);
+    ASSERT_TRUE((*reopened)->Append(Insert(-1, {0x02})).ok());
+  }
+  want.push_back(-1);
+  EXPECT_EQ(ReplayKeys(image), want);
+  EXPECT_EQ(ReplayKeys(image_b), want);
+  std::remove(path.c_str());
+  std::remove(image.c_str());
+  std::remove(image_b.c_str());
+}
+
+TEST(WalTest, TruncateLeavesNoFrameFromBeforeIt) {
+  // Same-size frames, so a truncation that only moved a cursor would
+  // leave old frames intact right behind the new one.
+  std::string path = TempPath("wal_truncate_stale.log");
+  std::remove(path.c_str());
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  for (int64_t k = 1; k <= 20; ++k) {
+    ASSERT_TRUE((*wal)->Append(Insert(k, {0x11, 0x22})).ok());
+  }
+  ASSERT_TRUE((*wal)->Truncate().ok());
+  EXPECT_EQ(*(*wal)->SizeBytes(), 0u);
+  ASSERT_TRUE((*wal)->Append(Insert(100, {0x33, 0x44})).ok());
+  const uint64_t size = *(*wal)->SizeBytes();
+
+  const std::string image = ProcessDeathImage(path, "wal_truncate_stale.img");
+  EXPECT_TRUE(ZerosFrom(ReadFileBytes(image), size));
+  EXPECT_EQ(ReplayKeys(image), (std::vector<int64_t>{100}));
+  wal->reset();
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{100}));
+  std::remove(path.c_str());
+  std::remove(image.c_str());
+}
+
+TEST(WalTest, DiskFullOnMappedTailRollsBackAndStaysAppendable) {
+  std::string path = TempPath("wal_disk_full.log");
+  std::remove(path.c_str());
+  faults::FaultPlan plan(5);
+  // The space runs out 9 bytes into the third frame.
+  plan.FailNthWithArg(faults::FaultOp::kWalAppend, 3,
+                      faults::FaultKind::kDiskFull, 9);
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  (*wal)->set_fault_plan(&plan);
+  ASSERT_TRUE((*wal)->Append(Insert(1, {0x01})).ok());
+  ASSERT_TRUE((*wal)->Append(Insert(2, {0x02})).ok());
+  const uint64_t size = *(*wal)->SizeBytes();
+  Status full = (*wal)->Append(Insert(3, {0x03}));
+  ASSERT_TRUE(full.IsIoError()) << full.ToString();
+  EXPECT_NE(full.message().find("disk full"), std::string::npos);
+  EXPECT_EQ(*(*wal)->SizeBytes(), size);
+  // The 9 bytes that made it were discarded, not just skipped over.
+  const std::string image = ProcessDeathImage(path, "wal_disk_full.img");
+  EXPECT_TRUE(ZerosFrom(ReadFileBytes(image), size));
+
+  ASSERT_TRUE((*wal)->Append(Insert(4, {0x04})).ok());
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1, 2, 4}));
+  wal->reset();
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1, 2, 4}));
+  std::remove(path.c_str());
+  std::remove(image.c_str());
+}
+
+TEST(WalTest, OpenCutsOffIntactFramesBehindACorruptOne) {
+  // Frame 2 of four same-size frames is corrupt, so replay ends at frame
+  // 1.  The writer reopened on that file appends behind frame 1; frames
+  // 3 and 4 must go, or they would replay intact behind the new frame.
+  std::string path = TempPath("wal_open_corrupt.log");
+  std::remove(path.c_str());
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    for (int64_t k = 1; k <= 4; ++k) {
+      ASSERT_TRUE((*wal)->Append(Insert(k, {0x10, 0x20})).ok());
+    }
+  }
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.size() % 4, 0u);
+  const size_t frame = bytes.size() / 4;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, static_cast<long>(frame + 6), SEEK_SET);
+    std::fputc(bytes[frame + 6] ^ 0x01, f);
+    std::fclose(f);
+  }
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(*(*wal)->SizeBytes(), frame);
+  ASSERT_TRUE((*wal)->Append(Insert(5, {0x30, 0x40})).ok());
+  const std::string image = ProcessDeathImage(path, "wal_open_corrupt.img");
+  EXPECT_EQ(ReplayKeys(image), (std::vector<int64_t>{1, 5}));
+  wal->reset();
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1, 5}));
+  std::remove(path.c_str());
+  std::remove(image.c_str());
+}
+
+TEST(WalTest, ReplayOfAnOpenLogLeavesItAppendable) {
+  // Recovery code and tests replay a log whose writer is still open.
+  // The writer's reserved window is zeros past the logical end; cutting
+  // it would leave mapped pages past end of file, and the writer's next
+  // store into one would raise SIGBUS.
+  std::string path = TempPath("wal_replay_open.log");
+  std::remove(path.c_str());
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  std::vector<uint8_t> value(200, 0x5A);
+  ASSERT_TRUE((*wal)->Append(Insert(1, value)).ok());
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1}));
+  std::vector<int64_t> want{1};
+  for (int64_t k = 2; k <= 100; ++k) {  // ~21 KiB: several more pages
+    ASSERT_TRUE((*wal)->Append(Insert(k, value)).ok());
+    want.push_back(k);
+  }
+  EXPECT_EQ(ReplayKeys(path), want);
+  wal->reset();
+  EXPECT_EQ(ReplayKeys(path), want);
   std::remove(path.c_str());
 }
 
