@@ -80,7 +80,10 @@ constexpr double kSmokeProactiveRatioFloor10k = 0.10;
 // Floor on durable_10k events/sec over proactive_10k events/sec.  About
 // 0.47 with the journal's mapped tail and fsync-free buffered checkpoints;
 // 0.20 with one write(2) per journal record and three fsyncs per
-// checkpoint.
+// checkpoint.  Checkpoints that no longer carry one sample per iteration
+// moved it to 0.38-0.55 from 0.29-0.44 in back-to-back runs on a shared
+// 4-vCPU host; the two ranges overlap, so the floor stays at 0.30 and
+// CheckpointTest.SizeIndependentOfRunLength gates checkpoint size instead.
 constexpr double kSmokeDurableRatioFloor10k = 0.30;
 
 struct ScaleResult {

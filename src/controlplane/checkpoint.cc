@@ -18,7 +18,9 @@ namespace {
 constexpr uint32_t kCheckpointMagic = 0x5052434a;  // "PRCJ"
 // v2 appends the unacked-dispatch section (transport layer).
 // v3 appends the failover counters (node health tracker).
-constexpr uint32_t kCheckpointVersion = 3;
+// v4 keeps the iterations per resumed count instead of one sample per
+// iteration, so a checkpoint no longer grows with the run's length.
+constexpr uint32_t kCheckpointVersion = 4;
 
 /// Checkpoint body writer.  The body is serialized twice by the same
 /// code: first with no buffer, which only counts the bytes, then into a
@@ -62,12 +64,40 @@ struct Reader {
     p += sizeof(T);
     return v;
   }
+
+  /// Reads a length and then that many u64s.  A length the bytes left
+  /// cannot hold fails the read before anything is allocated.
+  void GetU64s(std::vector<uint64_t>* out) {
+    const uint64_t n = Get<uint64_t>();
+    if (failed || n > static_cast<uint64_t>(end - p) / sizeof(uint64_t)) {
+      failed = true;
+      return;
+    }
+    out->resize(n);
+    if (n > 0) std::memcpy(out->data(), p, n * sizeof(uint64_t));
+    p += n * sizeof(uint64_t);
+  }
 };
 
 Status SyncStream(FILE* f) {
   if (std::fflush(f) != 0) return Status::IoError("fflush failed");
   if (::fsync(::fileno(f)) != 0) return Status::IoError("fsync failed");
   return Status::OK();
+}
+
+/// True when the iterations per resumed count agree with the counters
+/// restored beside them: no more iterations than were observed, and as
+/// many resumes as the total.  Checked without overflow, so a forged
+/// count cannot slip through by wrapping.
+bool IterationCountsAgree(const std::vector<uint64_t>& counts,
+                          uint64_t iterations, uint64_t resumed) {
+  for (size_t v = 0; v < counts.size(); ++v) {
+    const uint64_t c = counts[v];
+    if (c > iterations || (v > 0 && c > resumed / v)) return false;
+    iterations -= c;
+    resumed -= c * v;
+  }
+  return resumed == 0;
 }
 
 void PutHistogram(Writer& out, const telemetry::Histogram& h) {
@@ -139,9 +169,10 @@ struct ServiceStateCodec {
       Put<int64_t>(out, f.deadline);
       Put<uint8_t>(out, f.hedged ? 1 : 0);
     }
-    const std::vector<double>& samples = s.resumed_per_iteration_.values();
-    Put<uint64_t>(out, samples.size());
-    out.PutBytes(samples.data(), samples.size() * sizeof(double));
+    // v4: iterations per resumed count, indexed by the count.
+    const std::vector<uint64_t>& counts = s.resumed_per_iteration_;
+    Put<uint64_t>(out, counts.size());
+    out.PutBytes(counts.data(), counts.size() * sizeof(uint64_t));
 
     const DiagnosticsReport& d = s.diagnostics_;
     Put<uint64_t>(out, d.observed_iterations);
@@ -236,11 +267,7 @@ struct ServiceStateCodec {
       if (r.failed) break;
       s->in_flight_[db] = f;
     }
-    s->resumed_per_iteration_ = Summary();
-    uint64_t n_samples = r.Get<uint64_t>();
-    for (uint64_t i = 0; i < n_samples && !r.failed; ++i) {
-      s->resumed_per_iteration_.Add(r.Get<double>());
-    }
+    r.GetU64s(&s->resumed_per_iteration_);
 
     DiagnosticsReport& d = s->diagnostics_;
     d.observed_iterations = r.Get<uint64_t>();
@@ -308,6 +335,11 @@ struct ServiceStateCodec {
     s->half_open_successes_ = 0;
     if (r.failed) {
       return Status::Corruption("control-plane checkpoint truncated");
+    }
+    if (!IterationCountsAgree(s->resumed_per_iteration_,
+                              d.observed_iterations, s->total_resumed_)) {
+      return Status::Corruption(
+          "checkpoint iteration counts disagree with its counters");
     }
     return Status::OK();
   }

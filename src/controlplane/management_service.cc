@@ -101,6 +101,24 @@ size_t ManagementService::pending_failed(ResumeClass cls) const {
   return n;
 }
 
+Summary ManagementService::resumed_per_iteration() const {
+  Summary sample;
+  for (size_t v = 0; v < resumed_per_iteration_.size(); ++v) {
+    for (uint64_t i = 0; i < resumed_per_iteration_[v]; ++i) {
+      sample.Add(static_cast<double>(v));
+    }
+  }
+  return sample;
+}
+
+void ManagementService::NoteIterationResumed(uint64_t resumed) {
+  if (resumed >= resumed_per_iteration_.size()) {
+    resumed_per_iteration_.resize(resumed + 1);
+  }
+  ++resumed_per_iteration_[resumed];
+  total_resumed_ += resumed;
+}
+
 bool ManagementService::AccountingReconciles() const {
   const DiagnosticsReport& d = diagnostics_;
   if (d.stuck_workflows != d.mitigated + d.incidents +
@@ -1157,8 +1175,7 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
     if (quota != nullptr) rec.flags |= kJfSlowStart;
     if (!Journal(rec)) return fence_status_;
   }
-  resumed_per_iteration_.Add(static_cast<double>(resumed));
-  total_resumed_ += resumed;
+  NoteIterationResumed(resumed);
   return resumed;
 }
 
@@ -1230,7 +1247,18 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
     case JournalEvent::kNodeDead:
       Apply(rec);
       return Status::OK();
-    case JournalEvent::kIteration:
+    case JournalEvent::kIteration: {
+      // An iteration cannot resume more databases than have resumed in
+      // all; a record that claims to is corrupt, and its count would
+      // size the per-count vector.
+      uint64_t resumed_ever = 0;
+      for (const ClassDiagnostics& c : diagnostics_.per_class) {
+        resumed_ever += c.resumed;
+      }
+      if (rec.stats[0] > resumed_ever) {
+        return Status::Corruption(
+            "journal replay: iteration resumed more than ever resumed");
+      }
       ++diagnostics_.observed_iterations;
       diagnostics_.max_queue_depth = std::max(
           diagnostics_.max_queue_depth, static_cast<size_t>(rec.stats[1]));
@@ -1239,11 +1267,11 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
         ++diagnostics_.slow_start_ticks;
         ++ramp_step_;
       }
-      resumed_per_iteration_.Add(static_cast<double>(rec.stats[0]));
-      total_resumed_ += rec.stats[0];
+      NoteIterationResumed(rec.stats[0]);
       quota_this_iteration_ = rec.stats[3];
       reactive_arrivals_ = 0;
       return Status::OK();
+    }
   }
   return Status::Corruption("journal replay: unknown event type");
 }

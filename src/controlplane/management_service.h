@@ -6,6 +6,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/config.h"
 #include "common/stats.h"
@@ -262,10 +263,9 @@ class ManagementService {
   /// in-flight entry that does not exist yet.
   bool IsUnacked(DbId db) const { return unacked_.count(db) != 0; }
 
-  /// Number of databases resumed per iteration so far (box-plot source).
-  const Summary& resumed_per_iteration() const {
-    return resumed_per_iteration_;
-  }
+  /// Number of databases resumed per iteration so far (box-plot source),
+  /// built from the per-value counts: a copy, in ascending order.
+  Summary resumed_per_iteration() const;
   const DiagnosticsReport& diagnostics() const { return diagnostics_; }
   uint64_t total_resumed() const { return total_resumed_; }
   const ControlPlaneConfig& config() const { return config_; }
@@ -412,6 +412,9 @@ class ManagementService {
   /// Retires the queued item of `db` in the queue of `cls` and removes it
   /// from the queue (class upgrade, promotion).
   void RetireQueued(ResumeClass cls, DbId db);
+  /// Counts one iteration that resumed `resumed` databases (live
+  /// iteration and kIteration replay alike).
+  void NoteIterationResumed(uint64_t resumed);
 
   /// Next dispatch identity: (epoch << 32) | ++dispatch_seq_.  Pure
   /// counter — draws no randomness, so assigning ids never perturbs the
@@ -506,7 +509,11 @@ class ManagementService {
   /// folded into that iteration's resumed count (and its journaled
   /// kIteration stats) so replay stays exact.
   uint64_t async_resumed_pending_ = 0;
-  Summary resumed_per_iteration_;
+  /// Iterations by how many databases each resumed: entry v counts the
+  /// iterations that resumed v (at most the fleet size).  Exact, so every
+  /// statistic of the sample is exact, and its size follows the largest
+  /// iteration rather than the run length.
+  std::vector<uint64_t> resumed_per_iteration_;
   DiagnosticsReport diagnostics_;
   uint64_t total_resumed_ = 0;
 
