@@ -43,13 +43,19 @@
 // history read per season it was about 0.05.  Likewise it exits non-zero
 // if durable_10k runs at less than kSmokeDurableRatioFloor10k x
 // proactive_10k's events/sec (see that constant for the measured ratios).
+// That ratio is taken over kSmokeDurablePairs alternating proactive_10k /
+// durable_10k pairs: the pair with the median ratio is the one reported
+// and gated, so one slow run on a shared host cannot fail the gate.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -85,6 +91,9 @@ constexpr double kSmokeProactiveRatioFloor10k = 0.10;
 // 4-vCPU host; the two ranges overlap, so the floor stays at 0.30 and
 // CheckpointTest.SizeIndependentOfRunLength gates checkpoint size instead.
 constexpr double kSmokeDurableRatioFloor10k = 0.30;
+// Alternating proactive_10k / durable_10k pairs run under --smoke.  One
+// pair measured 0.29 in one of four back-to-back runs on unchanged code.
+constexpr size_t kSmokeDurablePairs = 3;
 
 struct ScaleResult {
   std::string name;
@@ -263,19 +272,49 @@ int Run(bool smoke, const std::string& out_path) {
       {"scale_1m", 1'000'000, false, PolicyMode::kReactive, false},
   };
 
-  std::vector<ScaleResult> results;
-  for (const Job& job : jobs) {
-    if (smoke && !job.smoke_too) continue;
+  auto run = [](const Job& job) -> Result<ScaleResult> {
     Result<ScaleResult> r = job.legacy
                                 ? RunLegacyConfig(job.name, job.num_dbs)
                                 : RunScaleConfig(job.name, job.num_dbs,
                                                  job.mode, job.durable);
-    if (!r.ok()) {
+    if (r.ok()) {
+      PrintRow(*r);
+    } else {
       std::fprintf(stderr, "%s failed: %s\n", job.name,
                    r.status().ToString().c_str());
-      return 2;
     }
-    PrintRow(*r);
+    return r;
+  };
+
+  std::vector<ScaleResult> results;
+  for (size_t i = 0; i < std::size(jobs); ++i) {
+    const Job& job = jobs[i];
+    if (smoke && !job.smoke_too) continue;
+    Result<ScaleResult> r = run(job);
+    if (!r.ok()) return 2;
+    if (job.durable) {
+      // durable_10k is gated against proactive_10k, the job before it.
+      // Under --smoke the two run as kSmokeDurablePairs alternating pairs
+      // and the pair with the median ratio is kept.
+      std::vector<std::pair<ScaleResult, ScaleResult>> pairs;
+      pairs.emplace_back(std::move(results.back()), std::move(*r));
+      while (smoke && pairs.size() < kSmokeDurablePairs) {
+        Result<ScaleResult> p = run(jobs[i - 1]);
+        if (!p.ok()) return 2;
+        Result<ScaleResult> d = run(job);
+        if (!d.ok()) return 2;
+        pairs.emplace_back(std::move(*p), std::move(*d));
+      }
+      auto ratio = [](const std::pair<ScaleResult, ScaleResult>& pair) {
+        return pair.second.events_per_sec() / pair.first.events_per_sec();
+      };
+      std::sort(pairs.begin(), pairs.end(),
+                [&](const auto& a, const auto& b) {
+                  return ratio(a) < ratio(b);
+                });
+      results.back() = std::move(pairs[pairs.size() / 2].first);
+      *r = std::move(pairs[pairs.size() / 2].second);
+    }
     results.push_back(std::move(*r));
   }
 

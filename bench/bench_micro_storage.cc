@@ -1,10 +1,9 @@
 // Microbenchmarks of the storage substrate hot path: CRC32 (slice-by-8 vs
 // the byte-at-a-time reference), the clustered B+tree behind
-// sys.pause_resume_history, the SQL history insert, and the WAL — serial
-// buffered appends, serial per-append fsync, the group-commit path under
-// 2/4/8 concurrent appenders, and the control-plane journal's buffered
-// append (one ControlPlaneJournal::Append, the durable simulator's
-// per-transition cost).
+// sys.pause_resume_history, the SQL history insert, and the WAL — buffered
+// appends, appends with one fsync each, and the control-plane journal's
+// buffered append (one ControlPlaneJournal::Append, the durable
+// simulator's per-transition cost).
 //
 // Unlike the figure harnesses this binary is self-timed (no
 // google-benchmark): each workload reports throughput plus exact
@@ -14,17 +13,13 @@
 // Usage:
 //   bench_micro_storage [--smoke] [--out=PATH]
 //
-// --smoke shrinks op counts for CI, emits the same JSON, and exits
-// non-zero if 8-appender group-commit throughput falls below the serial
-// per-append-sync baseline — the regression the group-commit path exists
-// to prevent.
+// --smoke shrinks op counts for CI and emits the same JSON.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -48,8 +43,8 @@ double SecondsSince(Clock::time_point t0) {
 }
 
 /// Scratch directory for WAL files.  /tmp may be tmpfs on some hosts,
-/// which would make fsync free and the serial-vs-group comparison
-/// meaningless; prefer the current directory (a real filesystem in CI and
+/// which would make fsync free and the per-append-sync row meaningless;
+/// prefer the current directory (a real filesystem in CI and
 /// dev checkouts) and fall back to /tmp.
 std::string WalPath(const std::string& name) {
   std::FILE* probe = std::fopen(("./" + name + ".probe").c_str(), "w");
@@ -174,7 +169,8 @@ MicroResult BenchWalAppendNoSync(uint64_t total_ops) {
 }
 
 MicroResult BenchWalSerialSync(uint64_t total_ops) {
-  // The pre-group-commit durability story: one fsync per record.
+  // A durable append (DurableTree's fsync_each_append): one fsync per
+  // record.
   std::string path = WalPath("prorp_bench_wal_serial.log");
   std::remove(path.c_str());
   auto wal = storage::WriteAheadLog::Open(path).value();
@@ -183,51 +179,6 @@ MicroResult BenchWalSerialSync(uint64_t total_ops) {
     (void)wal->Append(MakeRecord(key++));
     (void)wal->Sync();
   });
-  wal.reset();
-  std::remove(path.c_str());
-  return r;
-}
-
-MicroResult BenchWalGroupSync(int threads, uint64_t ops_per_thread) {
-  std::string path = WalPath("prorp_bench_wal_group.log");
-  std::remove(path.c_str());
-  auto wal = storage::WriteAheadLog::Open(path).value();
-
-  std::vector<Summary> lat(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  Clock::time_point start = Clock::now();
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      for (uint64_t i = 0; i < ops_per_thread; ++i) {
-        Clock::time_point t0 = Clock::now();
-        (void)wal->AppendDurable(
-            MakeRecord(static_cast<int64_t>(t) * 1'000'000 +
-                       static_cast<int64_t>(i)));
-        lat[t].Add(SecondsSince(t0) * 1e6);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  double secs = SecondsSince(start);
-
-  Summary all;
-  for (const Summary& s : lat) all.Merge(s);
-  MicroResult r;
-  r.name = "wal_append_group_sync";
-  r.threads = threads;
-  r.ops = static_cast<double>(ops_per_thread) * threads;
-  r.seconds = secs;
-  r.p50_us = all.Percentile(0.50);
-  r.p95_us = all.Percentile(0.95);
-  r.p99_us = all.Percentile(0.99);
-
-  auto stats = wal->group_commit_stats();
-  std::printf("  [group %d appenders: %llu records over %llu commits, "
-              "max batch %llu]\n",
-              threads, static_cast<unsigned long long>(stats.records),
-              static_cast<unsigned long long>(stats.commits),
-              static_cast<unsigned long long>(stats.max_batch));
   wal.reset();
   std::remove(path.c_str());
   return r;
@@ -258,8 +209,8 @@ MicroResult BenchJournalAppendBuffered(uint64_t total_ops) {
 
 int Run(bool smoke, const std::string& out_path) {
   PrintHeader("micro_storage: history-store hot path",
-              "O(log n) tree ops; group commit amortizes fsync across "
-              "appenders; slice-by-8 CRC32 is bit-identical but >=4x faster");
+              "O(log n) tree ops; a buffered WAL append makes no system "
+              "call; slice-by-8 CRC32 is bit-identical but >=4x faster");
 
   // Smoke keeps CI fast but still exercises every workload; full mode
   // sizes runs so the WAL arms take O(seconds) each.
@@ -268,7 +219,6 @@ int Run(bool smoke, const std::string& out_path) {
   const uint64_t kSqlOps = smoke ? 2'000 : 20'000;
   const uint64_t kWalNoSync = smoke ? 10'000 : 100'000;
   const uint64_t kWalSerial = smoke ? 400 : 4'000;
-  const uint64_t kWalGroupPerThread = smoke ? 400 : 4'000;
   const uint64_t kJournalAppends = smoke ? 20'000 : 200'000;
 
   std::vector<MicroResult> results;
@@ -280,37 +230,29 @@ int Run(bool smoke, const std::string& out_path) {
   results.push_back(BenchSqlHistoryInsert(kSqlOps));
   results.push_back(BenchWalAppendNoSync(kWalNoSync));
   results.push_back(BenchWalSerialSync(kWalSerial));
-  for (int threads : {2, 4, 8}) {
-    results.push_back(BenchWalGroupSync(threads, kWalGroupPerThread));
-  }
   results.push_back(BenchJournalAppendBuffered(kJournalAppends));
 
   for (const MicroResult& r : results) PrintMicroRow(r);
 
-  auto find = [&](const std::string& name, int threads) -> const MicroResult* {
+  auto find = [&](const std::string& name) -> const MicroResult* {
     for (const MicroResult& r : results) {
-      if (r.name == name && r.threads == threads) return &r;
+      if (r.name == name) return &r;
     }
     return nullptr;
   };
-  const MicroResult* bytewise = find("crc32_bytewise_4k", 1);
-  const MicroResult* slice = find("crc32_slice8_4k", 1);
-  const MicroResult* serial = find("wal_append_serial_sync", 1);
-  const MicroResult* group8 = find("wal_append_group_sync", 8);
-  const MicroResult* journal = find("journal_append_buffered", 1);
+  const MicroResult* bytewise = find("crc32_bytewise_4k");
+  const MicroResult* slice = find("crc32_slice8_4k");
+  const MicroResult* journal = find("journal_append_buffered");
   double crc_speedup = slice->ops_per_sec() / bytewise->ops_per_sec();
-  double wal_speedup = group8->ops_per_sec() / serial->ops_per_sec();
   double journal_ns = 1e9 / journal->ops_per_sec();
 
   std::vector<std::pair<std::string, double>> derived = {
       {"crc32_slice8_vs_bytewise_speedup", crc_speedup},
-      {"wal_group8_vs_serial_sync_speedup", wal_speedup},
       {"journal_append_buffered_ns", journal_ns},
   };
   std::printf("\nderived: crc32 slice-by-8 %.2fx bytewise; "
-              "group commit (8 appenders) %.2fx serial per-append sync; "
               "buffered journal append %.0f ns\n",
-              crc_speedup, wal_speedup, journal_ns);
+              crc_speedup, journal_ns);
 
   if (!out_path.empty() &&
       !WriteMicroJson(out_path, "micro_storage", smoke ? "smoke" : "full",
@@ -319,15 +261,6 @@ int Run(bool smoke, const std::string& out_path) {
   }
   if (!out_path.empty()) {
     std::printf("wrote %s\n", out_path.c_str());
-  }
-
-  if (smoke && wal_speedup < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: group-commit throughput with 8 appenders "
-                 "(%.0f ops/s) fell below the serial per-append-sync "
-                 "baseline (%.0f ops/s)\n",
-                 group8->ops_per_sec(), serial->ops_per_sec());
-    return 1;
   }
   return 0;
 }

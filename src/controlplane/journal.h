@@ -89,11 +89,10 @@ struct JournalRecord {
 
 /// The control-plane write-ahead journal: JournalRecords framed through
 /// the existing WriteAheadLog (CRC32 per record, torn-tail-safe replay,
-/// group commit available to future concurrent callers).  Each record
-/// carries a monotonic sequence number in the WalRecord key; checkpoints
-/// remember the last folded-in sequence so replay after a crash between
-/// checkpoint publication and journal truncation skips already-applied
-/// records exactly once.
+/// mapped tail).  Each record carries a monotonic sequence number in the
+/// WalRecord key; checkpoints remember the last folded-in sequence so
+/// replay after a crash between checkpoint publication and journal
+/// truncation skips already-applied records exactly once.
 ///
 /// Failure model: fail-stop.  The first append that does not reach the
 /// medium (I/O error, ENOSPC, injected crash) latches the journal dead;

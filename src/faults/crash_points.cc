@@ -3,8 +3,8 @@
 namespace prorp::faults {
 
 std::vector<std::string_view> StorageCrashPoints() {
-  return {kWalAppendPartial, kWalPreSync,      kWalGroupPreSync,
-          kBtreeMidSplit,    kSnapshotMidCopy, kSnapshotPreRenameSync};
+  return {kWalAppendPartial, kWalPreSync,      kBtreeMidSplit,
+          kSnapshotMidCopy,  kSnapshotPreRenameSync};
 }
 
 std::vector<std::string_view> ControlPlaneCrashPoints() {

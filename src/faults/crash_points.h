@@ -20,10 +20,6 @@ namespace prorp::faults {
 /// reopen from the directory).
 inline constexpr std::string_view kWalAppendPartial = "wal_append_partial";
 inline constexpr std::string_view kWalPreSync = "wal_pre_sync";
-/// Group commit: the batched write reached the file, the group fsync did
-/// not happen.  Every record in the round is unacknowledged but its bytes
-/// may survive to recovery.
-inline constexpr std::string_view kWalGroupPreSync = "wal_group_pre_sync";
 inline constexpr std::string_view kBtreeMidSplit = "btree_mid_split";
 inline constexpr std::string_view kSnapshotMidCopy = "snapshot_mid_copy";
 inline constexpr std::string_view kSnapshotPreRenameSync =

@@ -70,11 +70,4 @@ Status FaultInjectingDiskManager::Write(PageId id, const uint8_t* buf) {
   return inner_->Write(id, buf);
 }
 
-Status FaultInjectingDiskManager::Sync() {
-  if (auto d = plan_->Next(FaultOp::kDiskSync)) {
-    return Status::IoError("injected sync fault");
-  }
-  return inner_->Sync();
-}
-
 }  // namespace prorp::faults

@@ -19,7 +19,8 @@ namespace prorp::faults {
 ///  * Write   — kIoError fails before any byte lands; kTornWrite persists
 ///              only a prefix of the page (the tail keeps its previous
 ///              contents); kBitFlip persists the page with one bit flipped.
-///  * Allocate/Release/Sync — kIoError fails the call.
+///  * Allocate — kIoError and kDiskFull fail the call; Release passes
+///              through.
 class FaultInjectingDiskManager : public storage::DiskManager {
  public:
   /// `plan` must outlive this manager.  Owns the inner manager.
@@ -32,7 +33,6 @@ class FaultInjectingDiskManager : public storage::DiskManager {
   Status Read(storage::PageId id, uint8_t* buf) override;
   Status Write(storage::PageId id, const uint8_t* buf) override;
   uint32_t num_pages() const override { return inner_->num_pages(); }
-  Status Sync() override;
 
   storage::DiskManager* inner() { return inner_.get(); }
 

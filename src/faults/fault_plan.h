@@ -16,7 +16,6 @@ enum class FaultOp : uint8_t {
   kDiskRead = 0,
   kDiskWrite,
   kDiskAllocate,
-  kDiskSync,
   kWalAppend,
   kWalSync,
   // Message-level sites (the control-plane <-> node transport,
@@ -28,7 +27,7 @@ enum class FaultOp : uint8_t {
   kMsgLease,    ///< lease renewals/grants, either direction
 };
 
-inline constexpr int kNumFaultOps = 9;
+inline constexpr int kNumFaultOps = 8;
 
 /// What kind of fault to inject when a trigger fires.
 enum class FaultKind : uint8_t {

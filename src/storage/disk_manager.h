@@ -36,9 +36,6 @@ class DiskManager {
 
   /// Number of allocated pages.
   virtual uint32_t num_pages() const = 0;
-
-  /// Flushes OS buffers where applicable.
-  virtual Status Sync() = 0;
 };
 
 /// Heap-backed page store.  Used by unit tests and by the fleet simulator,
@@ -51,7 +48,6 @@ class InMemoryDiskManager : public DiskManager {
   Status Read(PageId id, uint8_t* buf) override;
   Status Write(PageId id, const uint8_t* buf) override;
   uint32_t num_pages() const override;
-  Status Sync() override { return Status::OK(); }
 
  private:
   std::vector<std::unique_ptr<uint8_t[]>> pages_;

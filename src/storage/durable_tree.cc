@@ -156,15 +156,10 @@ Status DurableTree::LogAndMaybeSync(const WalRecord& rec) {
   ++lsn_;
   pool_->set_current_lsn(lsn_);
   if (wal_ == nullptr) return Status::OK();
-  if (options_.fsync_each_append) {
-    // Group-commit path: append + durability in one blocking call.  A
-    // DurableTree is single-writer, so its batches degenerate to size 1,
-    // but routing through the group path keeps its crash points and
-    // batch-rollback logic under the same torture coverage as the tree.
-    PRORP_RETURN_IF_ERROR(wal_->AppendDurable(rec).status());
-  } else {
-    PRORP_RETURN_IF_ERROR(wal_->Append(rec));
-  }
+  PRORP_RETURN_IF_ERROR(wal_->Append(rec));
+  // A DurableTree has one writer, so a durable append is the append plus
+  // its own fsync: wal_pre_sync and kWalSync fire once per record.
+  if (options_.fsync_each_append) PRORP_RETURN_IF_ERROR(wal_->Sync());
   return MaybeAutoCheckpoint();
 }
 

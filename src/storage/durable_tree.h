@@ -69,9 +69,9 @@ class DurableTree {
     /// call Checkpoint() manually).
     uint64_t checkpoint_wal_bytes = 1 << 20;
 
-    /// fsync the WAL after every append.  Off by default: group commit is
-    /// modeled by the OS page cache, which is plenty for simulation and
-    /// unit-test use.
+    /// fsync the WAL after every append.  Off by default: the OS page
+    /// cache is durable enough for simulation and unit-test use; the
+    /// crash-torture harness turns it on to reach wal_pre_sync.
     bool fsync_each_append = false;
 
     /// Optional fault schedule.  When set, the page store is wrapped in a

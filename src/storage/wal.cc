@@ -226,13 +226,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 }
 
 WriteAheadLog::~WriteAheadLog() {
-  // Drain any in-flight commit round before closing the fd.  Callers are
-  // expected to have joined their appender threads; this only guards
-  // against closing mid-write.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !committing_; });
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   Unmap();
   // A clean close gives back the preallocated zeros past the last byte
   // written (a torn prefix left by a simulated crash stays).
@@ -240,17 +234,6 @@ WriteAheadLog::~WriteAheadLog() {
     (void)!::ftruncate(fd_, static_cast<off_t>(written_end_));
   }
   if (fd_ >= 0) ::close(fd_);
-}
-
-void WriteAheadLog::AcquireCommitSlot(std::unique_lock<std::mutex>& lock) {
-  cv_.wait(lock, [&] { return !committing_; });
-  committing_ = true;
-}
-
-void WriteAheadLog::ReleaseCommitSlot(std::unique_lock<std::mutex>& lock) {
-  committing_ = false;
-  lock.unlock();
-  cv_.notify_all();
 }
 
 Status WriteAheadLog::MapTail(uint64_t offset, size_t n) {
@@ -323,19 +306,17 @@ Status WriteAheadLog::CutTo(uint64_t offset) {
 }
 
 Status WriteAheadLog::Append(const WalRecord& record) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !committing_; });
+  std::lock_guard<std::mutex> lock(mu_);
   EncodeFrame(record, &scratch_);
-  return AppendExclusive(scratch_.data(), scratch_.size());
+  return AppendLocked(scratch_.data(), scratch_.size());
 }
 
 Status WriteAheadLog::AppendFrame(const uint8_t* frame, size_t size) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !committing_; });
-  return AppendExclusive(frame, size);
+  std::lock_guard<std::mutex> lock(mu_);
+  return AppendLocked(frame, size);
 }
 
-Status WriteAheadLog::AppendExclusive(const uint8_t* frame, size_t size) {
+Status WriteAheadLog::AppendLocked(const uint8_t* frame, size_t size) {
   const uint64_t start = end_;
 
   // Crash simulation: the process dies mid-append.  A prefix of the frame
@@ -397,176 +378,8 @@ Status WriteAheadLog::AppendExclusive(const uint8_t* frame, size_t size) {
   return Status::OK();
 }
 
-Result<uint64_t> WriteAheadLog::AppendDurable(const WalRecord& record) {
-  Pending pending;
-  EncodeFrame(record, &pending.frame);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  pending.lsn = ++next_lsn_;
-  queue_.push_back(&pending);
-  for (;;) {
-    if (pending.done) break;
-    if (committing_ || paused_for_test_) {
-      cv_.wait(lock);
-      continue;
-    }
-    // Leader handoff: this appender found the committer slot free, so it
-    // drains the whole queue (its own record included) and commits the
-    // batch with one copy + one fsync while followers wait.
-    committing_ = true;
-    std::vector<Pending*> batch(queue_.begin(), queue_.end());
-    queue_.clear();
-    lock.unlock();
-
-    CommitBatch(batch);
-
-    lock.lock();
-    ++stats_.commits;
-    stats_.records += batch.size();
-    stats_.max_batch = std::max<uint64_t>(stats_.max_batch, batch.size());
-    for (Pending* p : batch) {
-      if (p->result.ok()) {
-        stats_.durable_lsn = std::max(stats_.durable_lsn, p->lsn);
-      }
-      p->done = true;
-    }
-    committing_ = false;
-    cv_.notify_all();
-  }
-  if (!pending.result.ok()) return pending.result;
-  return pending.lsn;
-}
-
-void WriteAheadLog::CommitBatch(const std::vector<Pending*>& batch) {
-  auto fail_all = [&](const Status& s) {
-    for (Pending* p : batch) {
-      // Keep a more specific per-record verdict (injected IoError on an
-      // excluded record) in place of the batch-wide one.
-      if (p->result.ok()) p->result = s;
-    }
-  };
-  auto fail_written = [&](const Status& s) {
-    for (Pending* p : batch) {
-      if (p->written && p->result.ok()) p->result = s;
-    }
-  };
-  // A batch that dies partway is cut back to where it started: no record
-  // of a failed round may survive to be replayed as if acknowledged.
-  const uint64_t start = end_;
-  auto roll_back = [&](const Status& s) {
-    fail_all(CutTo(start).ok()
-                 ? s
-                 : Status::IoError("WAL append failed and rollback failed"));
-  };
-
-  bool any_written = false;
-  for (Pending* p : batch) {
-    const uint8_t* frame = p->frame.data();
-    const size_t size = p->frame.size();
-    // Crash simulation, per logical append: the process dies while the
-    // batch is being copied.  Earlier records' frames plus a prefix of
-    // this record's frame reach the file — the multi-record torn tail
-    // recovery must cope with.
-    if (Status crash = faults::HitCrashPoint(faults::kWalAppendPartial);
-        !crash.ok()) {
-      uint64_t cut = faults::CrashPointRegistry::Global().payload() % size;
-      (void)CopyAt(end_, frame, cut);
-      fail_all(crash);
-      return;
-    }
-    bool flip = false;
-    uint64_t flip_bit = 0;
-    if (fault_plan_ != nullptr) {
-      if (auto d = fault_plan_->Next(faults::FaultOp::kWalAppend)) {
-        switch (d->kind) {
-          case faults::FaultKind::kIoError:
-            // No bytes of this record reach the medium; the rest of the
-            // batch is unaffected.
-            p->result = Status::IoError("injected WAL append fault");
-            continue;
-          case faults::FaultKind::kTornWrite:
-          case faults::FaultKind::kDiskFull:
-            // The batched copy dies inside this record's frame (torn
-            // write or out of space).  The rollback must un-ack the whole
-            // batch: acknowledging any record whose bytes were cut away
-            // would lose it.
-            (void)CopyAt(end_, frame, d->arg % size);
-            roll_back(d->kind == faults::FaultKind::kDiskFull
-                          ? Status::IoError(
-                                "WAL append failed: disk full (ENOSPC)")
-                          : Status::IoError("WAL append failed: short write"));
-            return;
-          case faults::FaultKind::kBitFlip:
-            flip = true;
-            flip_bit = d->arg % (size * 8);
-            break;
-          case faults::FaultKind::kMsgDrop:
-          case faults::FaultKind::kMsgDuplicate:
-          case faults::FaultKind::kMsgDelay:
-            break;  // message-only kinds; meaningless at a WAL site
-        }
-      }
-    }
-    if (Status copied = CopyAt(end_, frame, size); !copied.ok()) {
-      // A failed batched copy must not ack any record in the batch.
-      roll_back(copied);
-      return;
-    }
-    if (flip) FlipBit(end_, flip_bit);
-    end_ += size;
-    p->written = true;
-    any_written = true;
-  }
-
-  // Every record was excluded by injection: nothing reached the file, so
-  // there is nothing to sync.
-  if (!any_written) return;
-
-  // Crash simulation: the process dies after the batch reached the file
-  // but before the group fsync.  Every record in the round is
-  // unacknowledged; its bytes may or may not survive to recovery.
-  if (Status crash = faults::HitCrashPoint(faults::kWalGroupPreSync);
-      !crash.ok()) {
-    fail_all(crash);
-    return;
-  }
-  // Parity with Sync(): one pre-sync crash point per physical fsync.
-  if (Status crash = faults::HitCrashPoint(faults::kWalPreSync);
-      !crash.ok()) {
-    fail_all(crash);
-    return;
-  }
-  if (fault_plan_ != nullptr) {
-    // kWalSync fires once per logical record even though the physical
-    // fsync is shared, so scripted "fail the Nth sync" triggers keep
-    // their meaning under batching.
-    for (Pending* p : batch) {
-      if (!p->written) continue;
-      if (auto d = fault_plan_->Next(faults::FaultOp::kWalSync)) {
-        (void)d;
-        // The bytes stay in the file but no record is acknowledged —
-        // same contract as a failed serial Sync().
-        fail_written(Status::IoError("injected WAL sync fault"));
-        return;
-      }
-    }
-  }
-  if (::fsync(fd_) != 0) {
-    fail_written(Status::IoError("WAL fsync failed"));
-  }
-}
-
 Status WriteAheadLog::Sync() {
-  std::unique_lock<std::mutex> lock(mu_);
-  AcquireCommitSlot(lock);
-  lock.unlock();
-  Status s = SyncExclusive();
-  lock.lock();
-  ReleaseCommitSlot(lock);
-  return s;
-}
-
-Status WriteAheadLog::SyncExclusive() {
+  std::lock_guard<std::mutex> lock(mu_);
   // Crash simulation: the process dies after appending but before the
   // data is forced to stable storage.
   PRORP_CRASH_POINT(faults::kWalPreSync);
@@ -582,8 +395,7 @@ Status WriteAheadLog::SyncExclusive() {
 }
 
 Status WriteAheadLog::Truncate(uint64_t size) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !committing_; });
+  std::lock_guard<std::mutex> lock(mu_);
   if (size > end_) {
     return Status::InvalidArgument("WAL truncate past the logical end");
   }
@@ -629,27 +441,8 @@ Result<uint64_t> WriteAheadLog::Replay(
 }
 
 Result<uint64_t> WriteAheadLog::SizeBytes() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !committing_; });
+  std::lock_guard<std::mutex> lock(mu_);
   return end_;
-}
-
-WriteAheadLog::GroupCommitStats WriteAheadLog::group_commit_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t WriteAheadLog::QueuedForTest() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-void WriteAheadLog::PauseGroupCommitForTest(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    paused_for_test_ = paused;
-  }
-  cv_.notify_all();
 }
 
 }  // namespace prorp::storage

@@ -1,9 +1,7 @@
 #ifndef PRORP_STORAGE_WAL_H_
 #define PRORP_STORAGE_WAL_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,28 +56,13 @@ struct WalRecord {
 ///  * a clean close (the destructor) cuts the file back to the bytes
 ///    written, so a closed log holds its frames and nothing else.
 ///
-/// Thread safety: all mutating entry points are safe to call from
-/// concurrent threads.  `AppendDurable` is the group-commit fast path:
-/// concurrent appenders enqueue encoded frames and a leader (the first
-/// appender to find no commit in flight) drains the whole queue, copies
-/// it into the tail, and issues a single fsync; followers block until
-/// their record's LSN is durable.  `Append` + `Sync` remain the buffered
-/// path (durability deferred to the OS page cache) and wait for any
-/// commit round in flight, so mixed use stays serialized.
+/// Thread safety: every public entry point takes one mutex, so a log may
+/// be shared across threads.  Each log has one writer in practice (a
+/// database's history store, the management service's journal); a
+/// durable append is Append followed by Sync, and concurrent durable
+/// appenders serialize, each paying its own fsync.
 class WriteAheadLog {
  public:
-  /// Counters of the group-commit path (test/bench visibility).
-  struct GroupCommitStats {
-    /// Physical commit rounds (one batched copy + at most one fsync).
-    uint64_t commits = 0;
-    /// Logical records pushed through commit rounds.
-    uint64_t records = 0;
-    /// Largest batch coalesced into a single round.
-    uint64_t max_batch = 0;
-    /// Highest LSN known durable (0 before the first durable append).
-    uint64_t durable_lsn = 0;
-  };
-
   /// Bytes reserved and mapped per tail window.  Small on purpose: the
   /// window's touched pages count toward the process's resident set.
   static constexpr uint64_t kTailChunk = 64 * 1024;
@@ -118,12 +101,6 @@ class WriteAheadLog {
   /// Append.
   Status AppendFrame(const uint8_t* frame, size_t size);
 
-  /// Group-commit append: blocks until the record is on stable storage
-  /// and returns its LSN.  Concurrent callers are coalesced into one
-  /// batched copy + one fsync; a failed batched copy acknowledges no
-  /// record in the batch (the file is cut back to the batch start).
-  Result<uint64_t> AppendDurable(const WalRecord& record);
-
   /// Forces the log to stable storage.
   Status Sync();
 
@@ -144,34 +121,12 @@ class WriteAheadLog {
   /// Logical log size in bytes: the end of the last appended frame.
   Result<uint64_t> SizeBytes() const;
 
-  /// Attaches a fault plan consulted on every append/sync (kWalAppend and
-  /// kWalSync ops fire once per logical record on both the serial and the
-  /// group-commit path).  `plan` must outlive this log; pass nullptr to
+  /// Attaches a fault plan consulted on every append (kWalAppend) and
+  /// sync (kWalSync).  `plan` must outlive this log; pass nullptr to
   /// detach.
   void set_fault_plan(faults::FaultPlan* plan) { fault_plan_ = plan; }
 
-  GroupCommitStats group_commit_stats() const;
-
-  /// Test-only: while paused, no appender can become the commit leader,
-  /// so concurrent AppendDurable callers pile up in the queue and
-  /// un-pausing releases them as one deterministic batch.
-  void PauseGroupCommitForTest(bool paused);
-
-  /// Test-only: records currently enqueued and not yet committed.
-  size_t QueuedForTest() const;
-
  private:
-  /// One enqueued group-commit record.  Lives on its appender's stack;
-  /// the appender blocks until `done`, so the pointer in the queue never
-  /// dangles.
-  struct Pending {
-    std::vector<uint8_t> frame;  // encoded [len][payload][crc]
-    uint64_t lsn = 0;
-    Status result;
-    bool done = false;
-    bool written = false;  // reached the tail (vs excluded)
-  };
-
   WriteAheadLog(int fd, std::string path, uint64_t end)
       : fd_(fd),
         path_(std::move(path)),
@@ -179,16 +134,9 @@ class WriteAheadLog {
         written_end_(end),
         file_size_(end) {}
 
-  /// Serial append body.  Caller holds `mu_` with no commit in flight.
-  Status AppendExclusive(const uint8_t* frame, size_t size);
-
-  /// Sync body.  Caller holds the committer slot.
-  Status SyncExclusive();
-
-  /// Copies `batch` into the tail and makes it durable with a single
-  /// fsync, filling each entry's `result`.  Caller holds the committer
-  /// slot; runs without `mu_` held.
-  void CommitBatch(const std::vector<Pending*>& batch);
+  /// The append body: crash point, fault plan, copy, rollback.  Caller
+  /// holds `mu_`.
+  Status AppendLocked(const uint8_t* frame, size_t size);
 
   /// The one frame writer: copies `n` bytes to file offset `offset`
   /// through the mapped tail, mapping a new window first if needed.
@@ -207,17 +155,11 @@ class WriteAheadLog {
   /// behind it; the logical end becomes `offset`.
   Status CutTo(uint64_t offset);
 
-  /// Blocks until this thread owns the committer slot (no commit round or
-  /// serial append in flight).
-  void AcquireCommitSlot(std::unique_lock<std::mutex>& lock);
-  void ReleaseCommitSlot(std::unique_lock<std::mutex>& lock);
-
   int fd_;
   std::string path_;
   faults::FaultPlan* fault_plan_ = nullptr;
 
-  // The tail.  Written only by the holder of `mu_` with no commit in
-  // flight, or by the holder of the committer slot.
+  // The tail.  Read and written only by the holder of `mu_`.
   uint8_t* map_ = nullptr;  // window [map_off_, map_off_ + map_len_)
   uint64_t map_off_ = 0;
   uint64_t map_len_ = 0;
@@ -227,12 +169,6 @@ class WriteAheadLog {
   std::vector<uint8_t> scratch_;  // Append's encoding buffer
 
   mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  std::deque<Pending*> queue_;
-  bool committing_ = false;       // the committer slot
-  bool paused_for_test_ = false;  // leaders blocked (batch buildup)
-  uint64_t next_lsn_ = 0;
-  GroupCommitStats stats_;
 };
 
 }  // namespace prorp::storage

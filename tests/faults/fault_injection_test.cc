@@ -115,16 +115,13 @@ TEST(FaultInjectingDiskManagerTest, TornWritePersistsPrefixOnly) {
   }
 }
 
-TEST(FaultInjectingDiskManagerTest, AllocateAndSyncCanFail) {
+TEST(FaultInjectingDiskManagerTest, AllocateCanFail) {
   FaultPlan plan(19);
   plan.FailNth(FaultOp::kDiskAllocate, 1, FaultKind::kIoError);
-  plan.FailNth(FaultOp::kDiskSync, 1, FaultKind::kIoError);
   FaultInjectingDiskManager dm(std::make_unique<InMemoryDiskManager>(),
                                &plan);
   EXPECT_FALSE(dm.Allocate().ok());
   EXPECT_TRUE(dm.Allocate().ok());
-  EXPECT_TRUE(dm.Sync().IsIoError());
-  EXPECT_TRUE(dm.Sync().ok());
 }
 
 TEST(FaultInjectionTest, FailedWalAppendLosesOnlyTheUnackedOp) {
@@ -155,6 +152,71 @@ TEST(FaultInjectionTest, FailedWalAppendLosesOnlyTheUnackedOp) {
   EXPECT_TRUE((*recovered)->Contains(2));
   EXPECT_FALSE((*recovered)->Contains(3));  // unacked: legitimately lost
   EXPECT_TRUE((*recovered)->Contains(4));   // acked after the fault: kept
+}
+
+TEST(FaultInjectionTest, SyncedWalAppendIoErrorLosesOnlyThatOp) {
+  // fsync_each_append: an append that fails never reaches its sync, and
+  // the appends around it are each synced and survive.
+  std::string dir = FreshDir("fault_injection_synced_append");
+  FaultPlan plan(31);
+  plan.FailNth(FaultOp::kWalAppend, 3, FaultKind::kIoError);
+  DurableTree::Options opts;
+  opts.dir = dir;
+  opts.checkpoint_wal_bytes = 0;
+  opts.fsync_each_append = true;
+  opts.fault_plan = &plan;
+
+  {
+    auto tree = DurableTree::Open(opts);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_TRUE((*tree)->Insert(1, Value64(10).data()).ok());
+    EXPECT_TRUE((*tree)->Insert(2, Value64(20).data()).ok());
+    EXPECT_TRUE((*tree)->Insert(3, Value64(30).data()).IsIoError());
+    EXPECT_TRUE((*tree)->Insert(4, Value64(40).data()).ok());
+  }
+  EXPECT_EQ(plan.ops_seen(FaultOp::kWalAppend), 4u);
+  EXPECT_EQ(plan.ops_seen(FaultOp::kWalSync), 3u);
+
+  opts.fault_plan = nullptr;
+  auto recovered = DurableTree::Open(opts);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE((*recovered)->Contains(1));
+  EXPECT_TRUE((*recovered)->Contains(2));
+  EXPECT_FALSE((*recovered)->Contains(3));  // unacked: legitimately lost
+  EXPECT_TRUE((*recovered)->Contains(4));
+  EXPECT_EQ((*recovered)->size(), 3u);
+}
+
+TEST(FaultInjectionTest, FailedWalSyncIsNotAcked) {
+  // fsync_each_append: a failed sync reports the op as not durable.  Its
+  // frame already reached the file, so the log is not cut back and later
+  // appends land behind it; acknowledged ops all survive.
+  std::string dir = FreshDir("fault_injection_sync");
+  FaultPlan plan(37);
+  plan.FailNth(FaultOp::kWalSync, 2, FaultKind::kIoError);
+  DurableTree::Options opts;
+  opts.dir = dir;
+  opts.checkpoint_wal_bytes = 0;
+  opts.fsync_each_append = true;
+  opts.fault_plan = &plan;
+
+  {
+    auto tree = DurableTree::Open(opts);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_TRUE((*tree)->Insert(1, Value64(10).data()).ok());
+    Status s = (*tree)->Insert(2, Value64(20).data());
+    EXPECT_TRUE(s.IsIoError()) << s.ToString();
+    EXPECT_TRUE((*tree)->Insert(3, Value64(30).data()).ok());
+  }
+  EXPECT_EQ(plan.ops_seen(FaultOp::kWalSync), 3u);
+
+  opts.fault_plan = nullptr;
+  auto recovered = DurableTree::Open(opts);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE((*recovered)->tree().CheckInvariants().ok());
+  EXPECT_TRUE((*recovered)->Contains(1));
+  EXPECT_TRUE((*recovered)->Contains(2));  // unacked, but its frame stayed
+  EXPECT_TRUE((*recovered)->Contains(3));
 }
 
 TEST(FaultInjectionTest, DiskFullWalAppendFailsStopWithoutCorruption) {

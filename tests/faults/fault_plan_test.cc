@@ -126,8 +126,8 @@ TEST(CrashPointRegistryTest, DisarmedHitsAreFree) {
 
 TEST(CrashPointRegistryTest, AllCrashPointsAreEnumerated) {
   auto points = AllCrashPoints();
-  EXPECT_EQ(points.size(), 10u);
-  EXPECT_EQ(StorageCrashPoints().size(), 6u);
+  EXPECT_EQ(points.size(), 9u);
+  EXPECT_EQ(StorageCrashPoints().size(), 5u);
   EXPECT_EQ(ControlPlaneCrashPoints().size(), 4u);
 }
 

@@ -227,8 +227,8 @@ struct IoFaultGuard {
 TEST(WalTest, SurvivesPartialTransfersAndEintr) {
   // Every read syscall is capped at 97 bytes, so the 1000-byte records
   // span many calls, and EINTR bursts are interposed.  ReadUpTo must
-  // still move whole frames, so replay round-trips every record appended
-  // through both the buffered and the group-commit path.
+  // still move whole frames, so replay round-trips every record, synced
+  // or not.
   std::string path = TempPath("wal_partial_io.log");
   std::remove(path.c_str());
   IoFaultGuard guard;
@@ -241,7 +241,8 @@ TEST(WalTest, SurvivesPartialTransfersAndEintr) {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE((*wal)->Append(Insert(1, big)).ok());
-    ASSERT_TRUE((*wal)->AppendDurable(Insert(2, {0x02})).ok());
+    ASSERT_TRUE((*wal)->Append(Insert(2, {0x02})).ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
     ASSERT_TRUE((*wal)->Append(Insert(3, big)).ok());
   }
   io::SetEintrBurstForTest(25);
@@ -302,46 +303,17 @@ TEST(WalTest, ReplayTrimsTornTailSoNewAppendsAreReadable) {
   std::remove(path.c_str());
 }
 
-TEST(WalTest, AppendDurableSingleCallerRoundTrip) {
-  std::string path = TempPath("wal_durable_single.log");
-  std::remove(path.c_str());
-  {
-    auto wal = WriteAheadLog::Open(path);
-    ASSERT_TRUE(wal.ok());
-    auto lsn1 = (*wal)->AppendDurable(Insert(1, {0x01}));
-    auto lsn2 = (*wal)->AppendDurable(Insert(2, {0x02}));
-    ASSERT_TRUE(lsn1.ok());
-    ASSERT_TRUE(lsn2.ok());
-    EXPECT_LT(*lsn1, *lsn2);
-    auto stats = (*wal)->group_commit_stats();
-    EXPECT_EQ(stats.records, 2u);
-    EXPECT_EQ(stats.commits, 2u);  // no concurrency, no batching
-    EXPECT_EQ(stats.durable_lsn, *lsn2);
-  }
-  std::vector<int64_t> keys;
-  auto n = WriteAheadLog::Replay(path, [&](const WalRecord& r) {
-    keys.push_back(r.key);
-    return Status::OK();
-  });
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(keys, (std::vector<int64_t>{1, 2}));
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitConcurrentAppendersReplayOnceInLsnOrder) {
-  // N threads append disjoint records through the group-commit path.
-  // After a clean join every acked record must replay exactly once, and
-  // the file order must equal LSN order.
+TEST(WalTest, ConcurrentAppendAndSyncReplayEachRecordOnce) {
+  // N threads share one log, each doing durable appends (Append + Sync)
+  // of disjoint keys.  Every record must replay exactly once, and each
+  // thread's records in the order that thread appended them.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
-  std::string path = TempPath("wal_group_concurrent.log");
+  std::string path = TempPath("wal_concurrent.log");
   std::remove(path.c_str());
-
-  std::map<int64_t, uint64_t> lsn_by_key;
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_TRUE(wal.ok());
-    std::mutex mu;
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -349,243 +321,35 @@ TEST(WalTest, GroupCommitConcurrentAppendersReplayOnceInLsnOrder) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
           int64_t key = static_cast<int64_t>(t) * kPerThread + i;
-          auto lsn = (*wal)->AppendDurable(
-              Insert(key, {static_cast<uint8_t>(t), static_cast<uint8_t>(i)}));
-          if (!lsn.ok()) {
+          if (!(*wal)->Append(Insert(key, {static_cast<uint8_t>(t),
+                                           static_cast<uint8_t>(i)}))
+                   .ok() ||
+              !(*wal)->Sync().ok()) {
             ++failures;
-            continue;
           }
-          std::lock_guard<std::mutex> lock(mu);
-          lsn_by_key[key] = *lsn;
         }
       });
     }
     for (auto& th : threads) th.join();
     ASSERT_EQ(failures.load(), 0);
-
-    auto stats = (*wal)->group_commit_stats();
-    EXPECT_EQ(stats.records, static_cast<uint64_t>(kThreads * kPerThread));
-    EXPECT_LE(stats.commits, stats.records);
-    EXPECT_GE(stats.max_batch, 1u);
   }
-  ASSERT_EQ(lsn_by_key.size(), static_cast<size_t>(kThreads * kPerThread));
 
-  std::vector<int64_t> replayed_keys;
-  auto n = WriteAheadLog::Replay(path, [&](const WalRecord& r) {
-    replayed_keys.push_back(r.key);
-    return Status::OK();
-  });
-  ASSERT_TRUE(n.ok());
-  ASSERT_EQ(*n, static_cast<uint64_t>(kThreads * kPerThread));
-
-  // Exactly once: every acked key appears, none twice; strictly
-  // increasing LSNs prove file order == commit order.
-  uint64_t prev_lsn = 0;
+  std::vector<int64_t> last_by_thread(kThreads, -1);
   std::map<int64_t, int> seen;
-  for (int64_t key : replayed_keys) {
-    ASSERT_EQ(++seen[key], 1) << "key " << key << " replayed twice";
-    auto it = lsn_by_key.find(key);
-    ASSERT_NE(it, lsn_by_key.end()) << "unacked key " << key << " replayed";
-    ASSERT_GT(it->second, prev_lsn) << "LSN order violated at key " << key;
-    prev_lsn = it->second;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitBatchesUnderPause) {
-  // With leaders paused, concurrent appenders pile up and the un-pause
-  // releases them as one deterministic batch: one commit round, one
-  // contiguous write, all records durable.
-  constexpr int kAppenders = 4;
-  std::string path = TempPath("wal_group_pause.log");
-  std::remove(path.c_str());
-  auto wal = WriteAheadLog::Open(path);
-  ASSERT_TRUE(wal.ok());
-  (*wal)->PauseGroupCommitForTest(true);
-
-  std::atomic<int> ok{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kAppenders; ++t) {
-    threads.emplace_back([&, t] {
-      auto lsn = (*wal)->AppendDurable(Insert(t, {static_cast<uint8_t>(t)}));
-      if (lsn.ok()) ++ok;
-    });
-  }
-  // Wait for every appender to enqueue; nothing may reach the file while
-  // paused.
-  while ((*wal)->QueuedForTest() < static_cast<size_t>(kAppenders)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(*(*wal)->SizeBytes(), 0u);
-  (*wal)->PauseGroupCommitForTest(false);
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(ok.load(), kAppenders);
-  auto stats = (*wal)->group_commit_stats();
-  EXPECT_EQ(stats.records, static_cast<uint64_t>(kAppenders));
-  EXPECT_EQ(stats.commits, 1u) << "paused appenders must coalesce";
-  EXPECT_EQ(stats.max_batch, static_cast<uint64_t>(kAppenders));
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitFailedBatchedWriteAcksNothing) {
-  // A torn batched write must not acknowledge any record in the batch:
-  // the file is rolled back to the batch start and every caller gets the
-  // error.  Later appends land on a clean log.
-  constexpr int kAppenders = 3;
-  std::string path = TempPath("wal_group_torn_batch.log");
-  std::remove(path.c_str());
-  faults::FaultPlan plan(11);
-  plan.FailNth(faults::FaultOp::kWalAppend, 1, faults::FaultKind::kTornWrite);
-  auto wal = WriteAheadLog::Open(path);
-  ASSERT_TRUE(wal.ok());
-  (*wal)->set_fault_plan(&plan);
-  (*wal)->PauseGroupCommitForTest(true);
-
-  std::atomic<int> io_errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kAppenders; ++t) {
-    threads.emplace_back([&, t] {
-      auto lsn = (*wal)->AppendDurable(Insert(t, {0xEE}));
-      if (!lsn.ok() && lsn.status().IsIoError()) ++io_errors;
-    });
-  }
-  while ((*wal)->QueuedForTest() < static_cast<size_t>(kAppenders)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  (*wal)->PauseGroupCommitForTest(false);
-  for (auto& th : threads) th.join();
-
-  ASSERT_EQ((*wal)->group_commit_stats().commits, 1u);
-  EXPECT_EQ(io_errors.load(), kAppenders) << "no record may be acked";
-  EXPECT_EQ((*wal)->group_commit_stats().durable_lsn, 0u);
-
-  // The rollback left a clean log: a fresh append is replayable.
-  (*wal)->set_fault_plan(nullptr);
-  ASSERT_TRUE((*wal)->AppendDurable(Insert(100, {0x64})).ok());
-  std::vector<int64_t> keys;
   auto n = WriteAheadLog::Replay(path, [&](const WalRecord& r) {
-    keys.push_back(r.key);
+    const int t = static_cast<int>(r.key / kPerThread);
+    if (r.key < 0 || t >= kThreads) return Status::Corruption("stray key");
+    EXPECT_EQ(++seen[r.key], 1) << "key " << r.key << " replayed twice";
+    EXPECT_GT(r.key, last_by_thread[t]) << "thread " << t << " reordered";
+    EXPECT_EQ(r.value, (std::vector<uint8_t>{static_cast<uint8_t>(t),
+                                             static_cast<uint8_t>(
+                                                 r.key % kPerThread)}));
+    last_by_thread[t] = r.key;
     return Status::OK();
   });
   ASSERT_TRUE(n.ok());
-  EXPECT_EQ(keys, (std::vector<int64_t>{100}));
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitTornMidBatchLeavesNoFrameOfTheBatch) {
-  // The batch dies inside its second record, after the first one's frame
-  // is already in the tail.  The rollback must cut that frame too: it
-  // was never acknowledged.
-  constexpr int kAppenders = 3;
-  std::string path = TempPath("wal_group_torn_mid.log");
-  std::remove(path.c_str());
-  faults::FaultPlan plan(14);
-  plan.FailNthWithArg(faults::FaultOp::kWalAppend, 2,
-                      faults::FaultKind::kTornWrite, 5);
-  auto wal = WriteAheadLog::Open(path);
-  ASSERT_TRUE(wal.ok());
-  (*wal)->set_fault_plan(&plan);
-  (*wal)->PauseGroupCommitForTest(true);
-
-  std::atomic<int> io_errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kAppenders; ++t) {
-    threads.emplace_back([&, t] {
-      auto lsn = (*wal)->AppendDurable(Insert(t, {0x77}));
-      if (!lsn.ok() && lsn.status().IsIoError()) ++io_errors;
-    });
-  }
-  while ((*wal)->QueuedForTest() < static_cast<size_t>(kAppenders)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  (*wal)->PauseGroupCommitForTest(false);
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(io_errors.load(), kAppenders);
-  EXPECT_EQ(*(*wal)->SizeBytes(), 0u);
-  EXPECT_TRUE(ZerosFrom(ReadFileBytes(path), 0));
-  (*wal)->set_fault_plan(nullptr);
-  ASSERT_TRUE((*wal)->AppendDurable(Insert(100, {0x64})).ok());
-  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{100}));
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitInjectedIoErrorFailsOnlyThatRecord) {
-  // A per-record injected IoError means "no bytes of this record reached
-  // the medium"; the rest of the batch still commits and acks.
-  constexpr int kAppenders = 3;
-  std::string path = TempPath("wal_group_ioerror.log");
-  std::remove(path.c_str());
-  faults::FaultPlan plan(12);
-  plan.FailNth(faults::FaultOp::kWalAppend, 2, faults::FaultKind::kIoError);
-  auto wal = WriteAheadLog::Open(path);
-  ASSERT_TRUE(wal.ok());
-  (*wal)->set_fault_plan(&plan);
-  (*wal)->PauseGroupCommitForTest(true);
-
-  std::atomic<int> acked{0};
-  std::atomic<int> io_errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kAppenders; ++t) {
-    threads.emplace_back([&, t] {
-      auto lsn = (*wal)->AppendDurable(Insert(t, {0xAB}));
-      if (lsn.ok()) {
-        ++acked;
-      } else if (lsn.status().IsIoError()) {
-        ++io_errors;
-      }
-    });
-  }
-  while ((*wal)->QueuedForTest() < static_cast<size_t>(kAppenders)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  (*wal)->PauseGroupCommitForTest(false);
-  for (auto& th : threads) th.join();
-
-  ASSERT_EQ((*wal)->group_commit_stats().commits, 1u);
-  EXPECT_EQ(acked.load(), kAppenders - 1);
-  EXPECT_EQ(io_errors.load(), 1);
-
-  uint64_t replayed = 0;
-  auto n = WriteAheadLog::Replay(path, [&](const WalRecord&) {
-    ++replayed;
-    return Status::OK();
-  });
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(replayed, static_cast<uint64_t>(kAppenders - 1));
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, GroupCommitSyncFaultAcksNothing) {
-  // An injected sync fault fails the whole round: the bytes may stay in
-  // the file (same contract as a failed serial Sync) but no caller acks.
-  constexpr int kAppenders = 3;
-  std::string path = TempPath("wal_group_sync_fault.log");
-  std::remove(path.c_str());
-  faults::FaultPlan plan(13);
-  plan.FailNth(faults::FaultOp::kWalSync, 1, faults::FaultKind::kIoError);
-  auto wal = WriteAheadLog::Open(path);
-  ASSERT_TRUE(wal.ok());
-  (*wal)->set_fault_plan(&plan);
-  (*wal)->PauseGroupCommitForTest(true);
-
-  std::atomic<int> io_errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kAppenders; ++t) {
-    threads.emplace_back([&, t] {
-      auto lsn = (*wal)->AppendDurable(Insert(t, {0x55}));
-      if (!lsn.ok() && lsn.status().IsIoError()) ++io_errors;
-    });
-  }
-  while ((*wal)->QueuedForTest() < static_cast<size_t>(kAppenders)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  (*wal)->PauseGroupCommitForTest(false);
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(io_errors.load(), kAppenders);
-  EXPECT_EQ((*wal)->group_commit_stats().durable_lsn, 0u);
+  EXPECT_EQ(*n, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads * kPerThread));
   std::remove(path.c_str());
 }
 
