@@ -5,6 +5,7 @@
 // and arm helpers over the fleet simulator, and the micro harnesses' JSON
 // output.
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -79,9 +80,14 @@ inline uint64_t PeakRssBytes() {
 }
 
 /// Best-effort reset of the kernel's peak-RSS watermark (Linux: writing
-/// "5" to /proc/self/clear_refs resets VmHWM).  Returns false where
-/// unsupported; PeakRssSinceResetBytes then degrades to the monotone peak.
+/// "5" to /proc/self/clear_refs resets VmHWM).  clear_refs lowers the
+/// watermark only to the current RSS, so the heap memory the allocator
+/// kept from the previous phase is returned to the kernel first;
+/// otherwise a phase that follows a larger one inherits its peak.
+/// Returns false where unsupported; PeakRssSinceResetBytes then degrades
+/// to the monotone peak.
 inline bool ResetPeakRss() {
+  malloc_trim(0);
   std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
   if (f == nullptr) return false;
   bool ok = std::fputs("5", f) >= 0;
@@ -199,9 +205,8 @@ inline sim::SimOptions MakeOptions(const FleetSetup& setup,
   options.end = setup.end;
   options.eviction_per_hour = setup.profile.eviction_per_hour;
   options.seed = seed;
-  // Each arm runs serially: RunArms already spreads the arms over
-  // DefaultThreads() workers, and a figure's long pole is its unsharded
-  // proactive arm, so sharding the reactive arms too would only nest pools.
+  // Each arm is one serial simulation; RunArms spreads the arms over
+  // DefaultThreads() workers.
   return options;
 }
 

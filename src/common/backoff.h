@@ -10,8 +10,8 @@ namespace prorp::common {
 
 /// SplitMix64 finalizer over (key, salt): the deterministic jitter hash
 /// shared by the retry-backoff schedule and the slow-start admission ramp.
-/// Deterministic in its inputs alone, so every shard of a sharded run (and
-/// every re-run) computes the identical jitter.
+/// Deterministic in its inputs alone, so every re-run computes the
+/// identical jitter.
 constexpr uint64_t JitterHash(uint64_t key, uint64_t salt) {
   uint64_t h = key * 0x9e3779b97f4a7c15ULL + salt * 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 30;

@@ -44,12 +44,6 @@ class Summary {
   /// Values sorted ascending (copies; used by CDF printers).
   std::vector<double> Sorted() const;
 
-  /// Raw sample in insertion order (used by shard-report merging).
-  const std::vector<double>& values() const { return values_; }
-
-  /// Appends the other summary's sample to this one.
-  void Merge(const Summary& other) { AddAll(other.values_); }
-
  private:
   std::vector<double> values_;
 };

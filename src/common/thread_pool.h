@@ -14,11 +14,11 @@
 
 namespace prorp::common {
 
-/// Fixed-size worker pool used to run independent simulation arms and
-/// fleet shards concurrently.  Determinism is preserved by construction:
-/// submitted jobs never share mutable state (each owns its Rng stream and
-/// its slice of the fleet), so scheduling order cannot perturb results —
-/// only wall-clock time.  See DESIGN.md "Determinism".
+/// Fixed-size worker pool used to run independent simulation arms
+/// concurrently.  Determinism is preserved by construction: submitted
+/// jobs never share mutable state (each arm owns its simulation and its
+/// Rng streams), so scheduling order cannot perturb results — only
+/// wall-clock time.  See DESIGN.md "Determinism".
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).

@@ -11,53 +11,6 @@
 
 namespace prorp::controlplane {
 
-void DiagnosticsReport::Merge(const DiagnosticsReport& other) {
-  observed_iterations += other.observed_iterations;
-  max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
-  stuck_workflows += other.stuck_workflows;
-  mitigated += other.mitigated;
-  skipped_state_changed += other.skipped_state_changed;
-  failed_then_skipped += other.failed_then_skipped;
-  failed_then_shed += other.failed_then_shed;
-  incidents += other.incidents;
-  backoff_retries_scheduled += other.backoff_retries_scheduled;
-  backoff_delay_seconds_total += other.backoff_delay_seconds_total;
-  shed_resumes += other.shed_resumes;
-  breaker_opens += other.breaker_opens;
-  breaker_state_changes += other.breaker_state_changes;
-  for (size_t c = 0; c < kNumResumeClasses; ++c) {
-    ClassDiagnostics& m = per_class[c];
-    const ClassDiagnostics& v = other.per_class[c];
-    m.enqueued += v.enqueued;
-    m.resumed += v.resumed;
-    m.shed_admission += v.shed_admission;
-    m.shed_evicted += v.shed_evicted;
-    m.stuck += v.stuck;
-    m.mitigated += v.mitigated;
-    m.incidents += v.incidents;
-    m.skipped_state_changed += v.skipped_state_changed;
-    m.failed_then_skipped += v.failed_then_skipped;
-    m.failed_then_shed += v.failed_then_shed;
-    m.deadline_breaches += v.deadline_breaches;
-    m.hedged += v.hedged;
-    m.hedge_wins += v.hedge_wins;
-  }
-  storms_detected += other.storms_detected;
-  slow_start_ticks += other.slow_start_ticks;
-  quota_deferrals += other.quota_deferrals;
-  catch_up_enqueued += other.catch_up_enqueued;
-  deleted_while_queued += other.deleted_while_queued;
-  max_brownout_level = std::max(max_brownout_level, other.max_brownout_level);
-  unacked_dispatches += other.unacked_dispatches;
-  dispatch_timeouts += other.dispatch_timeouts;
-  late_acks += other.late_acks;
-  stale_epoch_acks += other.stale_epoch_acks;
-  node_failovers += other.node_failovers;
-  failover_requeues += other.failover_requeues;
-  queue_wait.Merge(other.queue_wait);
-  in_flight_duration.Merge(other.in_flight_duration);
-}
-
 ManagementService::ManagementService(MetadataStore* metadata,
                                      ControlPlaneConfig config,
                                      ResumeCallback resume,

@@ -132,11 +132,6 @@ struct DiagnosticsReport {
   const ClassDiagnostics& cls(ResumeClass c) const {
     return per_class[static_cast<size_t>(c)];
   }
-
-  /// Accumulates another report into this one (sharded-run merge):
-  /// counters add, depth/level high-water marks take the max, and the
-  /// wait/in-flight histograms merge bucket-wise.
-  void Merge(const DiagnosticsReport& other);
 };
 
 /// The periodic proactive resume operation of the Management Service

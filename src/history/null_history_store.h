@@ -13,7 +13,7 @@ namespace prorp::history {
 /// test pins this) and removes the O(events) memory that would otherwise
 /// dwarf a million-database fleet's working set.
 ///
-/// Stateless, so a single instance can serve every database in a shard.
+/// Stateless, so a single instance can serve every database in a fleet.
 /// Reads answer "no history": prediction-dependent policies must not be
 /// configured with this store (the simulator rejects that combination).
 class NullHistoryStore final : public HistoryStore {

@@ -1,13 +1,11 @@
 #include "sim/fleet_simulator.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 
 #include "common/arena.h"
 #include "common/backoff.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "controlplane/durable_control_plane.h"
 #include "controlplane/failover.h"
 #include "controlplane/node_health.h"
@@ -55,10 +53,8 @@ enum class SimEventType : uint8_t {
   kFailoverPlaced,   // a failover re-placement finished on a survivor
 };
 
-/// Deterministic per-node outage windows over [0, end).  Derived from the
-/// run seed and the node index alone: every shard of a sharded run
-/// rebuilds the identical schedule, which is what keeps sharded output
-/// bit-identical to serial.
+/// Deterministic per-node outage windows over [0, end), derived from the
+/// run seed and the node index alone.
 class OutageSchedule {
  public:
   static OutageSchedule Build(const SimOptions& options) {
@@ -219,10 +215,7 @@ class EventQueue {
   TimerWheel<SimEvent> wheel_;
 };
 
-/// One discrete-event simulation over a contiguous slice of the fleet.
-/// `db_offset` is the fleet-global id of the slice's first database; all
-/// externally visible ids (telemetry events, RNG seeding) are global, so
-/// a sharded run merges into the same report a whole-fleet run produces.
+/// One discrete-event simulation over the whole fleet.
 ///
 /// Per-database runtime state lives in parallel arrays (struct-of-arrays)
 /// instead of one heap-allocated runtime object per database: the event
@@ -231,12 +224,11 @@ class EventQueue {
 /// same-kind objects stay contiguous.
 class FleetSimulation {
  public:
-  FleetSimulation(const workload::TraceSource& source, size_t num_dbs,
-                  const SimOptions& options, DbId db_offset)
+  FleetSimulation(const workload::TraceSource& source,
+                  const SimOptions& options)
       : source_(&source),
-        num_dbs_(num_dbs),
+        num_dbs_(source.num_dbs()),
         options_(options),
-        db_offset_(db_offset),
         rng_(options.seed),
         queue_(options.use_legacy_event_heap) {}
 
@@ -277,7 +269,7 @@ class FleetSimulation {
 
   void RecordEvent(EpochSeconds time, DbId db, EventKind kind) {
     counts_.Add(kind);
-    if (recorder_ != nullptr) recorder_->Record(time, db_offset_ + db, kind);
+    if (recorder_ != nullptr) recorder_->Record(time, db, kind);
   }
 
   void SetPhase(DbId db, Phase phase, EpochSeconds time) {
@@ -295,9 +287,9 @@ class FleetSimulation {
   /// eviction scheduling, reactive-resume latency.
   void OnTransition(DbId db, const policy::TransitionEvent& e);
 
-  /// Home node of a database (fleet-global id modulo the node count).
+  /// Home node of a database (its id modulo the node count).
   size_t NodeOf(DbId db) const {
-    return static_cast<size_t>(db_offset_ + db) %
+    return static_cast<size_t>(db) %
            static_cast<size_t>(std::max(1, options_.num_nodes));
   }
 
@@ -368,7 +360,6 @@ class FleetSimulation {
   const workload::TraceSource* source_;
   size_t num_dbs_;
   SimOptions options_;
-  DbId db_offset_;
   Rng rng_;
 
   EventQueue queue_;
@@ -391,7 +382,7 @@ class FleetSimulation {
   /// Round-robin cursor of the maintenance sweep.
   DbId maint_cursor_ = 0;
 
-  // --- Struct-of-arrays per-database state (indexed by shard-local id).
+  // --- Struct-of-arrays per-database state (indexed by database id).
   // Arena pools own the controllers and in-memory history stores; the
   // parallel vectors below hold raw pointers plus the hot scheduling
   // fields the event handlers actually touch.
@@ -409,9 +400,8 @@ class FleetSimulation {
   std::vector<uint64_t> generation_;
   std::vector<EpochSeconds> scheduled_timer_;
   std::vector<uint64_t> scheduled_timer_gen_;
-  /// Capacity-pressure hazard streams, seeded from the run seed and the
-  /// database's fleet-global id so the draws are identical whether the
-  /// fleet runs in one piece or sharded; empty when eviction is disabled.
+  /// Capacity-pressure hazard streams, one per database, seeded from the
+  /// run seed and the database id; empty when eviction is disabled.
   std::vector<Rng> eviction_rng_;
   /// Storm layer: time of the reactive login currently waiting for
   /// resources (0 = none) and the generation it was issued under, so the
@@ -528,7 +518,7 @@ void FleetSimulation::OnTransition(DbId db,
 
 Status FleetSimulation::HandleDbCreated(const SimEvent& ev) {
   DbId db = ev.db;
-  if (static_cast<uint64_t>(db_offset_ + db) < options_.sql_history_count) {
+  if (static_cast<uint64_t>(db) < options_.sql_history_count) {
     // The real SQL stack (ephemeral: no on-disk directory per simulated
     // database, but the full B+tree/buffer-pool/checksum path runs).
     PRORP_ASSIGN_OR_RETURN(auto sql_store, history::SqlHistoryStore::Open());
@@ -537,7 +527,7 @@ Status FleetSimulation::HandleDbCreated(const SimEvent& ev) {
     owned_sql_.push_back(std::move(sql_store));
   } else if (options_.use_null_history) {
     // Reactive/always-on controllers write history but never read it:
-    // one shared no-op store serves the whole shard.
+    // one shared no-op store serves the whole fleet.
     history_[db] = &null_history_;
   } else {
     history_[db] = mem_history_pool_.Emplace();
@@ -545,7 +535,7 @@ Status FleetSimulation::HandleDbCreated(const SimEvent& ev) {
   if (!eviction_rng_.empty()) {
     eviction_rng_[db].Seed(options_.seed ^
                            (0x9E3779B97F4A7C15ULL *
-                            (static_cast<uint64_t>(db_offset_ + db) + 1)));
+                            (static_cast<uint64_t>(db) + 1)));
   }
   const forecast::Predictor* predictor =
       options_.mode == PolicyMode::kProactive ? predictor_.get() : nullptr;
@@ -1010,6 +1000,9 @@ Result<SimReport> FleetSimulation::Run() {
   if (options_.end <= 0) {
     return Status::InvalidArgument("SimOptions.end is required");
   }
+  if (options_.num_threads != 1) {
+    return Status::InvalidArgument("SimOptions.num_threads must be 1");
+  }
   if (options_.control_plane_crash_at > 0 &&
       options_.control_plane_journal_dir.empty()) {
     return Status::InvalidArgument(
@@ -1103,7 +1096,7 @@ Result<SimReport> FleetSimulation::Run() {
   EpochSeconds earliest_start = options_.end;
   for (DbId db = 0; db < n; ++db) {
     std::unique_ptr<workload::SessionCursor> cursor =
-        source_->Open(db_offset_ + db);
+        source_->Open(db);
     workload::Session first;
     if (!cursor->Next(&first)) continue;
     earliest_start = std::min(earliest_start, first.start);
@@ -1331,112 +1324,12 @@ Result<SimReport> FleetSimulation::Run() {
   return report;
 }
 
-/// Merges per-shard reports into the report a whole-fleet serial run
-/// would have produced.  Everything a KPI is computed from is a sum
-/// (event counts, integer-second phase durations), so the merge is
-/// exact, not approximate.
-SimReport MergeShardReports(std::vector<SimReport> shards) {
-  SimReport merged;
-  merged.measure_from = shards.front().measure_from;
-  merged.measure_end = shards.front().measure_end;
-
-  std::vector<telemetry::FleetEvent> events;
-  std::vector<double> allocated_sums;
-  uint64_t predictions = 0;
-  for (SimReport& s : shards) {
-    merged.usage += s.usage;
-    merged.counts.Merge(s.counts);
-    predictions += s.kpi.predictions;
-    events.insert(events.end(), s.recorder.events().begin(),
-                  s.recorder.events().end());
-    merged.resumed_per_iteration.Merge(s.resumed_per_iteration);
-    merged.history_tuples.Merge(s.history_tuples);
-    merged.history_bytes.Merge(s.history_bytes);
-    merged.history_tuples_hist.Merge(s.history_tuples_hist);
-    merged.history_bytes_hist.Merge(s.history_bytes_hist);
-    // Every shard samples on the same 5-minute schedule, so the fleet's
-    // concurrent-allocation census is the element-wise sum.
-    const std::vector<double>& samples = s.allocated_samples.values();
-    if (allocated_sums.size() < samples.size()) {
-      allocated_sums.resize(samples.size(), 0);
-    }
-    for (size_t i = 0; i < samples.size(); ++i) {
-      allocated_sums[i] += samples[i];
-    }
-    merged.diagnostics.Merge(s.diagnostics);
-    merged.login_delay.Merge(s.login_delay);
-    merged.login_delay_hist.Merge(s.login_delay_hist);
-    merged.resume_waits.Merge(s.resume_waits);
-    merged.pending_failed += s.pending_failed;
-    merged.control_plane_recoveries += s.control_plane_recoveries;
-    merged.control_plane_replayed += s.control_plane_replayed;
-    merged.events_processed += s.events_processed;
-    merged.event_queue_bytes += s.event_queue_bytes;
-    merged.robustness.AccumulateShard(s.robustness);
-  }
-  // The outage schedule is fleet-global and identical in every shard.
-  merged.robustness.outage_windows = shards.front().robustness.outage_windows;
-  merged.robustness.outage_seconds = shards.front().robustness.outage_seconds;
-  merged.allocated_samples.AddAll(allocated_sums);
-  // Restore global time order (shard concatenation is db-grouped).  All
-  // KPI consumers are order-independent; this is for readable exports.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const telemetry::FleetEvent& a,
-                      const telemetry::FleetEvent& b) {
-                     return a.time < b.time;
-                   });
-  for (const telemetry::FleetEvent& e : events) {
-    merged.recorder.Record(e.time, e.db, e.kind);
-  }
-  merged.kpi = telemetry::ComputeKpi(merged.counts, merged.usage);
-  merged.kpi.predictions = predictions;
-  return merged;
-}
-
 }  // namespace
 
 Result<SimReport> RunFleetSimulation(const workload::TraceSource& source,
                                      const SimOptions& options) {
-  size_t num_dbs = source.num_dbs();
-  size_t num_shards =
-      options.num_threads > 1
-          ? std::min<size_t>(static_cast<size_t>(options.num_threads),
-                             num_dbs)
-          : 1;
-  // Proactive mode couples databases through the shared metadata store
-  // and management service, the storm layer couples them through the
-  // shared node capacity, the durable control plane couples them through
-  // one journal directory, and the message transport couples them through
-  // one dispatcher; all run as one event loop.
-  if (options.mode == PolicyMode::kProactive || num_shards <= 1 ||
-      options.storm_layer_enabled() ||
-      !options.control_plane_journal_dir.empty() || options.use_transport) {
-    FleetSimulation simulation(source, num_dbs, options, 0);
-    return simulation.Run();
-  }
-
-  std::vector<std::function<Result<SimReport>()>> jobs;
-  jobs.reserve(num_shards);
-  size_t base = 0;
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    size_t count = num_dbs / num_shards +
-                   (shard < num_dbs % num_shards ? 1 : 0);
-    DbId offset = static_cast<DbId>(base);
-    jobs.emplace_back([&source, count, offset, &options] {
-      FleetSimulation simulation(source, count, options, offset);
-      return simulation.Run();
-    });
-    base += count;
-  }
-  std::vector<Result<SimReport>> results =
-      common::RunOnPool<Result<SimReport>>(std::move(jobs), num_shards);
-  std::vector<SimReport> shards;
-  shards.reserve(results.size());
-  for (Result<SimReport>& r : results) {
-    PRORP_RETURN_IF_ERROR(r.status());
-    shards.push_back(std::move(r.value()));
-  }
-  return MergeShardReports(std::move(shards));
+  FleetSimulation simulation(source, options);
+  return simulation.Run();
 }
 
 Result<SimReport> RunFleetSimulation(

@@ -40,9 +40,7 @@ struct SimOptions {
   /// resumes run through a NodeCapacityModel (slots + token bucket),
   /// reactive logins route through the management service's multi-class
   /// queue, and resume latency inflates under load.  0 keeps the legacy
-  /// scalar resume_latency model.  The storm layer couples the fleet
-  /// through shared node capacity, so it always runs the serial event
-  /// loop (num_threads is ignored).
+  /// scalar resume_latency model.
   int resume_concurrency_per_node = 0;
   /// Token-bucket admission limiter per node: resume starts per second
   /// (0 = unlimited) and burst allowance.
@@ -72,7 +70,7 @@ struct SimOptions {
   double resume_failure_probability = 0;
 
   /// Fleet-level correlated outages.  The fleet is spread across
-  /// `num_nodes` nodes (node = fleet-global db id % num_nodes); each node
+  /// `num_nodes` nodes (node = db id % num_nodes); each node
   /// independently suffers outage windows of length `outage_duration`
   /// with exponential gaps averaging one outage per
   /// 1/outage_rate_per_day days.  While a node is down, every
@@ -80,18 +78,15 @@ struct SimOptions {
   /// (feeding the backoff/breaker machinery); customer logins still
   /// reactively resume — the reactive path rides on the customer's
   /// connection retry loop, which an outage delays but does not break.
-  /// The schedule is derived from `seed` and the node index alone, so a
-  /// sharded run computes the identical schedule in every shard.
+  /// The schedule is derived from `seed` and the node index alone.
   /// num_nodes <= 0 or outage_rate_per_day <= 0 disables outages.
   int num_nodes = 0;
   double outage_rate_per_day = 0;
   DurationSeconds outage_duration = Minutes(10);
 
-  /// Number of databases — the lowest fleet-global ids — whose history
-  /// runs on the real SQL-backed store (checksummed pages, WAL, snapshots)
-  /// instead of the in-memory one.  Assignment is by fleet-global id, so a
-  /// sharded run picks the same databases as a serial run.  0 = all
-  /// in-memory (the fast default).
+  /// Number of databases — the lowest ids — whose history runs on the
+  /// real SQL-backed store (checksummed pages, WAL, snapshots) instead of
+  /// the in-memory one.  0 = all in-memory (the fast default).
   uint64_t sql_history_count = 0;
 
   /// Period of the background integrity scrubber over the SQL-backed
@@ -115,8 +110,7 @@ struct SimOptions {
   /// transition is journaled to `<dir>/journal.wal` (buffered sync; the
   /// simulated fsync boundary is the crash event below) and periodically
   /// folded into `<dir>/checkpoint.bin`.  Empty (default) keeps the
-  /// legacy in-memory control plane.  The journal couples the fleet, so
-  /// this always runs the serial event loop.
+  /// legacy in-memory control plane.
   std::string control_plane_journal_dir;
   /// Journal records between automatic checkpoints (durable mode only).
   uint64_t control_plane_checkpoint_every = 4096;
@@ -132,8 +126,7 @@ struct SimOptions {
   /// node-side executor) instead of a direct call.
   /// Fault-free: acks arrive inline, so the run is bit-identical to the
   /// direct-call run — the regression test for that identity is what this
-  /// flag exists for.  The transport couples the fleet through one
-  /// dispatcher, so this always runs the serial event loop.
+  /// flag exists for.
   bool use_transport = false;
 
   // --- Failure detection + fenced failover (DESIGN.md section 12) ---
@@ -198,13 +191,8 @@ struct SimOptions {
 
   uint64_t seed = 42;
 
-  /// Workers for the sharded fleet mode.  Reactive and always-on
-  /// databases share no ManagementService/MetadataStore state, so the
-  /// fleet is partitioned into contiguous shards simulated concurrently
-  /// and the per-shard reports merged; per-database RNG streams make the
-  /// result bit-identical to the serial run.  Proactive mode couples the
-  /// fleet through the metadata store and always runs serially,
-  /// whatever this is set to.  <= 1 disables sharding.
+  /// Must be 1: every run is one serial event loop (RunFleetSimulation
+  /// rejects any other value).  Deleted once perfbench stops naming it.
   int num_threads = 1;
 };
 
@@ -218,9 +206,8 @@ struct SimReport {
   /// Events within the measurement window.  Empty under
   /// Telemetry::kStreaming.
   telemetry::Recorder recorder;
-  /// Fleet-total seconds per phase over the measurement window.  Kept in
-  /// raw form (not just the KPI percentages) so per-shard reports can be
-  /// summed exactly when merging.
+  /// Fleet-total seconds per phase over the measurement window, in raw
+  /// form (the KPI percentages are computed from it).
   telemetry::TimeBreakdown usage;
   controlplane::DiagnosticsReport diagnostics;
   /// Fault-injection and graceful-degradation counters.
@@ -260,20 +247,20 @@ struct SimReport {
   uint64_t events_processed = 0;
   /// Log2-bucket forms of login_delay and history_tuples/bytes,
   /// populated in both telemetry modes (the only tail-latency view a
-  /// streaming run has; O(1) memory, bucket-wise exact shard merge).
+  /// streaming run has; O(1) memory).
   telemetry::Histogram login_delay_hist;
   telemetry::Histogram history_tuples_hist;
   telemetry::Histogram history_bytes_hist;
-  /// Bytes held by the event queue's slot/heap storage at run end (summed
-  /// over shards) — the post-storm shrink regression metric.
+  /// Bytes held by the event queue's slot/heap storage at run end — the
+  /// post-storm shrink regression metric.
   uint64_t event_queue_bytes = 0;
 };
 
 /// Runs the full ProRP stack over the fleet: one history store and
 /// lifecycle controller per database, the metadata store, the management
 /// service's periodic proactive resume operation, capacity-pressure
-/// evictions, and reactive-resume latency — all on a single-threaded
-/// discrete event loop (per shard).  Sessions are pulled from the source
+/// evictions, and reactive-resume latency — all on one single-threaded
+/// discrete event loop.  Sessions are pulled from the source
 /// database-by-database, so a streaming source runs a million-database
 /// fleet without materializing any trace.
 Result<SimReport> RunFleetSimulation(const workload::TraceSource& source,

@@ -55,18 +55,13 @@ class Recorder {
 
 /// Fixed-size running event counters: the streaming replacement for
 /// buffering every FleetEvent when only KPIs are needed.  O(1) memory
-/// however long the run, and shard counters merge by plain addition, so
-/// sharded totals are exactly the serial totals.
+/// however long the run.
 class EventCounts {
  public:
   void Add(EventKind kind) { ++counts_[static_cast<size_t>(kind)]; }
 
   uint64_t Count(EventKind kind) const {
     return counts_[static_cast<size_t>(kind)];
-  }
-
-  void Merge(const EventCounts& other) {
-    for (size_t i = 0; i < kNumEventKinds; ++i) counts_[i] += other.counts_[i];
   }
 
   uint64_t total() const {

@@ -5,31 +5,6 @@
 
 namespace prorp::telemetry {
 
-void RobustnessReport::AccumulateShard(const RobustnessReport& shard) {
-  resume_failures_outage += shard.resume_failures_outage;
-  resume_failures_injected += shard.resume_failures_injected;
-  degraded_enters += shard.degraded_enters;
-  degraded_exits += shard.degraded_exits;
-  history_errors += shard.history_errors;
-  corruption_errors += shard.corruption_errors;
-  corruption_detected += shard.corruption_detected;
-  corruption_repaired += shard.corruption_repaired;
-  corruption_quarantined += shard.corruption_quarantined;
-  scrub_passes += shard.scrub_passes;
-  scrub_pages += shard.scrub_pages;
-  scrub_errors += shard.scrub_errors;
-  maintenance_touches += shard.maintenance_touches;
-  node_deaths += shard.node_deaths;
-  node_rejoins += shard.node_rejoins;
-  failover_requeues += shard.failover_requeues;
-  failover_deduped += shard.failover_deduped;
-  resume_failures_node_down += shard.resume_failures_node_down;
-  outage_waited_logins += shard.outage_waited_logins;
-  outage_wait_seconds += shard.outage_wait_seconds;
-  failover_waited_logins += shard.failover_waited_logins;
-  failover_wait_seconds += shard.failover_wait_seconds;
-}
-
 std::string RobustnessReport::ToString() const {
   char buf[640];
   std::snprintf(buf, sizeof(buf),

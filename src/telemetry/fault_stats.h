@@ -8,20 +8,14 @@ namespace prorp::telemetry {
 
 /// Robustness telemetry of one simulation run: the fault-injection and
 /// graceful-degradation counters that ride alongside the KPI report.
-///
-/// Two kinds of fields with different merge semantics:
-///  * fleet-global fields describe the injected fault schedule itself
-///    (node-outage windows are derived from the run seed alone, so every
-///    shard of a sharded run computes the identical schedule) — merging
-///    shard reports copies them from any one shard;
-///  * per-shard counters count what actually happened inside a shard's
-///    event loop — merging sums them.
+/// The schedule fields describe the injected faults themselves (derived
+/// from the run seed alone); the counters count what the event loop saw.
 struct RobustnessReport {
-  // --- Fleet-global: the injected outage schedule ---
+  // --- The injected outage schedule ---
   uint64_t outage_windows = 0;   // node-down windows across all nodes
   uint64_t outage_seconds = 0;   // summed durations of those windows
 
-  // --- Per-shard counters ---
+  // --- Counters ---
   /// Proactive-resume workflow attempts that failed because the target
   /// database's node was inside an outage window.
   uint64_t resume_failures_outage = 0;
@@ -37,7 +31,7 @@ struct RobustnessReport {
   /// history_errors): bad pages caught by checksum verification.
   uint64_t corruption_errors = 0;
 
-  // --- Per-shard counters: the detect → repair → quarantine pipeline ---
+  // --- Counters: the detect → repair → quarantine pipeline ---
   /// Corrupt pages detected by fetch verification or a scrub pass.
   uint64_t corruption_detected = 0;
   /// Successful store rebuilds from snapshot + WAL.
@@ -52,11 +46,11 @@ struct RobustnessReport {
   /// database (the lowest workflow class of the storm layer).
   uint64_t maintenance_touches = 0;
 
-  // --- Fleet-global: the injected node-crash schedule ---
+  // --- The injected node-crash schedule ---
   uint64_t node_crash_windows = 0;
   uint64_t node_crash_seconds = 0;
 
-  // --- Per-shard counters: failure detection + fenced failover ---
+  // --- Counters: failure detection + fenced failover ---
   /// Death declarations by the lease-driven health tracker.
   uint64_t node_deaths = 0;
   /// Dead nodes re-admitted after the rejoin cooldown.
@@ -69,7 +63,7 @@ struct RobustnessReport {
   /// node fenced itself before the plane re-placed its databases).
   uint64_t resume_failures_node_down = 0;
 
-  // --- Per-shard counters: login-wait attribution (storm layer) ---
+  // --- Counters: login-wait attribution (storm layer) ---
   /// Reactive logins whose wait started inside an outage window of the
   /// database's node, versus inside a node-crash window awaiting
   /// failover — the two flavors of "the node was gone" with different
@@ -79,10 +73,6 @@ struct RobustnessReport {
   uint64_t outage_wait_seconds = 0;
   uint64_t failover_waited_logins = 0;
   uint64_t failover_wait_seconds = 0;
-
-  /// Sums the per-shard counters; leaves the fleet-global schedule
-  /// fields untouched (callers copy those from one shard).
-  void AccumulateShard(const RobustnessReport& shard);
 
   /// One formatted row for bench output.
   std::string ToString() const;

@@ -35,13 +35,6 @@ void Histogram::Add(int64_t value) {
   sum_ += static_cast<uint64_t>(value);
 }
 
-void Histogram::Merge(const Histogram& other) {
-  for (size_t b = 0; b < kNumBuckets; ++b) buckets_[b] += other.buckets_[b];
-  count_ += other.count_;
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-}
-
 double Histogram::Mean() const {
   if (count_ == 0) return 0;
   return static_cast<double>(sum_) / static_cast<double>(count_);

@@ -21,9 +21,6 @@ class Histogram {
 
   void Add(int64_t value);
 
-  /// Adds the other histogram's buckets to this one (shard merging).
-  void Merge(const Histogram& other);
-
   uint64_t count() const { return count_; }
   int64_t max() const { return max_; }
   double Mean() const;

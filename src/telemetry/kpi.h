@@ -53,10 +53,7 @@ struct KpiReport {
 };
 
 /// Computes the KPI report from the event counters and a fleet time
-/// breakdown (a finished ledger's fleet_total()).  Merged per-shard
-/// reports call it on summed breakdowns: shard breakdowns are
-/// integer-second sums, so adding them and recomputing the percentages
-/// here reproduces the single-ledger result exactly.  A buffered event
+/// breakdown (a finished ledger's fleet_total()).  A buffered event
 /// log is counted first (EventCounts::FromRecorder), so full and
 /// streaming telemetry modes produce bit-identical KPI reports.
 KpiReport ComputeKpi(const EventCounts& counts, const TimeBreakdown& total);

@@ -363,7 +363,7 @@ StreamingFleetSource::StreamingFleetSource(RegionProfile profile,
 std::unique_ptr<SessionCursor> StreamingFleetSource::Open(
     uint32_t db_id) const {
   // Addresses database k's stream purely, so it is reconstructible in
-  // O(1) from any shard.
+  // O(1) without opening the databases before it.
   Rng db_rng = Rng(seed_).ForkStream(db_id);
   DbPlacement placement =
       DrawPlacement(profile_, from_, to_, new_from_, db_rng);

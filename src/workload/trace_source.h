@@ -50,9 +50,7 @@ class NormalizingCursor final : public SessionCursor {
 /// cursor is all it needs — which is what lets a million-database fleet
 /// run without ever materializing millions of session vectors.
 ///
-/// Open must be pure (the same db yields the same sessions every time)
-/// and safe to call concurrently for distinct databases: sharded
-/// simulation runs open disjoint db ranges from worker threads.
+/// Open must be pure: the same db yields the same sessions every time.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -82,10 +80,10 @@ class MaterializedTraceSource final : public TraceSource {
 /// instead of O(sessions) per database materialized up front.
 ///
 /// Database k's trace is a pure function of (seed, k): the per-database
-/// stream is derived with Rng::ForkStream, so any shard of a sharded run
-/// reconstructs exactly the traces of a serial run without coordination.
-/// Note this derivation differs from GenerateFleet's sequential Fork, so
-/// the two produce statistically equivalent but not identical fleets.
+/// stream is derived with Rng::ForkStream, so a cursor needs no state
+/// from the databases before it.  Note this derivation differs from
+/// GenerateFleet's sequential Fork, so the two produce statistically
+/// equivalent but not identical fleets.
 class StreamingFleetSource final : public TraceSource {
  public:
   StreamingFleetSource(RegionProfile profile, size_t num_dbs,

@@ -18,8 +18,8 @@ struct GoldenEntry {
 
 // Golden retry schedule captured from ManagementService before the backoff
 // helpers were extracted into common/backoff.h: the extraction must stay
-// bit-identical, because the simulator's KPI-identity self-check (and every
-// sharded run) depends on the deterministic schedule never drifting.
+// bit-identical, because the simulator's KPI-identity self-check depends on
+// the deterministic schedule never drifting.
 //
 // Default control-plane config: base = 60s, cap = 480s, jitter = 0.25.
 constexpr GoldenEntry kDefaultGolden[] = {

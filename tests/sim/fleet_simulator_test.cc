@@ -251,56 +251,22 @@ TEST(FleetSimulatorTest, CancelledTimerDoesNotSwallowReArmedTimer) {
   EXPECT_EQ(kpi.forced_evictions, 2u) << kpi.ToString();
 }
 
-TEST(FleetSimulatorTest, ShardedRunMatchesSerialBitExactly) {
-  auto traces = workload::GenerateFleet(workload::RegionEU1(), 50, kT0,
-                                        kEnd, 11);
-  for (PolicyMode mode : {PolicyMode::kReactive, PolicyMode::kAlwaysOn}) {
-    SimOptions serial = BaseOptions(mode);
-    serial.eviction_per_hour = 0.2;
-    SimOptions sharded = serial;
-    sharded.num_threads = 4;
-    auto a = RunFleetSimulation(traces, serial);
-    auto b = RunFleetSimulation(traces, sharded);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->kpi.logins_total, b->kpi.logins_total);
-    EXPECT_EQ(a->kpi.logins_available, b->kpi.logins_available);
-    EXPECT_EQ(a->kpi.logins_reactive, b->kpi.logins_reactive);
-    EXPECT_EQ(a->kpi.logical_pauses, b->kpi.logical_pauses);
-    EXPECT_EQ(a->kpi.physical_pauses, b->kpi.physical_pauses);
-    EXPECT_EQ(a->kpi.forced_evictions, b->kpi.forced_evictions);
-    EXPECT_EQ(a->kpi.predictions, b->kpi.predictions);
-    // Phase durations are integer-second sums, so the shard merge must be
-    // exact, not merely close.
-    EXPECT_DOUBLE_EQ(a->usage.active, b->usage.active);
-    EXPECT_DOUBLE_EQ(a->usage.idle_logical, b->usage.idle_logical);
-    EXPECT_DOUBLE_EQ(a->usage.reclaimed, b->usage.reclaimed);
-    EXPECT_DOUBLE_EQ(a->usage.unavailable, b->usage.unavailable);
-    EXPECT_DOUBLE_EQ(a->kpi.IdleTotalPct(), b->kpi.IdleTotalPct());
-    EXPECT_EQ(a->recorder.size(), b->recorder.size());
-    EXPECT_DOUBLE_EQ(a->allocated_samples.Mean(),
-                     b->allocated_samples.Mean());
-    EXPECT_DOUBLE_EQ(a->allocated_samples.Max(), b->allocated_samples.Max());
-  }
-}
-
-TEST(FleetSimulatorTest, ProactiveModeIgnoresThreadCount) {
-  // Proactive databases share the metadata store and management service,
-  // so the sharded mode must fall back to the serial event loop.
+TEST(FleetSimulatorTest, RejectsThreadCountOtherThanOne) {
+  // Every run is one serial event loop; num_threads survives only as a
+  // field that must read 1.
   auto traces = workload::GenerateFleet(workload::RegionEU1(), 20, kT0,
                                         kEnd, 11);
-  SimOptions serial = BaseOptions(PolicyMode::kProactive);
-  serial.eviction_per_hour = 0.2;
-  SimOptions threaded = serial;
-  threaded.num_threads = 4;
-  auto a = RunFleetSimulation(traces, serial);
-  auto b = RunFleetSimulation(traces, threaded);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->kpi.logins_available, b->kpi.logins_available);
-  EXPECT_EQ(a->kpi.proactive_resumes, b->kpi.proactive_resumes);
-  EXPECT_EQ(a->recorder.size(), b->recorder.size());
-  EXPECT_DOUBLE_EQ(a->kpi.IdleTotalPct(), b->kpi.IdleTotalPct());
+  SimOptions options = BaseOptions(PolicyMode::kReactive);
+  for (int threads : {4, 0}) {
+    options.num_threads = threads;
+    auto report = RunFleetSimulation(traces, options);
+    ASSERT_FALSE(report.ok()) << "num_threads=" << threads;
+    EXPECT_TRUE(report.status().IsInvalidArgument())
+        << report.status().ToString();
+  }
+  options.num_threads = 1;
+  auto report = RunFleetSimulation(traces, options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
 }
 
 TEST(FleetSimulatorTest, HistoryStaysCompact) {
@@ -413,29 +379,6 @@ TEST(FleetSimulatorTest, OutageRunsAreDeterministicInSeed) {
             b->robustness.resume_failures_outage);
   EXPECT_EQ(a->kpi.logins_available, b->kpi.logins_available);
   EXPECT_EQ(a->diagnostics.breaker_opens, b->diagnostics.breaker_opens);
-  EXPECT_EQ(a->recorder.size(), b->recorder.size());
-}
-
-TEST(FleetSimulatorTest, ShardedOutageScheduleMatchesSerial) {
-  // The outage schedule is derived from (seed, node) only; a sharded
-  // reactive run must report the identical fleet-global schedule and
-  // bit-identical KPIs.
-  auto traces = workload::GenerateFleet(workload::RegionEU1(), 50, kT0,
-                                        kEnd, 11);
-  SimOptions serial = BaseOptions(PolicyMode::kReactive);
-  serial.num_nodes = 4;
-  serial.outage_rate_per_day = 24;
-  SimOptions sharded = serial;
-  sharded.num_threads = 4;
-  auto a = RunFleetSimulation(traces, serial);
-  auto b = RunFleetSimulation(traces, sharded);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(a->robustness.outage_windows, 0u);
-  EXPECT_EQ(a->robustness.outage_windows, b->robustness.outage_windows);
-  EXPECT_EQ(a->robustness.outage_seconds, b->robustness.outage_seconds);
-  EXPECT_EQ(a->kpi.logins_available, b->kpi.logins_available);
-  EXPECT_DOUBLE_EQ(a->usage.active, b->usage.active);
   EXPECT_EQ(a->recorder.size(), b->recorder.size());
 }
 

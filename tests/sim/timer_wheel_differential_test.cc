@@ -155,17 +155,6 @@ TEST(TimerWheelDifferentialTest, AcrossSeeds) {
   }
 }
 
-TEST(TimerWheelDifferentialTest, ShardedRuns) {
-  auto traces = workload::GenerateFleet(workload::RegionEU1(), 40, kT0,
-                                        kEnd, 11);
-  for (PolicyMode mode : {PolicyMode::kReactive, PolicyMode::kAlwaysOn}) {
-    SimOptions options = BaseOptions(mode);
-    options.eviction_per_hour = 0.2;
-    options.num_threads = 4;
-    RunBothBackends(traces, options);
-  }
-}
-
 TEST(TimerWheelDifferentialTest, UnderNodeOutages) {
   auto traces = workload::GenerateFleet(workload::RegionUS2(), 40, kT0,
                                         kEnd, 5);

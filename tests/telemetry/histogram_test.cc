@@ -54,26 +54,6 @@ TEST(HistogramTest, UniformRampEstimatesWithinBucketResolution) {
   EXPECT_DOUBLE_EQ(h.Mean(), 500.5);  // the mean is exact (true sum kept)
 }
 
-TEST(HistogramTest, MergeAccumulatesCountsMaxAndSum) {
-  Histogram a;
-  a.Add(1);
-  a.Add(2);
-  a.Add(3);
-  Histogram b;
-  b.Add(100);
-  b.Add(200);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_EQ(a.max(), 200);
-  EXPECT_DOUBLE_EQ(a.Mean(), 306.0 / 5.0);
-  EXPECT_DOUBLE_EQ(a.Percentile(1.0), 200.0);
-  // Merging an empty histogram changes nothing.
-  Histogram empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_EQ(a.max(), 200);
-}
-
 TEST(HistogramTest, ToStringRendersBenchRow) {
   Histogram h;
   h.Add(60);

@@ -19,8 +19,8 @@ StreamingFleetSource MakeSource(uint64_t seed = 2024) {
 }
 
 TEST(StreamingFleetSourceTest, OpenIsPure) {
-  // The sharded simulator relies on Open(db) being a pure function: the
-  // same database must yield the identical session list on every open,
+  // Repeated runs over one source rely on Open(db) being a pure function:
+  // the same database must yield the identical session list on every open,
   // within one source and across source instances with the same seed.
   StreamingFleetSource a = MakeSource();
   StreamingFleetSource b = MakeSource();
