@@ -88,9 +88,12 @@ constexpr double kSmokeProactiveRatioFloor10k = 0.10;
 // 0.20 with one write(2) per journal record and three fsyncs per
 // checkpoint.  Checkpoints that no longer carry one sample per iteration
 // moved it to 0.38-0.55 from 0.29-0.44 in back-to-back runs on a shared
-// 4-vCPU host; the two ranges overlap, so the floor stays at 0.30 and
-// CheckpointTest.SizeIndependentOfRunLength gates checkpoint size instead.
-constexpr double kSmokeDurableRatioFloor10k = 0.30;
+// 4-vCPU host.  Publishing checkpoints by exchange and cutting the journal
+// in place (no file-system flush per checkpoint) moved it to 0.63-0.70
+// from 0.45-0.52 (five alternating --smoke runs each, same host): the
+// ranges are apart, and 0.55 fails every run of the rename-and-ftruncate
+// code while the slowest run here clears it by 0.08.
+constexpr double kSmokeDurableRatioFloor10k = 0.55;
 // Alternating proactive_10k / durable_10k pairs run under --smoke.  One
 // pair measured 0.29 in one of four back-to-back runs on unchanged code.
 constexpr size_t kSmokeDurablePairs = 3;

@@ -3,7 +3,8 @@
 // sys.pause_resume_history, the SQL history insert, and the WAL — buffered
 // appends, appends with one fsync each, and the control-plane journal's
 // buffered append (one ControlPlaneJournal::Append, the durable
-// simulator's per-transition cost).
+// simulator's per-transition cost) and its checkpoint cycle (4096 such
+// appends, then the cut to empty that follows a checkpoint).
 //
 // Unlike the figure harnesses this binary is self-timed (no
 // google-benchmark): each workload reports throughput plus exact
@@ -207,6 +208,35 @@ MicroResult BenchJournalAppendBuffered(uint64_t total_ops) {
   return r;
 }
 
+MicroResult BenchJournalCheckpointCycle(uint64_t cycles) {
+  // The journal's side of one durable-simulator checkpoint interval: the
+  // fleet simulator checkpoints every 4096 journal records, then cuts the
+  // journal to empty.  The cut zeros the log in place, so the next
+  // interval refills windows that are already reserved and cached.
+  constexpr uint64_t kAppendsPerCycle = 4096;
+  std::string path = WalPath("prorp_bench_journal_cycle.wal");
+  std::remove(path.c_str());
+  using controlplane::ControlPlaneJournal;
+  auto journal =
+      ControlPlaneJournal::Open(path, ControlPlaneJournal::SyncMode::kBuffered)
+          .value();
+  controlplane::JournalRecord rec;
+  rec.event = controlplane::JournalEvent::kMetaUpsert;
+  rec.epoch = 1;
+  MicroResult r =
+      MeasureBatched("journal_checkpoint_cycle", cycles, 1, [&] {
+        for (uint64_t i = 0; i < kAppendsPerCycle; ++i) {
+          rec.db = static_cast<uint32_t>(journal->next_seq() % 250);
+          rec.time += 60;
+          (void)journal->Append(rec);
+        }
+        (void)journal->TruncateAfterCheckpoint();
+      });
+  journal.reset();
+  std::remove(path.c_str());
+  return r;
+}
+
 int Run(bool smoke, const std::string& out_path) {
   PrintHeader("micro_storage: history-store hot path",
               "O(log n) tree ops; a buffered WAL append makes no system "
@@ -220,6 +250,7 @@ int Run(bool smoke, const std::string& out_path) {
   const uint64_t kWalNoSync = smoke ? 10'000 : 100'000;
   const uint64_t kWalSerial = smoke ? 400 : 4'000;
   const uint64_t kJournalAppends = smoke ? 20'000 : 200'000;
+  const uint64_t kJournalCycles = smoke ? 20 : 200;
 
   std::vector<MicroResult> results;
   results.push_back(BenchCrc32("crc32_bytewise_4k", kCrcOps, false));
@@ -231,6 +262,7 @@ int Run(bool smoke, const std::string& out_path) {
   results.push_back(BenchWalAppendNoSync(kWalNoSync));
   results.push_back(BenchWalSerialSync(kWalSerial));
   results.push_back(BenchJournalAppendBuffered(kJournalAppends));
+  results.push_back(BenchJournalCheckpointCycle(kJournalCycles));
 
   for (const MicroResult& r : results) PrintMicroRow(r);
 

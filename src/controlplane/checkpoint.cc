@@ -1,7 +1,5 @@
 #include "controlplane/checkpoint.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -78,12 +76,6 @@ struct Reader {
     p += n * sizeof(uint64_t);
   }
 };
-
-Status SyncStream(FILE* f) {
-  if (std::fflush(f) != 0) return Status::IoError("fflush failed");
-  if (::fsync(::fileno(f)) != 0) return Status::IoError("fsync failed");
-  return Status::OK();
-}
 
 /// True when the iterations per resumed count agree with the counters
 /// restored beside them: no more iterations than were observed, and as
@@ -389,18 +381,13 @@ Status SaveCheckpoint(const std::string& path, const MetadataStore& meta,
        (body.size() == half ||
         std::fwrite(body.data() + half, body.size() - half, 1, f) == 1) &&
        std::fwrite(&crc, 4, 1, f) == 1;
-  ok = ok && (!sync || SyncStream(f).ok());
+  ok = ok && (!sync || storage::io::SyncStream(f).ok());
   ok = (std::fclose(f) == 0) && ok;
   if (!ok) {
     std::remove(tmp.c_str());
     return Status::IoError("checkpoint write failed");
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("checkpoint rename failed");
-  }
-  if (sync) PRORP_RETURN_IF_ERROR(storage::io::SyncParentDir(path));
-  return Status::OK();
+  return storage::io::PublishFile(tmp, path, sync, "checkpoint");
 }
 
 Result<LoadedCheckpoint> LoadCheckpoint(const std::string& path,

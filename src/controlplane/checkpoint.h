@@ -24,11 +24,15 @@ struct LoadedCheckpoint {
 /// Writes one atomic control-plane checkpoint: metadata-store rows plus
 /// the full externally visible ManagementService state (queues, in-flight
 /// workflows, diagnostics, breaker and storm posture), CRC-framed and
-/// published by tmp-write + fsync + rename + parent-dir fsync.  With
-/// `sync` false both fsyncs are skipped: the publish is then atomic
-/// against process death (the rename) but not power loss.  Crash points
+/// written to `path`.tmp, then published by storage::io::PublishFile:
+/// fsync, exchange with the previous checkpoint (renameat2
+/// RENAME_EXCHANGE, which unlike a rename over it makes ext4 wait on no
+/// flush), unlink of the previous one, parent-dir fsync.  With `sync`
+/// false both fsyncs are skipped: the publish is then atomic against
+/// process death (the exchange) but not power loss.  Crash points
 /// kSnapshotMidCopy and kCpCheckpointMidWrite both fire mid-body, leaving
-/// a partial .tmp the next recovery ignores.
+/// a partial .tmp the next recovery ignores; a crash between exchange and
+/// unlink leaves the previous checkpoint in .tmp, ignored the same way.
 Status SaveCheckpoint(const std::string& path, const MetadataStore& meta,
                       const ManagementService& svc, uint64_t epoch,
                       uint64_t last_seq, bool sync = true);

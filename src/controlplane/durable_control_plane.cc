@@ -115,7 +115,7 @@ Status DurableControlPlane::Checkpoint() {
   // before the checkpoint that subsumes it, and the checkpoint's bytes
   // and directory entry synced before the journal is cut.  kBuffered
   // promises only survival of process death: the page cache already
-  // holds every journaled record, and the rename publishes either the
+  // holds every journaled record, and the exchange publishes either the
   // old checkpoint or the whole new one, so neither fsync buys anything
   // (DESIGN.md section 10).
   const bool durable =

@@ -85,7 +85,7 @@ class DurableControlPlane {
   /// and truncates the journal.  A crash anywhere inside is safe: the
   /// checkpoint's last_seq makes replay skip folded-in records.  Under
   /// SyncMode::kBuffered nothing is fsynced (the mode promises survival
-  /// of process death only, which the rename's atomicity gives);
+  /// of process death only, which the exchange's atomicity gives);
   /// kDurable syncs the journal, the checkpoint and its directory.
   Status Checkpoint();
 

@@ -1,10 +1,13 @@
 #include "storage/io_util.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -55,6 +58,63 @@ Result<size_t> ReadUpTo(int fd, void* buf, size_t n, const char* what) {
     done += static_cast<size_t>(got);
   }
   return done;
+}
+
+Status WriteZeros(int fd, uint64_t offset, uint64_t n, const char* what) {
+  static constexpr size_t kPage = 4096;
+  static constexpr size_t kIovecs = 64;  // 256 KiB per call
+  alignas(kPage) static const uint8_t kZeroPage[kPage] = {};
+  iovec iov[kIovecs];
+  for (iovec& v : iov) {
+    v.iov_base = const_cast<uint8_t*>(kZeroPage);
+    v.iov_len = kPage;
+  }
+  uint64_t done = 0;
+  while (done < n) {
+    if (ConsumeEintr()) {
+      errno = EINTR;
+      continue;
+    }
+    const size_t chunk = ClampChunk(static_cast<size_t>(
+        std::min<uint64_t>(n - done, kIovecs * kPage)));
+    const int count = static_cast<int>((chunk + kPage - 1) / kPage);
+    iov[count - 1].iov_len = chunk - (count - 1) * kPage;
+    ssize_t put = ::pwritev(fd, iov, count,
+                            static_cast<off_t>(offset + done));
+    iov[count - 1].iov_len = kPage;
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      return Errno(what, "pwritev");
+    }
+    if (put == 0) {
+      errno = EIO;
+      return Errno(what, "pwritev");
+    }
+    done += static_cast<uint64_t>(put);
+  }
+  return Status::OK();
+}
+
+Status SyncStream(FILE* f) {
+  if (std::fflush(f) != 0) return Status::IoError("fflush failed");
+  if (::fsync(::fileno(f)) != 0) return Status::IoError("fsync failed");
+  return Status::OK();
+}
+
+Status PublishFile(const std::string& tmp, const std::string& path,
+                   bool sync, const char* what) {
+  if (::renameat2(AT_FDCWD, tmp.c_str(), AT_FDCWD, path.c_str(),
+                  RENAME_EXCHANGE) == 0) {
+    // `tmp` now names the previous file.
+    if (::unlink(tmp.c_str()) != 0) return Errno(what, "unlink");
+  } else if ((errno != ENOENT && errno != EINVAL) ||
+             std::rename(tmp.c_str(), path.c_str()) != 0) {
+    Status failed = Errno(what, "rename");
+    std::remove(tmp.c_str());
+    return failed;
+  }
+  if (sync) return SyncParentDir(path);
+  return Status::OK();
 }
 
 Status SyncParentDir(const std::string& path) {

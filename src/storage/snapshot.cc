@@ -1,8 +1,5 @@
 #include "storage/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 
@@ -18,15 +15,6 @@ constexpr uint32_t kSnapshotMagic = 0x50525053;  // "PRPS"
 void AppendBytes(std::vector<uint8_t>& out, const void* p, size_t n) {
   const uint8_t* b = static_cast<const uint8_t*>(p);
   out.insert(out.end(), b, b + n);
-}
-
-/// Forces a stream's bytes onto the medium.  fclose alone only drains
-/// stdio buffers into the page cache; a crash after it can still erase
-/// the file's contents.
-Status SyncStream(FILE* f) {
-  if (std::fflush(f) != 0) return Status::IoError("fflush failed");
-  if (::fsync(::fileno(f)) != 0) return Status::IoError("fsync failed");
-  return Status::OK();
 }
 
 }  // namespace
@@ -65,29 +53,24 @@ Status WriteSnapshot(const std::string& path, uint32_t value_width,
        (body.size() == half ||
         std::fwrite(body.data() + half, body.size() - half, 1, f) == 1) &&
        std::fwrite(&crc, 4, 1, f) == 1;
-  ok = ok && SyncStream(f).ok();
+  ok = ok && io::SyncStream(f).ok();
   ok = (std::fclose(f) == 0) && ok;
   if (!ok) {
     std::remove(tmp.c_str());
     return Status::IoError("snapshot write failed");
   }
   // Crash simulation: the temp file is complete and synced, but the
-  // process dies before the rename publishes it.  Recovery must still see
-  // the previous snapshot (or none), never the half-installed new one.
+  // process dies before the exchange publishes it.  Recovery must still
+  // see the previous snapshot (or none), never the half-installed new one.
   if (Status crash = faults::HitCrashPoint(faults::kSnapshotPreRenameSync);
       !crash.ok()) {
     std::remove(tmp.c_str());
     return crash;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("snapshot rename failed");
-  }
-  // Make the rename itself durable: without the directory fsync a crash
-  // can roll the directory entry back to the old snapshot — or to a
-  // dangling entry — even though the data blocks were synced.
-  PRORP_RETURN_IF_ERROR(io::SyncParentDir(path));
-  return Status::OK();
+  // The directory fsync makes the publish itself durable: without it a
+  // crash can roll the directory entry back to the old snapshot even
+  // though the data blocks were synced.
+  return io::PublishFile(tmp, path, /*sync=*/true, "snapshot");
 }
 
 Status ReadSnapshot(
@@ -157,7 +140,7 @@ Status CopyFile(const std::string& src, const std::string& dst) {
   }
   ok = !std::ferror(in) && ok;
   std::fclose(in);
-  ok = ok && SyncStream(out).ok();
+  ok = ok && io::SyncStream(out).ok();
   ok = (std::fclose(out) == 0) && ok;
   if (!ok) return Status::IoError("file copy failed");
   // A backup that evaporates on power loss is not a backup: sync the

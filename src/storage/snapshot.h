@@ -18,7 +18,7 @@ struct SnapshotEntry {
 };
 
 /// Writes a checksummed full snapshot of (key, value) pairs to `path`
-/// atomically (temp file + rename).  Format:
+/// atomically (temp file + io::PublishFile).  Format:
 ///   [u32 magic][u32 value_width][u64 count][entries...][u32 crc]
 /// where crc covers everything from value_width through the entries.
 Status WriteSnapshot(const std::string& path, uint32_t value_width,

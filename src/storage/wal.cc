@@ -298,10 +298,13 @@ void WriteAheadLog::FlipBit(uint64_t offset, uint64_t bit) {
 
 Status WriteAheadLog::CutTo(uint64_t offset) {
   Unmap();
-  if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-    return Status::IoError("WAL truncate failed");
+  // Zeroing in place keeps the reserved blocks and their cached pages for
+  // the appends that refill them: no fallocate, no file-system flush.
+  if (written_end_ > offset) {
+    PRORP_RETURN_IF_ERROR(
+        io::WriteZeros(fd_, offset, written_end_ - offset, "WAL truncate"));
   }
-  end_ = written_end_ = file_size_ = offset;
+  end_ = written_end_ = offset;
   return Status::OK();
 }
 

@@ -45,10 +45,17 @@ struct WalRecord {
 /// bytes are in the page cache as soon as the copy returns, so a buffered
 /// append survives process death (not power loss) just as a write(2)
 /// would; Sync() ends in fsync, which also writes back pages dirtied
-/// through the mapping.  Invariants:
+/// through the mapping.
+///
+/// Cut in place.  Truncate() and every rollback overwrite the bytes from
+/// the cut to the last byte written with zeros and keep the file's size:
+/// the reserved blocks and their cached pages serve the appends that
+/// follow, so a checkpoint cycle (fill, cut, refill) makes no fallocate
+/// and no ftruncate, and the zeros reach the disk with the log's next
+/// fsync, as a shrunken size would.  Invariants:
 ///  * bytes past the logical end are zeros or one torn frame prefix,
-///    never a stale intact frame: Truncate() and every rollback cut the
-///    file with ftruncate, and new windows come from fallocate (zeros);
+///    never a stale intact frame: cuts zero what they drop, and new
+///    windows come from fallocate (zeros);
 ///  * SizeBytes() is the logical end, not the preallocated file size;
 ///  * Open() scans the log and appends right behind the last intact
 ///    frame, so a log left by a dead process (zero-filled tail, maybe a
@@ -105,9 +112,10 @@ class WriteAheadLog {
   Status Sync();
 
   /// Cuts the log to its first `size` bytes (default: empties it after a
-  /// checkpoint has captured its effects) and unmaps the tail.  A `size`
-  /// inside a frame models a write torn by a crash: replay stops before
-  /// that frame.  InvalidArgument if `size` exceeds SizeBytes().
+  /// checkpoint has captured its effects) by zeroing the bytes behind it
+  /// in place, and unmaps the tail.  A `size` inside a frame models a
+  /// write torn by a crash: replay stops before that frame.
+  /// InvalidArgument if `size` exceeds SizeBytes().
   Status Truncate(uint64_t size = 0);
 
   /// Replays all intact records in `path` in order.  Returns the number of
@@ -151,8 +159,8 @@ class WriteAheadLog {
   /// Flips one bit of the frame just copied to `offset` (fault kBitFlip).
   void FlipBit(uint64_t offset, uint64_t bit);
 
-  /// Unmaps the tail and cuts the file to `offset`, discarding the bytes
-  /// behind it; the logical end becomes `offset`.
+  /// Unmaps the tail and zeros the bytes written behind `offset`; the
+  /// logical end becomes `offset`.  The file keeps its size.
   Status CutTo(uint64_t offset);
 
   int fd_;

@@ -323,6 +323,41 @@ TEST(CheckpointTest, CrashMidWriteKeepsPreviousCheckpoint) {
   }
 }
 
+// A publish exchanges the new checkpoint with the previous one and then
+// unlinks the previous one: two saves over one path, synced or not, leave
+// one file, and it is the second save.
+TEST(CheckpointTest, SecondSaveReplacesFirstAndLeavesNoTemp) {
+  for (bool sync : {true, false}) {
+    std::string dir = FreshDir(std::string("ckpt_replace_") +
+                               (sync ? "sync" : "nosync"));
+    std::string path = dir + "/c.bin";
+    auto meta = MetadataStore::Open();
+    ASSERT_TRUE(meta.ok());
+    ManagementService svc(
+        meta->get(), SmallConfig(),
+        [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); });
+    ASSERT_TRUE((*meta)->UpsertState(1, DbState::kPhysicallyPaused, 99).ok());
+    ASSERT_TRUE(SaveCheckpoint(path, **meta, svc, 1, 10, sync).ok());
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    ASSERT_TRUE((*meta)->UpsertState(2, DbState::kResumed, 0).ok());
+    ASSERT_TRUE(SaveCheckpoint(path, **meta, svc, 1, 20, sync).ok());
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              1);
+
+    auto meta2 = MetadataStore::Open();
+    ASSERT_TRUE(meta2.ok());
+    ManagementService svc2(
+        meta2->get(), SmallConfig(),
+        [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); });
+    auto loaded = LoadCheckpoint(path, meta2->get(), &svc2);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->last_seq, 20u);
+    EXPECT_EQ((*meta2)->size(), 2u);
+  }
+}
+
 TEST(DurableControlPlaneTest, ColdStartThenEpochsClimbAcrossRestarts) {
   std::string dir = FreshDir("dcp_epochs");
   DurableControlPlane::Options opt;
@@ -615,6 +650,50 @@ TEST(DurableControlPlaneTest, CheckpointPlusSuffixReplaysExactlyOnce) {
   (*plane)->service().Pump(kT0 + 60);
   EXPECT_EQ(resumes, 2);
   EXPECT_TRUE((*plane)->service().AccountingReconciles());
+}
+
+// A crash between a publish's exchange and its unlink leaves the previous
+// checkpoint, intact, under the temp name.  Recovery reads the published
+// checkpoint only.
+TEST(DurableControlPlaneTest, IntactOlderCheckpointInTempIsIgnored) {
+  std::string dir = FreshDir("dcp_ckpt_old_tmp");
+  DurableControlPlane::Options opt;
+  opt.dir = dir;
+  opt.config = SmallConfig();
+  opt.checkpoint_every = 0;  // manual
+  auto ok_cb = [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); };
+  auto not_resumed = [](DbId) { return false; };
+  const std::string tmp = DurableControlPlane::CheckpointPathFor(dir) + ".tmp";
+  {
+    auto plane = DurableControlPlane::Open(opt, ok_cb, not_resumed, kT0);
+    ASSERT_TRUE(plane.ok());
+    for (DbId db = 1; db <= 2; ++db) {
+      ASSERT_TRUE((*plane)->metadata()
+                      .UpsertState(db, DbState::kPhysicallyPaused, 0)
+                      .ok());
+    }
+    ASSERT_TRUE((*plane)->Checkpoint().ok());
+    const std::string older = ReadFileBytes((*plane)->checkpoint_path());
+    ASSERT_TRUE((*plane)
+                    ->metadata()
+                    .UpsertState(3, DbState::kPhysicallyPaused, 0)
+                    .ok());
+    ASSERT_TRUE((*plane)->Checkpoint().ok());
+    std::ofstream(tmp, std::ios::binary) << older;
+  }
+  {
+    // The leftover is a whole, loadable checkpoint of the older state.
+    auto meta = MetadataStore::Open();
+    ASSERT_TRUE(meta.ok());
+    ManagementService svc(meta->get(), SmallConfig(), ok_cb);
+    ASSERT_TRUE(LoadCheckpoint(tmp, meta->get(), &svc).ok());
+    EXPECT_EQ((*meta)->size(), 2u);
+  }
+  auto plane = DurableControlPlane::Open(opt, ok_cb, not_resumed, kT0 + 60);
+  ASSERT_TRUE(plane.ok()) << plane.status().ToString();
+  EXPECT_TRUE((*plane)->recovery_stats().checkpoint_loaded);
+  EXPECT_EQ((*plane)->recovery_stats().replayed, 0u);
+  EXPECT_EQ((*plane)->metadata().size(), 3u);
 }
 
 // A journal append failure (ENOSPC) fences the service: nothing is

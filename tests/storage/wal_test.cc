@@ -263,6 +263,33 @@ TEST(WalTest, SurvivesPartialTransfersAndEintr) {
   std::remove(path.c_str());
 }
 
+TEST(WalTest, TruncateZerosThroughPartialTransfersAndEintr) {
+  // A cut writes its zeros with pwritev: capped at 97 bytes per call
+  // (never a whole page) and interrupted by EINTR, it must still zero
+  // every byte it drops.
+  std::string path = TempPath("wal_partial_cut.log");
+  std::remove(path.c_str());
+  IoFaultGuard guard;
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  for (int64_t k = 1; k <= 1000; ++k) {
+    ASSERT_TRUE((*wal)->Append(Insert(k, std::vector<uint8_t>(64, 0x77)))
+                    .ok());
+  }
+  const uint64_t first = 4 + 1 + 8 + 4 + 64 + 4;
+  io::SetMaxBytesPerCallForTest(97);
+  io::SetEintrBurstForTest(25);
+  ASSERT_TRUE((*wal)->Truncate(first).ok());
+  io::ResetIoFaultsForTest();
+  ASSERT_TRUE((*wal)->Append(Insert(-1, {0x01})).ok());
+  const std::string image = ProcessDeathImage(path, "wal_partial_cut.img");
+  EXPECT_TRUE(ZerosFrom(ReadFileBytes(image), *(*wal)->SizeBytes()));
+  EXPECT_EQ(ReplayKeys(image), (std::vector<int64_t>{1, -1}));
+  wal->reset();
+  std::remove(path.c_str());
+  std::remove(image.c_str());
+}
+
 TEST(WalTest, ReplayTrimsTornTailSoNewAppendsAreReadable) {
   // Regression: Replay used to skip the torn tail but leave it in the
   // file; the next Append (O_APPEND) landed behind the garbage, so every
@@ -431,6 +458,50 @@ TEST(WalTest, TruncateLeavesNoFrameFromBeforeIt) {
   EXPECT_EQ(ReplayKeys(image), (std::vector<int64_t>{100}));
   wal->reset();
   EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{100}));
+  std::remove(path.c_str());
+  std::remove(image.c_str());
+}
+
+TEST(WalTest, TruncateAcrossWindowsZerosInPlaceAndKeepsReservation) {
+  // More than one mapped window of same-size frames, cut to empty, then
+  // a few new frames: a cut that left the old bytes in place would let
+  // the old frames replay right behind the new ones.
+  constexpr int64_t kOld = 2000;
+  constexpr int64_t kNew = 5;
+  std::string path = TempPath("wal_truncate_windows.log");
+  std::remove(path.c_str());
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  for (int64_t k = 1; k <= kOld; ++k) {
+    std::vector<uint8_t> value(64, static_cast<uint8_t>(k));
+    ASSERT_TRUE((*wal)->Append(Insert(k, value)).ok());
+  }
+  ASSERT_GT(*(*wal)->SizeBytes(), WriteAheadLog::kTailChunk);
+  const uint64_t reserved = std::filesystem::file_size(path);
+  ASSERT_GE(reserved, *(*wal)->SizeBytes());
+
+  ASSERT_TRUE((*wal)->Truncate(0).ok());
+  EXPECT_EQ(*(*wal)->SizeBytes(), 0u);
+  EXPECT_EQ(std::filesystem::file_size(path), reserved);
+  std::vector<int64_t> want;
+  for (int64_t k = -1; k >= -kNew; --k) {
+    std::vector<uint8_t> value(64, 0x5a);
+    ASSERT_TRUE((*wal)->Append(Insert(k, value)).ok());
+    want.push_back(k);
+  }
+  const uint64_t size = *(*wal)->SizeBytes();
+  EXPECT_EQ(std::filesystem::file_size(path), reserved);
+
+  const std::string image =
+      ProcessDeathImage(path, "wal_truncate_windows.img");
+  const std::string bytes = ReadFileBytes(image);
+  EXPECT_EQ(bytes.size(), reserved);
+  EXPECT_TRUE(ZerosFrom(bytes, size));
+  EXPECT_EQ(ReplayKeys(image), want);
+
+  wal->reset();
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  EXPECT_EQ(ReplayKeys(path), want);
   std::remove(path.c_str());
   std::remove(image.c_str());
 }
