@@ -296,21 +296,7 @@ int Run(bool smoke, std::string out_path) {
 }  // namespace prorp::bench
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_failover.json";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg == "--no-out") {
-      out_path.clear();
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--out=PATH | --no-out]\n", argv[0]);
-      return 2;
-    }
-  }
-  return prorp::bench::Run(smoke, std::move(out_path));
+  auto args = prorp::bench::ParseBenchArgs(argc, argv, "BENCH_failover.json");
+  if (!args) return 2;
+  return prorp::bench::Run(args->smoke, std::move(args->out_path));
 }

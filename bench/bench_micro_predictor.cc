@@ -176,15 +176,8 @@ int Run(const std::string& out_path) {
 }  // namespace prorp::bench
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::fprintf(stderr, "usage: %s [--out=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
-  return prorp::bench::Run(out_path);
+  auto args =
+      prorp::bench::ParseBenchArgs(argc, argv, "", /*with_smoke=*/false);
+  if (!args) return 2;
+  return prorp::bench::Run(args->out_path);
 }

@@ -2,18 +2,20 @@
 #define PRORP_BENCH_BENCH_UTIL_H_
 
 // Shared setup for the bench harnesses: allocation and RSS counters, fleet
-// and arm helpers over the fleet simulator, and the micro harnesses' JSON
-// output.
+// and arm helpers over the fleet simulator, and the timed harnesses'
+// command line and JSON output.
 
 #include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -246,18 +248,109 @@ inline void PrintHeader(const char* figure, const char* claim) {
 }
 
 // ---------------------------------------------------------------------------
-// Machine-readable microbench output (BENCH_*.json).
+// Command line and machine-readable output (BENCH_*.json).
 //
-// The micro harnesses persist one JSON document per run so the perf
-// trajectory of the storage hot path is diffable across PRs instead of
-// living in scrollback.  The schema is intentionally flat: one row per
-// workload plus a "derived" map of cross-workload ratios (speedups) that
-// the CI smoke gate asserts on.
+// The timed harnesses persist one JSON document per run so the perf
+// trajectory is diffable across PRs instead of living in scrollback.  The
+// schema is intentionally flat: one row per workload plus a "derived" map
+// of cross-workload ratios (speedups) that the CI smoke gates assert on.
 // ---------------------------------------------------------------------------
+
+/// The command line of a bench that writes a BENCH_*.json.
+struct BenchArgs {
+  bool smoke = false;
+  std::string out_path;  // empty: write no JSON
+};
+
+/// Parses `[--smoke] [--out=PATH | --no-out]`, or `[--out=PATH]` alone
+/// without `with_smoke`; the JSON goes to `default_out` unless told
+/// otherwise.  Prints the usage and returns nullopt on any other argument.
+inline std::optional<BenchArgs> ParseBenchArgs(int argc, char** argv,
+                                               std::string default_out,
+                                               bool with_smoke = true) {
+  BenchArgs args;
+  args.out_path = std::move(default_out);
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (with_smoke && arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg.rfind("--out=", 0) == 0) {
+      args.out_path = arg.substr(6);
+    } else if (with_smoke && arg == "--no-out") {
+      args.out_path.clear();
+    } else {
+      std::fprintf(stderr, "usage: %s %s\n", argv[0],
+                   with_smoke ? "[--smoke] [--out=PATH | --no-out]"
+                              : "[--out=PATH]");
+      return std::nullopt;
+    }
+  }
+  return args;
+}
+
+/// printf into a std::string (one JSON row or member).
+[[gnu::format(printf, 1, 2)]] inline std::string StrPrintf(const char* fmt,
+                                                           ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list copy;
+  va_copy(copy, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, copy);
+  va_end(copy);
+  std::string out(n > 0 ? static_cast<size_t>(n) : 0, '\0');
+  if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
+}
+
+/// Writes one BENCH_*.json document at `path`: `benchmark` and `mode`,
+/// then the `extra` top-level members (rendered `"key": value`), the
+/// process's peak RSS and allocation count, the rendered `rows` as the
+/// "results" array and the `derived` ratios.  Returns false (after
+/// printing to stderr) if the file cannot be opened or the final flush
+/// fails (e.g. ENOSPC); the numbers on stdout are unaffected.
+inline bool WriteBenchJson(
+    const std::string& path, const std::string& benchmark,
+    const std::string& mode, const std::vector<std::string>& extra,
+    const std::vector<std::string>& rows,
+    const std::vector<std::pair<std::string, double>>& derived) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n  \"mode\": \"%s\",\n",
+               benchmark.c_str(), mode.c_str());
+  for (const std::string& member : extra) {
+    std::fprintf(f, "  %s,\n", member.c_str());
+  }
+  // Process-wide resource footprint at write time: peak RSS always,
+  // allocation count when the counting allocator is active (0 under
+  // sanitizers = not measured).
+  std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n  \"allocations\": %llu,\n",
+               static_cast<unsigned long long>(PeakRssBytes()),
+               static_cast<unsigned long long>(AllocationCount()));
+  std::fprintf(f, "  \"results\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(f, "    %s%s\n", rows[i].c_str(),
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"derived\": {\n");
+  for (size_t i = 0; i < derived.size(); ++i) {
+    std::fprintf(f, "    \"%s\": %.3f%s\n", derived[i].first.c_str(),
+                 derived[i].second, i + 1 < derived.size() ? "," : "");
+  }
+  std::fprintf(f, "  }\n}\n");
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
 
 /// One measured workload of a micro harness.
 struct MicroResult {
-  std::string name;    // e.g. "wal_append_group_sync" — snake_case, no quotes
+  std::string name;    // e.g. "wal_append_nosync" — snake_case, no quotes
   int threads = 1;     // concurrent worker threads driving the workload
   double ops = 0;      // total operations completed across all threads
   double seconds = 0;  // wall-clock duration of the measured region
@@ -275,49 +368,22 @@ inline void PrintMicroRow(const MicroResult& r) {
               r.p95_us, r.p99_us);
 }
 
-/// Writes `results` (+ derived ratios) as a JSON document at `path`.
-/// Returns false (after printing to stderr) if the file cannot be opened
-/// or the final flush fails (e.g. ENOSPC); the numbers on stdout are
-/// unaffected.
+/// WriteBenchJson over MicroResult rows.
 inline bool WriteMicroJson(
     const std::string& path, const std::string& benchmark,
     const std::string& mode, const std::vector<MicroResult>& results,
     const std::vector<std::pair<std::string, double>>& derived) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
+  std::vector<std::string> rows;
+  rows.reserve(results.size());
+  for (const MicroResult& r : results) {
+    rows.push_back(StrPrintf(
+        "{\"name\": \"%s\", \"threads\": %d, \"ops\": %.0f, "
+        "\"seconds\": %.6f, \"ops_per_sec\": %.1f, "
+        "\"p50_us\": %.3f, \"p95_us\": %.3f, \"p99_us\": %.3f}",
+        r.name.c_str(), r.threads, r.ops, r.seconds, r.ops_per_sec(),
+        r.p50_us, r.p95_us, r.p99_us));
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n  \"mode\": \"%s\",\n",
-               benchmark.c_str(), mode.c_str());
-  // Process-wide resource footprint at write time: peak RSS always,
-  // allocation count when the counting allocator is active (0 under
-  // sanitizers = not measured).
-  std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n  \"allocations\": %llu,\n",
-               static_cast<unsigned long long>(PeakRssBytes()),
-               static_cast<unsigned long long>(AllocationCount()));
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const MicroResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"threads\": %d, \"ops\": %.0f, "
-                 "\"seconds\": %.6f, \"ops_per_sec\": %.1f, "
-                 "\"p50_us\": %.3f, \"p95_us\": %.3f, \"p99_us\": %.3f}%s\n",
-                 r.name.c_str(), r.threads, r.ops, r.seconds, r.ops_per_sec(),
-                 r.p50_us, r.p95_us, r.p99_us,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"derived\": {\n");
-  for (size_t i = 0; i < derived.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.3f%s\n", derived[i].first.c_str(),
-                 derived[i].second, i + 1 < derived.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  if (std::fclose(f) != 0) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return WriteBenchJson(path, benchmark, mode, {}, rows, derived);
 }
 
 }  // namespace prorp::bench

@@ -149,70 +149,6 @@ struct SimEvent {
   SimEventType type;
   DbId db;
   uint64_t aux;  // session index or generation stamp
-
-  bool operator>(const SimEvent& other) const {
-    if (time != other.time) return time > other.time;
-    return seq > other.seq;
-  }
-};
-
-/// The simulator's event queue behind a backend switch: the hierarchical
-/// timer wheel by default, or the legacy global binary heap as a
-/// differential-testing oracle (SimOptions::use_legacy_event_heap).  Both
-/// backends expose the same tick-at-a-time drain, and both deliver the
-/// strict (time, seq) order of the original std::priority_queue loop, so
-/// the surrounding simulation code cannot tell them apart.
-class EventQueue {
- public:
-  explicit EventQueue(bool legacy) : legacy_(legacy) {}
-
-  void Push(const SimEvent& e) {
-    if (legacy_) {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), Greater{});
-    } else {
-      wheel_.Push(e);
-    }
-  }
-
-  /// Appends every event of the earliest pending tick to `*out`
-  /// (ascending seq); false when empty.
-  bool PopNextTick(std::vector<SimEvent>* out) {
-    if (!legacy_) return wheel_.PopNextTick(out);
-    if (heap_.empty()) return false;
-    EpochSeconds t = heap_.front().time;
-    while (!heap_.empty() && heap_.front().time == t) {
-      std::pop_heap(heap_.begin(), heap_.end(), Greater{});
-      out->push_back(heap_.back());
-      heap_.pop_back();
-    }
-    // Post-storm shrink: a login storm can balloon the heap by orders of
-    // magnitude; once the backlog drains, give the capacity back instead
-    // of holding the high-water mark for the rest of the run.
-    if (heap_.capacity() > kHeapShrinkCapacity &&
-        heap_.size() < heap_.capacity() / 4) {
-      heap_.shrink_to_fit();
-    }
-    return true;
-  }
-
-  size_t MemoryBytes() const {
-    return legacy_ ? heap_.capacity() * sizeof(SimEvent)
-                   : wheel_.MemoryBytes();
-  }
-
- private:
-  struct Greater {
-    bool operator()(const SimEvent& a, const SimEvent& b) const {
-      return a > b;
-    }
-  };
-
-  static constexpr size_t kHeapShrinkCapacity = 4096;
-
-  bool legacy_;
-  std::vector<SimEvent> heap_;
-  TimerWheel<SimEvent> wheel_;
 };
 
 /// One discrete-event simulation over the whole fleet.
@@ -229,8 +165,7 @@ class FleetSimulation {
       : source_(&source),
         num_dbs_(source.num_dbs()),
         options_(options),
-        rng_(options.seed),
-        queue_(options.use_legacy_event_heap) {}
+        rng_(options.seed) {}
 
   Result<SimReport> Run();
 
@@ -239,8 +174,8 @@ class FleetSimulation {
     SimEvent e{time, seq_++, type, db, aux};
     // A handler pushing into the tick being processed (an inline resume
     // completing "now") appends to the tick buffer: its seq is larger
-    // than every event already buffered, which is exactly where the
-    // legacy priority queue would have popped it.
+    // than every event already buffered, which is exactly where a strict
+    // (time, seq) priority queue would pop it.
     if (time <= tick_time_) {
       tick_.push_back(e);
     } else {
@@ -362,7 +297,7 @@ class FleetSimulation {
   SimOptions options_;
   Rng rng_;
 
-  EventQueue queue_;
+  TimerWheel<SimEvent> queue_;
   uint64_t seq_ = 0;
   /// Events of the tick currently being processed, ascending seq;
   /// handlers may append same-tick events while it drains.
@@ -1003,6 +938,10 @@ Result<SimReport> FleetSimulation::Run() {
   if (options_.num_threads != 1) {
     return Status::InvalidArgument("SimOptions.num_threads must be 1");
   }
+  if (options_.use_legacy_event_heap) {
+    return Status::InvalidArgument(
+        "SimOptions.use_legacy_event_heap must be false");
+  }
   if (options_.control_plane_crash_at > 0 &&
       options_.control_plane_journal_dir.empty()) {
     return Status::InvalidArgument(
@@ -1171,9 +1110,9 @@ Result<SimReport> FleetSimulation::Run() {
   Push(measure_from > 0 ? measure_from : options_.end - 1,
        SimEventType::kAllocationSample, 0, 0);
 
-  // The unified tick-drain loop: both backends hand over one virtual
-  // second of events at a time, ascending seq; handlers appending to the
-  // current tick extend the same pass.  Indexing (not iterators) because
+  // The tick-drain loop: the wheel hands over one virtual second of
+  // events at a time, ascending seq; handlers appending to the current
+  // tick extend the same pass.  Indexing (not iterators) because
   // tick_ may reallocate mid-loop.
   bool done = false;
   while (!done && queue_.PopNextTick(&tick_)) {
@@ -1246,7 +1185,7 @@ Result<SimReport> FleetSimulation::Run() {
       }
     }
     tick_time_ = -1;
-    // Same post-storm policy as the queue backends: a tick inflated by a
+    // Same post-storm policy as the wheel's slots: a tick inflated by a
     // synchronized herd must not pin its capacity forever.
     if (tick_.capacity() > 4096 && tick_.size() < tick_.capacity() / 4) {
       std::vector<SimEvent>().swap(tick_);

@@ -158,10 +158,9 @@ struct SimOptions {
   DurationSeconds node_crash_duration = 0;
 
   // --- Scale layer (DESIGN.md section 13) ---
-  /// Event-queue backend.  false (default): the hierarchical timer wheel
-  /// (O(1) push, next-tick jump, post-storm slot shrink).  true: the
-  /// legacy global binary heap, kept as the differential-testing oracle —
-  /// bit-identical output, just slower and cache-colder at scale.
+  /// Must be false: the event queue is always the hierarchical timer
+  /// wheel (RunFleetSimulation rejects true).  Deleted once perfbench
+  /// stops naming it.
   bool use_legacy_event_heap = false;
 
   /// Telemetry detail.  kFull buffers every fleet event in the report's

@@ -11,8 +11,8 @@
 
 namespace prorp::sim {
 
-/// Hierarchical timer wheel over a 1-second virtual-time tick, the
-/// replacement for the fleet simulator's global binary event heap.
+/// Hierarchical timer wheel over a 1-second virtual-time tick: the fleet
+/// simulator's event queue.
 ///
 /// Three levels of 2048 slots each with power-of-two widths (1 s, 2048 s
 /// ~ 34 min, 2048^2 s ~ 48.5 days) cover horizons up to 2048^3 s
@@ -29,15 +29,16 @@ namespace prorp::sim {
 /// for hours of virtual time) and cascades at most one upper-level slot
 /// per call, so amortized cost per event is O(levels).
 ///
-/// Determinism contract (what makes wheel runs bit-identical to the
-/// legacy heap): the heap pops events in strict (time, seq) order, seq
-/// being the global push counter.  The wheel reproduces that order
-/// because (a) PopNextTick always drains the globally earliest pending
-/// time, (b) a drained slot is sorted by seq before being handed out, and
-/// (c) an upper-level slot whose window STARTS at the next L0 deadline is
-/// cascaded before that L0 slot is drained, so same-time events split
-/// across levels are reunited in one slot before the seq sort.  See
-/// DESIGN.md section 13 for the full argument.
+/// Determinism contract: events come out in strict (time, seq) order, seq
+/// being the global push counter, exactly as from a binary heap keyed on
+/// (time, seq).  The wheel keeps that order because (a) PopNextTick
+/// always drains the globally earliest pending time, (b) a drained slot
+/// is sorted by seq before being handed out, and (c) an upper-level slot
+/// whose window STARTS at the next L0 deadline is cascaded before that L0
+/// slot is drained, so same-time events split across levels are reunited
+/// in one slot before the seq sort.  TimerWheelTest checks the order
+/// against a reference priority queue; DESIGN.md section 13 has the full
+/// argument.
 ///
 /// `Event` must expose `int64_t time` and a unique, monotonically
 /// assigned `uint64_t seq`.

@@ -269,6 +269,22 @@ TEST(FleetSimulatorTest, RejectsThreadCountOtherThanOne) {
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 }
 
+TEST(FleetSimulatorTest, RejectsLegacyEventHeap) {
+  // The event queue is always the timer wheel; use_legacy_event_heap
+  // survives only as a field that must read false.
+  auto traces = workload::GenerateFleet(workload::RegionEU1(), 20, kT0,
+                                        kEnd, 11);
+  SimOptions options = BaseOptions(PolicyMode::kReactive);
+  options.use_legacy_event_heap = true;
+  auto rejected = RunFleetSimulation(traces, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
+  options.use_legacy_event_heap = false;
+  auto report = RunFleetSimulation(traces, options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+}
+
 TEST(FleetSimulatorTest, HistoryStaysCompact) {
   auto traces = workload::GenerateFleet(workload::RegionEU1(), 60, kT0,
                                         kEnd, 3);

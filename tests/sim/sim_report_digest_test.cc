@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,8 +62,9 @@ class Fnv1a {
   uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-uint64_t Digest(const SimReport& r) {
-  Fnv1a h;
+/// Everything a run reports except event_queue_bytes, the event queue's
+/// own memory footprint.
+void AddBehaviour(Fnv1a& h, const SimReport& r) {
   const telemetry::KpiReport& k = r.kpi;
   for (uint64_t v : {k.logins_total, k.logins_available, k.logins_reactive,
                      k.logical_pauses, k.physical_pauses, k.proactive_resumes,
@@ -142,7 +144,18 @@ uint64_t Digest(const SimReport& r) {
   h.Add(r.login_delay_hist);
   h.Add(r.history_tuples_hist);
   h.Add(r.history_bytes_hist);
+}
+
+uint64_t Digest(const SimReport& r) {
+  Fnv1a h;
+  AddBehaviour(h, r);
   h.Add(r.event_queue_bytes);
+  return h.value();
+}
+
+uint64_t BehaviourDigest(const SimReport& r) {
+  Fnv1a h;
+  AddBehaviour(h, r);
   return h.value();
 }
 
@@ -291,6 +304,109 @@ TEST(SimReportDigestTest, OtherRegionsAreBitIdentical) {
           << name << ": digest 0x" << std::hex << digest;
     }
   }
+}
+
+// The Oracle* cells are the twelve runs that cross-checked the timer wheel
+// against a global binary-heap event queue: 35-day fleets measured over
+// their last five days.  Each constant is the behaviour digest (all but
+// event_queue_bytes, which only describes the queue) that both queues
+// produced, so the cells keep that cross-check's verdict now that the
+// simulator has one queue.
+constexpr EpochSeconds kOracleMeasureFrom = kT0 + Days(30);
+constexpr EpochSeconds kOracleEnd = kT0 + Days(35);
+
+SimOptions OracleOptions(PolicyMode mode, uint64_t seed = 7) {
+  SimOptions options;
+  options.mode = mode;
+  options.measure_from = kOracleMeasureFrom;
+  options.end = kOracleEnd;
+  options.seed = seed;
+  return options;
+}
+
+void ExpectOracleDigest(const std::vector<workload::DbTrace>& traces,
+                        const SimOptions& options, uint64_t expected,
+                        const std::string& name) {
+  auto r = RunFleetSimulation(traces, options);
+  ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+  const uint64_t digest = BehaviourDigest(*r);
+  EXPECT_EQ(digest, expected) << name << ": digest 0x" << std::hex << digest;
+}
+
+TEST(SimReportDigestTest, OracleAllModesAndRegions) {
+  struct ModeCell {
+    PolicyMode mode;
+    uint64_t eu1;
+    uint64_t us1;
+  };
+  const ModeCell cells[] = {
+      {PolicyMode::kReactive, 0xb06082f8c511e9d4ULL, 0x57f94e0fe81e6eacULL},
+      {PolicyMode::kProactive, 0xc76d3e429b8abbf8ULL, 0xe286cfecc20d747cULL},
+      {PolicyMode::kAlwaysOn, 0x0ef29c529b9294c0ULL, 0x73a9ecaa7cecd407ULL},
+  };
+  for (const ModeCell& cell : cells) {
+    for (const auto& profile : {workload::RegionEU1(), workload::RegionUS1()}) {
+      auto traces = workload::GenerateFleet(profile, 40, kT0, kOracleEnd, 11);
+      ExpectOracleDigest(
+          traces, OracleOptions(cell.mode),
+          profile.name == workload::RegionEU1().name ? cell.eu1 : cell.us1,
+          profile.name + " " + std::string(policy::PolicyModeName(cell.mode)));
+    }
+  }
+}
+
+TEST(SimReportDigestTest, OracleAcrossSeeds) {
+  auto traces = workload::GenerateFleet(workload::RegionEU2(), 40, kT0,
+                                        kOracleEnd, 23);
+  const std::pair<uint64_t, uint64_t> seeds[] = {
+      {1, 0x175e77e136b70c0dULL},
+      {7, 0x8afd194316bf81d7ULL},
+      {99, 0xe2d6b7034d5e24afULL}};
+  for (const auto& [seed, expected] : seeds) {
+    SimOptions options = OracleOptions(PolicyMode::kProactive, seed);
+    options.eviction_per_hour = 0.2;
+    ExpectOracleDigest(traces, options, expected,
+                       "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SimReportDigestTest, OracleUnderNodeOutages) {
+  auto traces = workload::GenerateFleet(workload::RegionUS2(), 40, kT0,
+                                        kOracleEnd, 5);
+  SimOptions options = OracleOptions(PolicyMode::kProactive);
+  options.num_nodes = 4;
+  options.outage_rate_per_day = 1.0;
+  options.outage_duration = Minutes(20);
+  options.resume_failure_probability = 0.05;
+  ExpectOracleDigest(traces, options, 0x3a68b049e02f42ceULL, "outages");
+}
+
+TEST(SimReportDigestTest, OracleUnderResumeStorm) {
+  auto traces = workload::GenerateFleet(workload::RegionEU1(), 40, kT0,
+                                        kOracleEnd, 9);
+  SimOptions options = OracleOptions(PolicyMode::kProactive);
+  options.resume_concurrency_per_node = 2;
+  options.node_admission_rate = 0.5;
+  options.fleet_outage_at = kOracleMeasureFrom + Days(1);
+  options.fleet_outage_duration = Minutes(30);
+  ExpectOracleDigest(traces, options, 0x43bebb6dfe195255ULL, "storm");
+}
+
+TEST(SimReportDigestTest, OracleUnderControlPlaneCrash) {
+  auto traces = workload::GenerateFleet(workload::RegionEU1(), 30, kT0,
+                                        kOracleEnd, 13);
+  const std::string dir = testing::TempDir() + "/sim_digest_oracle_journal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SimOptions options = OracleOptions(PolicyMode::kProactive);
+  options.control_plane_crash_at = kOracleMeasureFrom + Days(2);
+  options.control_plane_journal_dir = dir;
+  auto r = RunFleetSimulation(traces, options);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GE(r->control_plane_recoveries, 1u);
+  const uint64_t digest = BehaviourDigest(*r);
+  EXPECT_EQ(digest, 0x0eeb9a33e79e1d3dULL) << "digest 0x" << std::hex << digest;
 }
 
 }  // namespace
