@@ -85,18 +85,4 @@ std::vector<CdfPoint> BuildCdf(const Summary& summary, size_t max_points) {
   return cdf;
 }
 
-std::string FormatCdf(const std::vector<CdfPoint>& cdf,
-                      const std::string& value_label) {
-  std::string out;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%20s  %8s\n", value_label.c_str(), "CDF");
-  out += buf;
-  for (const CdfPoint& p : cdf) {
-    std::snprintf(buf, sizeof(buf), "%20.2f  %7.1f%%\n", p.value,
-                  p.cumulative_fraction * 100.0);
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace prorp

@@ -59,11 +59,6 @@ struct CdfPoint {
 std::vector<CdfPoint> BuildCdf(const Summary& summary,
                                size_t max_points = 20);
 
-/// Renders a CDF as fixed-width text rows "value  fraction" for bench
-/// output.
-std::string FormatCdf(const std::vector<CdfPoint>& cdf,
-                      const std::string& value_label);
-
 }  // namespace prorp
 
 #endif  // PRORP_COMMON_STATS_H_

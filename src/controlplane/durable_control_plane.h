@@ -50,11 +50,12 @@ class DurableControlPlane {
     uint64_t checkpoint_every = 256;
     /// Optional fault plan injected into the journal's WAL I/O.
     faults::FaultPlan* fault_plan = nullptr;
-    /// Storage of the metadata store.  kIndexOnly drops the SQL mirror of
-    /// sys.databases (MetadataStore::Backing); journal, checkpoints and
-    /// recovery are the same under both.
+    /// Storage of the metadata store (MetadataStore::Backing).  The
+    /// default keeps no SQL mirror of sys.databases; kSqlMirrored opens
+    /// one for the literal-SQL scan.  Journal, checkpoints and recovery
+    /// are the same under both.
     MetadataStore::Backing metadata_backing =
-        MetadataStore::Backing::kSqlMirrored;
+        MetadataStore::Backing::kIndexOnly;
   };
 
   struct RecoveryStats {

@@ -73,50 +73,6 @@ Result<JournalRecord> Decode(const storage::WalRecord& wr) {
 
 }  // namespace
 
-std::string_view JournalEventName(JournalEvent event) {
-  switch (event) {
-    case JournalEvent::kEpochStart:
-      return "epoch_start";
-    case JournalEvent::kMetaUpsert:
-      return "meta_upsert";
-    case JournalEvent::kMetaRemove:
-      return "meta_remove";
-    case JournalEvent::kAccepted:
-      return "accepted";
-    case JournalEvent::kAdmissionShed:
-      return "admission_shed";
-    case JournalEvent::kEvicted:
-      return "evicted";
-    case JournalEvent::kRetired:
-      return "retired";
-    case JournalEvent::kDispatched:
-      return "dispatched";
-    case JournalEvent::kOutcomeOk:
-      return "outcome_ok";
-    case JournalEvent::kOutcomeFailed:
-      return "outcome_failed";
-    case JournalEvent::kHedge:
-      return "hedge";
-    case JournalEvent::kCompleted:
-      return "completed";
-    case JournalEvent::kBreaker:
-      return "breaker";
-    case JournalEvent::kStormStart:
-      return "storm_start";
-    case JournalEvent::kStormEnd:
-      return "storm_end";
-    case JournalEvent::kIteration:
-      return "iteration";
-    case JournalEvent::kReconcileComplete:
-      return "reconcile_complete";
-    case JournalEvent::kReconcileRequeue:
-      return "reconcile_requeue";
-    case JournalEvent::kNodeDead:
-      return "node_dead";
-  }
-  return "unknown";
-}
-
 Result<std::unique_ptr<ControlPlaneJournal>> ControlPlaneJournal::Open(
     const std::string& path, SyncMode mode) {
   PRORP_ASSIGN_OR_RETURN(auto wal, storage::WriteAheadLog::Open(path));

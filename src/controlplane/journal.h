@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -46,8 +45,6 @@ enum class JournalEvent : uint8_t {
   kReconcileRequeue = 18,   // recovery: unacked dispatch found not resumed
   kNodeDead = 19,           // failure detector declared a node dead
 };
-
-std::string_view JournalEventName(JournalEvent event);
 
 // Flag bits of JournalRecord::flags (meaning depends on the event).
 inline constexpr uint32_t kJfHedge = 1u << 0;       // attempt was a hedge

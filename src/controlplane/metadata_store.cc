@@ -209,12 +209,4 @@ std::vector<MetadataStore::ExportedEntry> MetadataStore::Export() const {
   return out;
 }
 
-uint64_t MetadataStore::CountInState(policy::DbState state) const {
-  uint64_t n = 0;
-  for (const Entry& entry : entries_) {
-    if (entry.present && entry.state == state) ++n;
-  }
-  return n;
-}
-
 }  // namespace prorp::controlplane

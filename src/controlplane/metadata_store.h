@@ -30,27 +30,27 @@ struct MissedResume {
 /// The metadata store of the Management Service: the sys.databases table
 /// Algorithm 5 queries (database_id, state, start_of_pred_activity).
 ///
-/// Two query paths are maintained and kept consistent:
-///  * the faithful SQL table, scanned exactly per Algorithm 5 lines 2-6
-///    (SelectDueForResumeSql), and
+/// Two query paths answer Algorithm 5's selection:
 ///  * an ordered secondary index on (start_of_pred_activity, database_id)
 ///    restricted to physically paused databases (SelectDueForResume) — the
 ///    production-grade access path that makes a once-a-minute scan over
-///    hundreds of thousands of databases cheap.
+///    hundreds of thousands of databases cheap, and
+///  * the faithful SQL table, scanned exactly per Algorithm 5 lines 2-6
+///    (SelectDueForResumeSql), kept only under Backing::kSqlMirrored as
+///    the oracle of the index.
 /// Property tests assert the two return identical sets.
 class MetadataStore {
  public:
-  /// Which storage backs the store.  kSqlMirrored (default) maintains
-  /// the faithful sys.databases SQL table alongside the in-memory entry
-  /// map and resume index.  kIndexOnly drops the SQL mirror — every
-  /// query answered from the entry map / index stays bit-identical, but
-  /// SelectDueForResumeSql becomes unavailable.  Million-database scale
-  /// runs use kIndexOnly: the per-transition SQL upsert dominates the
-  /// simulator's hot loop otherwise.
+  /// Which storage backs the store.  kIndexOnly (default) keeps the
+  /// in-memory entry map and resume index only; every query except
+  /// SelectDueForResumeSql is answered from them.  kSqlMirrored also
+  /// maintains the faithful sys.databases SQL table, with one SQL upsert
+  /// per transition, so that SelectDueForResumeSql can scan it.  Open it
+  /// only where that literal scan is read.
   enum class Backing { kSqlMirrored, kIndexOnly };
 
   static Result<std::unique_ptr<MetadataStore>> Open(
-      Backing backing = Backing::kSqlMirrored);
+      Backing backing = Backing::kIndexOnly);
 
   MetadataStore(const MetadataStore&) = delete;
   MetadataStore& operator=(const MetadataStore&) = delete;
@@ -67,6 +67,7 @@ class MetadataStore {
                                                DurationSeconds period) const;
 
   /// The same selection as a literal SQL scan of sys.databases.
+  /// FailedPrecondition unless the store was opened kSqlMirrored.
   Result<std::vector<DbId>> SelectDueForResumeSql(
       EpochSeconds now, DurationSeconds k, DurationSeconds period) const;
 
@@ -87,9 +88,6 @@ class MetadataStore {
   /// Deletes the database's row, entry, and index slot (customer dropped
   /// the database).  Deleting an unknown id is a no-op.
   Status Remove(DbId db);
-
-  /// Number of databases currently in the given state.
-  uint64_t CountInState(policy::DbState state) const;
 
   uint64_t size() const { return live_; }
 

@@ -51,7 +51,6 @@ void NodeHealthTracker::OnRenewalSent(uint32_t node, EpochSeconds sent_at,
 void NodeHealthTracker::OnLeaseGrant(uint32_t node, DurationSeconds latency,
                                      EpochSeconds now) {
   NodeState& st = Ensure(node, now);
-  ++st.grants;
   st.last_grant_at = now;
   PushLatency(st, latency);
   if (st.health == NodeHealth::kSuspect && !Slow(st)) {
@@ -119,37 +118,11 @@ NodeHealth NodeHealthTracker::health(uint32_t node) const {
   return it == nodes_.end() ? NodeHealth::kHealthy : it->second.health;
 }
 
-EpochSeconds NodeHealthTracker::fence_safe_at(uint32_t node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? 0 : it->second.fence_safe_at;
-}
-
-bool NodeHealthTracker::DeadAndFenced(uint32_t node,
-                                      EpochSeconds now) const {
-  auto it = nodes_.find(node);
-  return it != nodes_.end() && it->second.health == NodeHealth::kDead &&
-         now > it->second.fence_safe_at;
-}
-
 std::vector<uint32_t> NodeHealthTracker::TakeNewlyDead() {
   std::vector<uint32_t> out;
   out.swap(newly_dead_);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-uint64_t NodeHealthTracker::lease_grants(uint32_t node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? 0 : it->second.grants;
-}
-
-DurationSeconds NodeHealthTracker::LatencyP99(uint32_t node) const {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end() ||
-      it->second.ring_n < options_.min_latency_samples) {
-    return 0;
-  }
-  return RingP99(it->second);
 }
 
 }  // namespace prorp::controlplane

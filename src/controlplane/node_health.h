@@ -104,23 +104,9 @@ class NodeHealthTracker {
     return health(node) == NodeHealth::kHealthy;
   }
 
-  /// Latest instant the node could still believe it holds a lease.
-  EpochSeconds fence_safe_at(uint32_t node) const;
-
-  /// Dead AND past its fence-safe bound: dispatches for its databases
-  /// may be diverted to survivors without double-live risk.
-  bool DeadAndFenced(uint32_t node, EpochSeconds now) const;
-
   /// Drains the nodes declared dead since the last call (ascending node
   /// id) — the failover engine's work feed.
   std::vector<uint32_t> TakeNewlyDead();
-
-  /// Per-node grant counter (the dispatcher's aggregate, disaggregated).
-  uint64_t lease_grants(uint32_t node) const;
-
-  /// Current p99 latency score of the node's reply ring (0 when the
-  /// ring is under-filled).
-  DurationSeconds LatencyP99(uint32_t node) const;
 
   const Stats& stats() const { return stats_; }
 
@@ -134,7 +120,6 @@ class NodeHealthTracker {
     EpochSeconds fence_safe_at = 0;
     EpochSeconds suspected_at = 0;
     EpochSeconds died_at = 0;
-    uint64_t grants = 0;
     std::array<DurationSeconds, kRingSize> ring{};
     int ring_n = 0;
     int ring_pos = 0;

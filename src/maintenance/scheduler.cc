@@ -6,18 +6,6 @@
 
 namespace prorp::maintenance {
 
-std::string_view MaintenanceOpKindName(MaintenanceOp::Kind kind) {
-  switch (kind) {
-    case MaintenanceOp::Kind::kBackup:
-      return "backup";
-    case MaintenanceOp::Kind::kStatsRefresh:
-      return "stats_refresh";
-    case MaintenanceOp::Kind::kSoftwareUpdate:
-      return "software_update";
-  }
-  return "unknown";
-}
-
 Result<EpochSeconds> FixedHourScheduler::Schedule(
     const MaintenanceOp& op, const history::HistoryStore&) {
   if (op.window_end - op.window_start < op.duration) {

@@ -26,8 +26,6 @@ struct MaintenanceOp {
   EpochSeconds window_end = 0;
 };
 
-std::string_view MaintenanceOpKindName(MaintenanceOp::Kind kind);
-
 /// Picks a start time for a maintenance op within its window.
 class MaintenanceScheduler {
  public:

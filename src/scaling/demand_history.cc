@@ -57,14 +57,6 @@ Status DemandHistory::Record(EpochSeconds t, VCores vcores) {
   return Status::OK();
 }
 
-VCores DemandHistory::PeakAt(EpochSeconds t) const {
-  int64_t day = DayIndex(t);
-  if (day < 0 || row_day_.empty()) return 0;
-  if (row_day_[day % days_] != day) return 0;
-  int slot = static_cast<int>(SecondsIntoDay(t) / slot_width_);
-  return Cell(day, slot);
-}
-
 std::vector<VCores> DemandHistory::SlotPeaksBefore(EpochSeconds t) const {
   std::vector<VCores> peaks;
   peaks.reserve(days_);

@@ -29,10 +29,6 @@ class DemandHistory {
   /// the retained window are ignored.
   Status Record(EpochSeconds t, VCores vcores);
 
-  /// Peak demand in the slot containing `t` on the day containing `t`,
-  /// or 0 if nothing recorded.
-  VCores PeakAt(EpochSeconds t) const;
-
   /// The peaks of the slot containing time-of-day `slot_of(t)` across the
   /// last `days` days strictly before the day of `t`, most recent first.
   /// Days with no sample contribute 0 (idle day).

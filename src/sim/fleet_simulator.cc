@@ -287,9 +287,12 @@ class FleetSimulation {
   /// Opens (or, after a crash, recovers) the durable control plane and
   /// repoints metadata_/management_ at its components.
   Status OpenDurableControlPlane(EpochSeconds now);
+  /// The SQL mirror of sys.databases opens only for the literal-scan
+  /// validation path, its one reader.
   MetadataStore::Backing MetadataBacking() const {
-    return options_.use_lite_metadata ? MetadataStore::Backing::kIndexOnly
-                                      : MetadataStore::Backing::kSqlMirrored;
+    return options_.use_sql_scan_for_resume_op
+               ? MetadataStore::Backing::kSqlMirrored
+               : MetadataStore::Backing::kIndexOnly;
   }
 
   const workload::TraceSource* source_;
@@ -954,7 +957,7 @@ Result<SimReport> FleetSimulation::Run() {
   }
   if (options_.use_lite_metadata && options_.use_sql_scan_for_resume_op) {
     return Status::InvalidArgument(
-        "use_lite_metadata drops the SQL mirror the literal-scan "
+        "use_lite_metadata asks for no SQL mirror, which the literal-scan "
         "validation path reads");
   }
   if (options_.failure_detection_enabled && !options_.use_transport) {

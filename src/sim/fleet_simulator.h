@@ -101,7 +101,10 @@ struct SimOptions {
   bool proactive_resume_enabled = true;
 
   /// Route Algorithm 5's selection through the literal SQL scan instead
-  /// of the ordered index (slow; for validation runs).
+  /// of the ordered index (slow; for validation runs).  Only this path
+  /// opens the metadata store's sys.databases SQL mirror
+  /// (MetadataStore::Backing::kSqlMirrored); every other run keeps the
+  /// index alone.
   bool use_sql_scan_for_resume_op = false;
 
   // --- Durable control plane (DESIGN.md section 10) ---
@@ -179,13 +182,11 @@ struct SimOptions {
   /// Databases covered by sql_history_count keep their SQL-backed store.
   bool use_null_history = false;
 
-  /// Open the metadata store without its sys.databases SQL mirror
-  /// (MetadataStore::Backing::kIndexOnly).  Every selection the policies
-  /// use is answered from the in-memory entry map / resume index, so the
-  /// run stays bit-identical; only the literal-SQL validation path
-  /// (use_sql_scan_for_resume_op) is unavailable, and the two are
-  /// rejected together.  At million-database scale the per-transition
-  /// SQL upsert otherwise dominates the hot loop.
+  /// No effect: the metadata store opens its SQL mirror only for
+  /// use_sql_scan_for_resume_op, so every other run is already index-only
+  /// (MetadataStore::Backing::kIndexOnly).  RunFleetSimulation still
+  /// rejects it together with use_sql_scan_for_resume_op.  Deleted once
+  /// perfbench stops naming it.
   bool use_lite_metadata = false;
 
   uint64_t seed = 42;

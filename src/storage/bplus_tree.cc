@@ -626,15 +626,6 @@ Result<uint64_t> BPlusTree::DeleteRange(int64_t lo, int64_t hi) {
   return static_cast<uint64_t>(keys.size());
 }
 
-Result<uint64_t> BPlusTree::CountRange(int64_t lo, int64_t hi) const {
-  uint64_t count = 0;
-  PRORP_RETURN_IF_ERROR(ScanRange(lo, hi, [&](int64_t, const uint8_t*) {
-    ++count;
-    return true;
-  }));
-  return count;
-}
-
 Result<int64_t> BPlusTree::MinKey() const {
   if (num_entries_ == 0) return Status::NotFound("tree is empty");
   PageId cur = root_;
@@ -648,22 +639,6 @@ Result<int64_t> BPlusTree::MinKey() const {
     }
     InternalView node{const_cast<uint8_t*>(p), internal_capacity_};
     cur = node.child(0);
-  }
-}
-
-Result<int64_t> BPlusTree::MaxKey() const {
-  if (num_entries_ == 0) return Status::NotFound("tree is empty");
-  PageId cur = root_;
-  for (;;) {
-    PRORP_ASSIGN_OR_RETURN(PageGuard page, pool_->Fetch(cur));
-    const uint8_t* p = page.data();
-    if (NodeType(p) == kTypeLeaf) {
-      LeafView leaf{const_cast<uint8_t*>(p), leaf_capacity_, value_width_};
-      if (leaf.count() == 0) return Status::Corruption("empty leaf on path");
-      return leaf.key(leaf.count() - 1);
-    }
-    InternalView node{const_cast<uint8_t*>(p), internal_capacity_};
-    cur = node.child(node.count());
   }
 }
 

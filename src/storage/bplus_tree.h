@@ -66,12 +66,8 @@ class BPlusTree {
   /// Deletes all entries with lo <= key <= hi; returns how many.
   Result<uint64_t> DeleteRange(int64_t lo, int64_t hi);
 
-  /// Number of entries with lo <= key <= hi.
-  Result<uint64_t> CountRange(int64_t lo, int64_t hi) const;
-
-  /// Smallest / largest key.  NotFound when the tree is empty.
+  /// Smallest key.  NotFound when the tree is empty.
   Result<int64_t> MinKey() const;
-  Result<int64_t> MaxKey() const;
 
   uint64_t size() const { return num_entries_; }
   bool empty() const { return num_entries_ == 0; }

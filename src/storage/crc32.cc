@@ -114,14 +114,6 @@ uint32_t Crc32SliceBy8(const uint8_t* data, size_t len, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-bool Crc32UsesHardware() {
-#ifdef PRORP_CRC32_ARM_HW
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace internal
 
 uint32_t Crc32(const uint8_t* data, size_t len, uint32_t seed) {

@@ -30,13 +30,6 @@ uint32_t Crc32ByteAtATime(const uint8_t* data, size_t len, uint32_t seed = 0);
 /// machines where the dispatcher picks the hardware path).
 uint32_t Crc32SliceBy8(const uint8_t* data, size_t len, uint32_t seed = 0);
 
-/// True when the runtime dispatch selected a hardware-accelerated path
-/// (ARMv8 CRC32 extension).  x86 SSE4.2's crc32 instruction implements
-/// the Castagnoli polynomial (0x82F63B78), not IEEE, so it can never be
-/// used here without changing every checksum on disk — on x86 the fast
-/// path is slice-by-8.
-bool Crc32UsesHardware();
-
 }  // namespace internal
 
 }  // namespace prorp::storage

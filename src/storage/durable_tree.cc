@@ -214,20 +214,10 @@ Result<uint64_t> DurableTree::DeleteRange(int64_t lo, int64_t hi) {
   return n;
 }
 
-Result<std::vector<uint8_t>> DurableTree::Find(int64_t key) const {
-  // Reads drive repair too; const_cast is sound because the tree is
-  // single-writer by design and repair only swaps internal state.
-  DurableTree* self = const_cast<DurableTree*>(this);
-  std::vector<uint8_t> out;
-  PRORP_RETURN_IF_ERROR(self->WithRepair([&]() -> Status {
-    PRORP_ASSIGN_OR_RETURN(out, self->tree_->Find(key));
-    return Status::OK();
-  }));
-  return out;
-}
-
 Status DurableTree::ScanRange(int64_t lo, int64_t hi,
                               const BPlusTree::ScanCallback& cb) const {
+  // Reads drive repair too; const_cast is sound because the tree is
+  // single-writer by design and repair only swaps internal state.
   DurableTree* self = const_cast<DurableTree*>(this);
   // Resume after the last delivered key when a retry happens, so the
   // callback never sees an entry twice across a mid-scan repair.

@@ -91,8 +91,6 @@ class DurableTree {
   Status Delete(int64_t key);
   Result<uint64_t> DeleteRange(int64_t lo, int64_t hi);
 
-  Result<std::vector<uint8_t>> Find(int64_t key) const;
-  bool Contains(int64_t key) const { return Find(key).ok(); }
   Status ScanRange(int64_t lo, int64_t hi,
                    const BPlusTree::ScanCallback& cb) const;
 

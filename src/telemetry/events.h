@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/time_util.h"
@@ -29,8 +28,6 @@ enum class EventKind : uint8_t {
 
 /// Number of EventKind values (array-index bound for counters).
 inline constexpr size_t kNumEventKinds = 8;
-
-std::string_view EventKindName(EventKind kind);
 
 struct FleetEvent {
   EpochSeconds time = 0;

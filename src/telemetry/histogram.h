@@ -2,8 +2,8 @@
 #define PRORP_TELEMETRY_HISTOGRAM_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace prorp::telemetry {
 
@@ -12,9 +12,8 @@ namespace prorp::telemetry {
 /// bucket b >= 1 holds [2^(b-1), 2^b).  Unlike Summary it never grows
 /// with the sample count, so it can sit inside DiagnosticsReport and be
 /// bumped on every workflow without memory concerns; the price is that
-/// percentiles are bucket-resolution estimates, reported as the upper
-/// edge of the bucket holding the requested rank (clamped to the observed
-/// max, so Percentile(1.0) is exact).
+/// the distribution is known only to bucket resolution (count, max and
+/// sum stay exact).
 class Histogram {
  public:
   static constexpr size_t kNumBuckets = 40;
@@ -23,14 +22,6 @@ class Histogram {
 
   uint64_t count() const { return count_; }
   int64_t max() const { return max_; }
-  double Mean() const;
-
-  /// Upper-edge estimate of the q-quantile (q in [0, 1]); 0 on an empty
-  /// histogram.
-  double Percentile(double q) const;
-
-  /// "n=.. p50=.. p95=.. p99=.. max=.." row for bench output.
-  std::string ToString() const;
 
   /// Serialization access for control-plane checkpoints: the histogram
   /// sits inside DiagnosticsReport, which must survive a control-plane

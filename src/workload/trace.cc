@@ -2,26 +2,6 @@
 
 namespace prorp::workload {
 
-std::string_view PatternTypeName(PatternType type) {
-  switch (type) {
-    case PatternType::kDailyBusiness:
-      return "daily_business";
-    case PatternType::kDaily:
-      return "daily";
-    case PatternType::kWeekly:
-      return "weekly";
-    case PatternType::kAlwaysBusy:
-      return "always_busy";
-    case PatternType::kSporadic:
-      return "sporadic";
-    case PatternType::kBursty:
-      return "bursty";
-    case PatternType::kDevTest:
-      return "dev_test";
-  }
-  return "unknown";
-}
-
 GapStats ComputeGapStats(const std::vector<DbTrace>& traces,
                          DurationSeconds short_gap, DurationSeconds l) {
   GapStats stats;

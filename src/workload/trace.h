@@ -33,8 +33,6 @@ enum class PatternType : uint8_t {
   kDevTest,        // occasional short workday sessions
 };
 
-std::string_view PatternTypeName(PatternType type);
-
 /// The activity trace of one simulated database.
 struct DbTrace {
   uint32_t db_id = 0;

@@ -388,13 +388,4 @@ DbTrace GenerateTrace(PatternType pattern, uint32_t db_id, EpochSeconds from,
   return trace;
 }
 
-std::vector<Session> CollectSessions(const TraceSource& source,
-                                     uint32_t db_id) {
-  std::vector<Session> sessions;
-  std::unique_ptr<SessionCursor> cursor = source.Open(db_id);
-  Session s;
-  while (cursor->Next(&s)) sessions.push_back(s);
-  return sessions;
-}
-
 }  // namespace prorp::workload

@@ -114,11 +114,6 @@ class StreamingFleetSource final : public TraceSource {
 DbTrace GenerateTrace(PatternType pattern, uint32_t db_id, EpochSeconds from,
                       EpochSeconds to, Rng rng);
 
-/// Materializes one database's full trace from a source (tests and
-/// offline analysis; the simulator itself never needs this).
-std::vector<Session> CollectSessions(const TraceSource& source,
-                                     uint32_t db_id);
-
 }  // namespace prorp::workload
 
 #endif  // PRORP_WORKLOAD_TRACE_SOURCE_H_

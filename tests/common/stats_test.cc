@@ -80,13 +80,5 @@ TEST(CdfTest, EmptyInputs) {
   EXPECT_TRUE(BuildCdf(s, 0).empty());
 }
 
-TEST(CdfTest, FormatContainsLabelAndRows) {
-  Summary s;
-  s.AddAll({1, 2, 3, 4});
-  std::string text = FormatCdf(BuildCdf(s, 4), "history KB");
-  EXPECT_NE(text.find("history KB"), std::string::npos);
-  EXPECT_NE(text.find("100.0%"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace prorp

@@ -12,22 +12,48 @@ namespace {
 
 using policy::DbState;
 
+/// Rows of the store in the given state, counted over Export().
+uint64_t CountInState(const MetadataStore& store, DbState state) {
+  const int32_t code = state == DbState::kResumed          ? 0
+                       : state == DbState::kLogicallyPaused ? 1
+                                                            : 2;
+  uint64_t n = 0;
+  for (const MetadataStore::ExportedEntry& e : store.Export()) {
+    if (e.state_code == code) ++n;
+  }
+  return n;
+}
+
 TEST(MetadataStoreTest, UpsertAndCount) {
-  auto store = MetadataStore::Open();
+  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->UpsertState(1, DbState::kResumed, 0).ok());
   ASSERT_TRUE((*store)->UpsertState(2, DbState::kPhysicallyPaused, 500).ok());
   ASSERT_TRUE((*store)->UpsertState(3, DbState::kLogicallyPaused, 0).ok());
   EXPECT_EQ((*store)->size(), 3u);
-  EXPECT_EQ((*store)->CountInState(DbState::kPhysicallyPaused), 1u);
+  EXPECT_EQ(CountInState(**store, DbState::kPhysicallyPaused), 1u);
   // Update in place.
   ASSERT_TRUE((*store)->UpsertState(1, DbState::kPhysicallyPaused, 900).ok());
-  EXPECT_EQ((*store)->CountInState(DbState::kPhysicallyPaused), 2u);
+  EXPECT_EQ(CountInState(**store, DbState::kPhysicallyPaused), 2u);
+  EXPECT_EQ(CountInState(**store, DbState::kLogicallyPaused), 1u);
   EXPECT_EQ((*store)->size(), 3u);
 }
 
-TEST(MetadataStoreTest, SelectDueForResumeWindow) {
+// The SQL mirror is opt-in: a default store answers every selection from
+// its index and refuses the literal scan.
+TEST(MetadataStoreTest, DefaultOpenKeepsNoSqlMirror) {
   auto store = MetadataStore::Open();
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->UpsertState(1, DbState::kPhysicallyPaused, 1000).ok());
+  auto due = (*store)->SelectDueForResume(940, 60, 60);
+  ASSERT_TRUE(due.ok());
+  EXPECT_EQ(*due, (std::vector<telemetry::DbId>{1}));
+  EXPECT_EQ((*store)->SelectDueForResumeSql(940, 60, 60).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(MetadataStoreTest, SelectDueForResumeWindow) {
+  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
   ASSERT_TRUE(store.ok());
   // Predictions at 1000, 1060, 1120; k=60, period=60.
   ASSERT_TRUE((*store)->UpsertState(1, DbState::kPhysicallyPaused, 1000).ok());
@@ -48,7 +74,7 @@ TEST(MetadataStoreTest, SelectDueForResumeWindow) {
 }
 
 TEST(MetadataStoreTest, ResumedDbLeavesResumeIndex) {
-  auto store = MetadataStore::Open();
+  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->UpsertState(1, DbState::kPhysicallyPaused, 1000).ok());
   ASSERT_TRUE((*store)->UpsertState(1, DbState::kResumed, 0).ok());
@@ -58,7 +84,7 @@ TEST(MetadataStoreTest, ResumedDbLeavesResumeIndex) {
 }
 
 TEST(MetadataStoreTest, SqlScanMatchesIndexPath) {
-  auto store = MetadataStore::Open();
+  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
   ASSERT_TRUE(store.ok());
   Rng rng(2024);
   for (telemetry::DbId db = 0; db < 500; ++db) {
@@ -133,6 +159,9 @@ TEST_F(ManagementServiceTest, ResumesDueDatabases) {
 }
 
 TEST_F(ManagementServiceTest, SqlScanPathWorksToo) {
+  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
+  ASSERT_TRUE(store.ok());
+  metadata_ = std::move(*store);
   ManagementService service(metadata_.get(), Config(),
                             [&](const ResumeAttempt& a, EpochSeconds) {
                               return metadata_->UpsertState(

@@ -374,6 +374,25 @@ TEST(DurableControlPlaneTest, ColdStartThenEpochsClimbAcrossRestarts) {
   }
 }
 
+// A durable plane opened with default options keeps no SQL mirror of
+// sys.databases: the literal scan is refused.
+TEST(DurableControlPlaneTest, DefaultOptionsKeepNoSqlMirror) {
+  DurableControlPlane::Options opt;
+  opt.dir = FreshDir("dcp_default_backing");
+  opt.config = SmallConfig();
+  auto ok_cb = [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); };
+  auto plane =
+      DurableControlPlane::Open(opt, ok_cb, [](DbId) { return false; }, kT0);
+  ASSERT_TRUE(plane.ok()) << plane.status().ToString();
+  ASSERT_TRUE((*plane)
+                  ->metadata()
+                  .UpsertState(1, DbState::kPhysicallyPaused, kT0 + 600)
+                  .ok());
+  EXPECT_EQ(
+      (*plane)->metadata().SelectDueForResumeSql(kT0, 0, 3600).status().code(),
+      StatusCode::kFailedPrecondition);
+}
+
 /// Runs the mixed workload on a durable plane with the given metadata
 /// backing, checkpoints halfway, dies, recovers, and returns the
 /// recovered plane's checkpoint bytes.  `sql_mirrored` receives whether

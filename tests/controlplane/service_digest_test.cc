@@ -636,7 +636,7 @@ TEST(ServiceDigestTest, ScriptedRunsAreBitIdentical) {
   EXPECT_EQ(seen.size(), kNumJournalEvents);
   for (uint8_t e = 1; e <= kNumJournalEvents; ++e) {
     EXPECT_EQ(seen.count(static_cast<JournalEvent>(e)), 1u)
-        << JournalEventName(static_cast<JournalEvent>(e));
+        << "journal event " << static_cast<int>(e);
   }
 }
 

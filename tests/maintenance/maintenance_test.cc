@@ -143,11 +143,5 @@ TEST(ReplayMaintenanceTest, Validation) {
   EXPECT_FALSE(ReplayMaintenance(trace, fixed, kT0, kT0).ok());
 }
 
-TEST(MaintenanceOpKindTest, Names) {
-  EXPECT_EQ(MaintenanceOpKindName(MaintenanceOp::Kind::kBackup), "backup");
-  EXPECT_EQ(MaintenanceOpKindName(MaintenanceOp::Kind::kSoftwareUpdate),
-            "software_update");
-}
-
 }  // namespace
 }  // namespace prorp::maintenance

@@ -31,8 +31,11 @@ TEST(DemandHistoryTest, RecordAndPeak) {
   EXPECT_EQ(history.slots_per_day(), 48);
   ASSERT_TRUE(history.Record(kT0 + Hours(9), 2.0).ok());
   ASSERT_TRUE(history.Record(kT0 + Hours(9) + Minutes(10), 3.5).ok());
-  EXPECT_DOUBLE_EQ(history.PeakAt(kT0 + Hours(9) + Minutes(20)), 3.5);
-  EXPECT_DOUBLE_EQ(history.PeakAt(kT0 + Hours(10)), 0);
+  // Seen from the next day, the most recent peak of a slot is kT0's.
+  EXPECT_DOUBLE_EQ(
+      history.SlotPeaksBefore(kT0 + Days(1) + Hours(9) + Minutes(20))[0],
+      3.5);
+  EXPECT_DOUBLE_EQ(history.SlotPeaksBefore(kT0 + Days(1) + Hours(10))[0], 0);
 }
 
 TEST(DemandHistoryTest, RejectsBadSamples) {
@@ -84,7 +87,9 @@ TEST(DemandHistoryTest, RingRollsOverOldDays) {
   EXPECT_DOUBLE_EQ(peaks[2], 0.0);
   // Stale writes into rolled-over days are ignored, not resurrected.
   ASSERT_TRUE(history.Record(kT0 + Hours(9), 9.0).ok());
-  EXPECT_DOUBLE_EQ(history.PeakAt(kT0 + Hours(9)), 0.0);
+  EXPECT_EQ(history.SlotPeaksBefore(kT0 + Days(4) + Hours(9)), peaks);
+  EXPECT_DOUBLE_EQ(history.SlotPeaksBefore(kT0 + Days(1) + Hours(9))[0],
+                   0.0);
 }
 
 TEST(DemandHistoryTest, FootprintStaysSmall) {

@@ -254,9 +254,11 @@ TEST(SimReportDigestTest, GridIsBitIdentical) {
 }
 
 TEST(SimReportDigestTest, LiteMetadataDurableRunMatchesMirroredDigest) {
-  // use_lite_metadata on the durable path: the plane opens an index-only
-  // metadata store (no SQL mirror), and the run, crash and recovery
-  // included, reports exactly the mirrored journal cell's digest.
+  // use_lite_metadata on the durable path, as perfbench sets it: the flag
+  // no longer changes the backing (every run without the SQL scan is
+  // index-only), and the run, crash and recovery included, reports
+  // exactly the journal cell's digest, pinned when that cell still kept
+  // the SQL mirror.
   const auto traces =
       workload::GenerateFleet(workload::RegionEU1(), 60, kT0, kEnd, 13);
   for (Cell& cell : Cells()) {

@@ -9,9 +9,8 @@ TEST(HistogramTest, EmptyHistogramReportsZeros) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 0.0);
-  EXPECT_EQ(h.ToString(), "n=0 p50=0 p95=0 p99=0 max=0");
+  EXPECT_EQ(h.sum(), 0u);
+  for (uint64_t n : h.buckets()) EXPECT_EQ(n, 0u);
 }
 
 TEST(HistogramTest, ZeroSamplesLandInBucketZero) {
@@ -19,8 +18,7 @@ TEST(HistogramTest, ZeroSamplesLandInBucketZero) {
   h.Add(0);
   h.Add(0);
   EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 0.0);
+  EXPECT_EQ(h.buckets()[0], 2u);
   EXPECT_EQ(h.max(), 0);
 }
 
@@ -29,35 +27,35 @@ TEST(HistogramTest, NegativeSamplesClampToZero) {
   Histogram h;
   h.Add(-7);
   EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.buckets()[0], 1u);
   EXPECT_EQ(h.max(), 0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
+  EXPECT_EQ(h.sum(), 0u);
 }
 
-TEST(HistogramTest, PercentileReturnsBucketUpperEdgeClampedToMax) {
+TEST(HistogramTest, SamplesLandInLog2Buckets) {
   Histogram h;
-  h.Add(1);  // bucket [1, 2): upper edge 1
-  h.Add(5);  // bucket [4, 8): upper edge 7, clamped to the observed max
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 5.0);
+  h.Add(1);  // bucket 1: [1, 2)
+  h.Add(5);  // bucket 3: [4, 8)
+  EXPECT_EQ(h.buckets()[1], 1u);
+  EXPECT_EQ(h.buckets()[3], 1u);
+  EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.max(), 5);
+  EXPECT_EQ(h.sum(), 6u);
 }
 
-TEST(HistogramTest, UniformRampEstimatesWithinBucketResolution) {
+TEST(HistogramTest, UniformRampFillsEachBucketToItsWidth) {
   Histogram h;
   for (int64_t v = 1; v <= 1000; ++v) h.Add(v);
   EXPECT_EQ(h.count(), 1000u);
-  // Rank 500 falls in bucket [256, 512) whose inclusive upper edge is 511.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 511.0);
-  // Rank 950 falls in the last occupied bucket; the edge clamps to max.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.95), 1000.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 1000.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 500.5);  // the mean is exact (true sum kept)
-}
-
-TEST(HistogramTest, ToStringRendersBenchRow) {
-  Histogram h;
-  h.Add(60);
-  EXPECT_EQ(h.ToString(), "n=1 p50=60 p95=60 p99=60 max=60");
+  // Bucket b in [1, 9] holds all of [2^(b-1), 2^b); bucket 10 holds
+  // [512, 1000].
+  for (size_t b = 1; b <= 9; ++b) {
+    EXPECT_EQ(h.buckets()[b], uint64_t{1} << (b - 1)) << "bucket " << b;
+  }
+  EXPECT_EQ(h.buckets()[10], 489u);
+  EXPECT_EQ(h.buckets()[11], 0u);
+  EXPECT_EQ(h.max(), 1000);
+  EXPECT_EQ(h.sum(), 500500u);  // the sum is exact
 }
 
 }  // namespace

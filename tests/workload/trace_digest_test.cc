@@ -5,6 +5,7 @@
 // constant must be a deliberate, reviewed edit.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,16 @@ namespace {
 constexpr EpochSeconds kT0 = Days(1005);
 constexpr EpochSeconds kNewFrom = kT0 + Days(28);
 constexpr EpochSeconds kEnd = kT0 + Days(60);
+
+/// Drains database `db_id`'s cursor into its full session list.
+std::vector<Session> CollectSessions(const TraceSource& source,
+                                     uint32_t db_id) {
+  std::vector<Session> sessions;
+  std::unique_ptr<SessionCursor> cursor = source.Open(db_id);
+  Session s;
+  while (cursor->Next(&s)) sessions.push_back(s);
+  return sessions;
+}
 
 /// FNV-1a 64 over the little-endian bytes of each value added.
 class Fnv1a64 {

@@ -1,6 +1,7 @@
 #include "workload/trace_source.h"
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,16 @@ namespace {
 
 constexpr EpochSeconds kFrom = Days(1004);  // a Monday
 constexpr EpochSeconds kTo = kFrom + Days(35);
+
+/// Drains database `db_id`'s cursor into its full session list.
+std::vector<Session> CollectSessions(const TraceSource& source,
+                                     uint32_t db_id) {
+  std::vector<Session> sessions;
+  std::unique_ptr<SessionCursor> cursor = source.Open(db_id);
+  Session s;
+  while (cursor->Next(&s)) sessions.push_back(s);
+  return sessions;
+}
 
 StreamingFleetSource MakeSource(uint64_t seed = 2024) {
   return StreamingFleetSource(RegionEU1(), /*num_dbs=*/64, kFrom, kTo, seed);

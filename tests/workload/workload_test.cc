@@ -75,15 +75,21 @@ TEST_P(PatternInvariantTest, DeterministicInSeed) {
   EXPECT_EQ(a.sessions, b.sessions);
 }
 
+/// Test-name suffix of each pattern, in PatternType order.
+std::string PatternName(PatternType type) {
+  static constexpr const char* kNames[] = {
+      "daily_business", "daily",  "weekly",  "always_busy",
+      "sporadic",       "bursty", "dev_test"};
+  return kNames[static_cast<int>(type)];
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPatterns, PatternInvariantTest,
     ::testing::Values(PatternType::kDailyBusiness, PatternType::kDaily,
                       PatternType::kWeekly, PatternType::kAlwaysBusy,
                       PatternType::kSporadic, PatternType::kBursty,
                       PatternType::kDevTest),
-    [](const auto& info) {
-      return std::string(PatternTypeName(info.param));
-    });
+    [](const auto& info) { return PatternName(info.param); });
 
 TEST(PatternShapeTest, DailyBusinessSkipsWeekends) {
   Rng rng(5);

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Dead-code audit: fail when a function defined in src/ is linked by no
-binary the repository builds.
+binary the repository builds, or only by tests without being listed as a
+test hook.
 
 The audit builds every program at -O0 with -ffunction-sections and
 -Wl,--gc-sections, so each function sits in its own section and the
@@ -17,16 +18,22 @@ carry a text symbol for it whose mangled name is nested in namespace
 `prorp` (`_ZN5prorp...`); std:: templates instantiated on prorp types and
 lambdas local to a prorp function do not count.  It is dead when no
 binary keeps that symbol.  Constructor and destructor variants share one
-demangled name, so they are counted once.  After the dead ones, the
-audit lists the functions that only binaries under tests/ link.
+demangled name, so they are counted once.
+
+A function that only binaries under tests/ link must be listed in
+tools/test_hooks.txt with the reason it stays in src/: an oracle, a
+crash, bit-flip or fault-injection hook, or a capability the design names.
+Each entry there is a demangled name as this audit prints it, on a line of
+its own, followed by its one-line reason on the next line, indented; blank
+lines and lines starting with '#' are skipped.
 
 Usage:
   python3 tools/dead_code_audit.py [--build-dir DIR]
 
-Exits 0 when every such function is linked somewhere and 1 otherwise; the
-test-only list does not change the exit code.  DIR defaults to
-build-deadcode/ at the repository root; it holds two CMake trees, repo/ and
-perfbench/.
+Exits 0 when every function is linked by some binary, every function only
+tests link is listed, and every listed function is still defined in src/
+and linked only by tests; 1 otherwise.  DIR defaults to build-deadcode/ at
+the repository root; it holds two CMake trees, repo/ and perfbench/.
 """
 
 import argparse
@@ -37,6 +44,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOOKS = os.path.join(ROOT, "tools", "test_hooks.txt")
 TEXT_TYPES = {"T", "t", "W"}
 # Functions (member or free, const/volatile/ref-qualified) in namespace prorp.
 PRORP_FUNCTION = re.compile(r"_ZN[KVRO]*5prorp")
@@ -73,6 +81,31 @@ def text_symbols(path):
     return set(demangled.splitlines())
 
 
+def read_hooks(path):
+    """Maps each function listed in `path` to its reason."""
+    hooks, name = {}, None
+    with open(path) as f:
+        for number, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            where = f"{os.path.relpath(path, ROOT)}:{number}"
+            if line[0].isspace():
+                if name is None or hooks[name]:
+                    sys.exit(f"{where}: reason without a function above it")
+                hooks[name] = line.strip()
+                continue
+            if name is not None and not hooks[name]:
+                sys.exit(f"{where}: {name} has no reason")
+            if line in hooks:
+                sys.exit(f"{where}: {line} is listed twice")
+            name = line
+            hooks[name] = ""
+    if name is not None and not hooks[name]:
+        sys.exit(f"{os.path.relpath(path, ROOT)}: {name} has no reason")
+    return hooks
+
+
 def is_elf_executable(path):
     if not os.path.isfile(path) or not os.access(path, os.X_OK):
         return False
@@ -94,6 +127,7 @@ def main():
     ap.add_argument("--build-dir",
                     default=os.path.join(ROOT, "build-deadcode"))
     args = ap.parse_args()
+    hooks = read_hooks(HOOKS)
 
     repo_build = os.path.join(args.build_dir, "repo")
     perf_build = os.path.join(args.build_dir, "perfbench")
@@ -122,11 +156,21 @@ def main():
           f"src/, {len(binaries)} binaries, {len(dead)} linked by none")
     for name in dead:
         print(f"  {name}")
-    test_only = sorted((defined & by_tests) - by_programs)
-    print(f"{len(test_only)} linked only by tests:")
-    for name in test_only:
+    test_only = (defined & by_tests) - by_programs
+    unlisted = sorted(test_only - hooks.keys())
+    stale = sorted(hooks.keys() - test_only)
+    print(f"{len(test_only)} linked only by tests, {len(hooks)} listed in "
+          f"{os.path.relpath(HOOKS, ROOT)}")
+    for name in sorted(test_only & hooks.keys()):
+        print(f"  {name}\n      {hooks[name]}")
+    print(f"{len(unlisted)} linked only by tests but not listed:")
+    for name in unlisted:
         print(f"  {name}")
-    return 1 if dead else 0
+    print(f"{len(stale)} listed but no longer defined in src/ and linked "
+          f"only by tests:")
+    for name in stale:
+        print(f"  {name}")
+    return 1 if dead or unlisted or stale else 0
 
 
 if __name__ == "__main__":
