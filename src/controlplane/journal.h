@@ -61,11 +61,13 @@ inline constexpr uint32_t kJfFirstFailure = 1u << 10;  // became stuck here
 inline constexpr uint32_t kJfReactive = 1u << 11;   // reactive-login arrival
 inline constexpr uint32_t kJfFailover = 1u << 12;   // failover re-placement
 
-/// One journaled control-plane transition.  The record is fixed-layout:
-/// fields not meaningful for an event type are zero.  `cls` carries a
-/// ResumeClass for workflow events, a BreakerState code for kBreaker, and
-/// a DbState code for kMetaUpsert.  `attempt` carries the attempt number
-/// for workflow events and the brownout level for admission events.
+/// One journaled control-plane transition, as it is held in memory; on
+/// disk a record carries only its non-zero fields (journal.cc gives the
+/// encoding).  Fields not meaningful for an event type are zero.  `cls`
+/// carries a ResumeClass for workflow events, a BreakerState code for
+/// kBreaker, and a DbState code for kMetaUpsert.  `attempt` carries the
+/// attempt number for workflow events and the brownout level for
+/// admission events.
 struct JournalRecord {
   JournalEvent event = JournalEvent::kEpochStart;
   uint64_t epoch = 0;
@@ -149,8 +151,10 @@ class ControlPlaneJournal {
   void set_fault_plan(faults::FaultPlan* plan) { wal_->set_fault_plan(plan); }
 
   /// Replays all intact records in order, invoking `apply(seq, record)`.
-  /// A trailing torn record (crash mid-append) is trimmed, not an error.
-  /// Returns the number of records replayed.
+  /// A trailing torn record (crash mid-append) is trimmed, not an error;
+  /// an intact frame whose value is not a record encoding (the earlier
+  /// fixed 94-byte layout included) is Corruption.  Returns the number of
+  /// records replayed.
   static Result<uint64_t> Replay(
       const std::string& path,
       const std::function<Status(uint64_t seq, const JournalRecord&)>& apply);

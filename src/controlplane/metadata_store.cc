@@ -53,12 +53,16 @@ Result<std::unique_ptr<MetadataStore>> MetadataStore::Open(Backing backing) {
       store->update_stmt_,
       sql::Parse("UPDATE sys.databases SET state = @state, "
                  "start_of_pred_activity = @pred WHERE database_id = @db"));
-  // Algorithm 5 lines 2-6 ('physical_pause' encoded as state = 2).
+  // Algorithm 5 lines 2-6 ('physical_pause' encoded as state = 2).  The
+  // engine scans by database_id and sorts stably, so the rows come in
+  // (predicted start, id) order, the order SelectDueForResume's index
+  // yields.
   PRORP_ASSIGN_OR_RETURN(
       store->select_due_stmt_,
       sql::Parse("SELECT database_id FROM sys.databases "
                  "WHERE state = 2 AND @lo <= start_of_pred_activity AND "
-                 "start_of_pred_activity < @hi"));
+                 "start_of_pred_activity < @hi "
+                 "ORDER BY start_of_pred_activity"));
   PRORP_ASSIGN_OR_RETURN(
       store->delete_stmt_,
       sql::Parse("DELETE FROM sys.databases WHERE database_id = @db"));

@@ -38,7 +38,8 @@ struct MissedResume {
 ///  * the faithful SQL table, scanned exactly per Algorithm 5 lines 2-6
 ///    (SelectDueForResumeSql), kept only under Backing::kSqlMirrored as
 ///    the oracle of the index.
-/// Property tests assert the two return identical sets.
+/// Property tests assert the two return identical lists, in
+/// (start_of_pred_activity, database_id) order.
 class MetadataStore {
  public:
   /// Which storage backs the store.  kIndexOnly (default) keeps the

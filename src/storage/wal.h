@@ -76,8 +76,8 @@ class WriteAheadLog {
 
   /// Frame of a kInsert record with an n-byte value:
   ///   [u32 len][u8 type][i64 key][u32 n][value][u32 crc32]
-  /// A caller that appends many fixed-size records (the control-plane
-  /// journal) encodes this frame itself into a reused buffer: it writes
+  /// A caller that appends many small records (the control-plane
+  /// journal) encodes this frame itself into a stack buffer: it writes
   /// the value at kInsertValueOffset, calls SealInsertFrame, and appends
   /// the result with AppendFrame.  The bytes equal Append's encoding.
   static constexpr size_t kInsertValueOffset = 4 + 1 + 8 + 4;

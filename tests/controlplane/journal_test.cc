@@ -223,8 +223,9 @@ std::vector<uint64_t> ReplaySeqs(const std::string& path,
 
 TEST(ControlPlaneJournalTest, BufferedProcessDeathImageReplaysExactly) {
   // kBuffered appends across several mapped windows, then the process
-  // dies with the journal open.  The page cache holds every record.
-  constexpr uint64_t kRecords = 3000;
+  // dies with the journal open.  The page cache holds every record.  At
+  // ~50 bytes a frame, 6,000 records span more than four windows.
+  constexpr uint64_t kRecords = 6000;
   std::string path = FreshDir("journal_death") + "/j.wal";
   auto journal =
       ControlPlaneJournal::Open(path, ControlPlaneJournal::SyncMode::kBuffered);
@@ -264,13 +265,14 @@ TEST(ControlPlaneJournalTest, TruncateLeavesNoStaleFrames) {
   auto journal =
       ControlPlaneJournal::Open(path, ControlPlaneJournal::SyncMode::kBuffered);
   ASSERT_TRUE(journal.ok());
+  // One record under eleven sequence numbers: every frame has the same
+  // size, so a stale frame 2 would sit intact right behind the new frame
+  // 11 had the truncation kept the bytes.
   for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE((*journal)->Append(SampleRecord(i)).ok());
+    ASSERT_TRUE((*journal)->Append(SampleRecord(5)).ok());
   }
   ASSERT_TRUE((*journal)->TruncateAfterCheckpoint().ok());
-  ASSERT_TRUE((*journal)->Append(SampleRecord(10)).ok());
-  // Every frame has the same size, so a stale frame 2 would sit intact
-  // right behind the new frame 11 had the truncation kept the bytes.
+  ASSERT_TRUE((*journal)->Append(SampleRecord(5)).ok());
   EXPECT_EQ(ReplaySeqs(ProcessDeathImage(path), nullptr),
             (std::vector<uint64_t>{11}));
 }

@@ -253,21 +253,20 @@ TEST(SimReportDigestTest, GridIsBitIdentical) {
   }
 }
 
-TEST(SimReportDigestTest, LiteMetadataDurableRunMatchesMirroredDigest) {
-  // use_lite_metadata on the durable path, as perfbench sets it: the flag
-  // no longer changes the backing (every run without the SQL scan is
-  // index-only), and the run, crash and recovery included, reports
-  // exactly the journal cell's digest, pinned when that cell still kept
-  // the SQL mirror.
+/// Runs the proactive_journal_crash cell, journal in a scratch directory
+/// named `dir_name`, with `adjust` applied to its options, and expects the
+/// cell's pinned digest and one recovery.
+void ExpectJournalCellDigest(const std::string& dir_name,
+                             void (*adjust)(SimOptions&)) {
   const auto traces =
       workload::GenerateFleet(workload::RegionEU1(), 60, kT0, kEnd, 13);
   for (Cell& cell : Cells()) {
     if (cell.name != "proactive_journal_crash") continue;
-    const std::string dir = testing::TempDir() + "/sim_digest_journal_lite";
+    const std::string dir = testing::TempDir() + "/" + dir_name;
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     cell.options.control_plane_journal_dir = dir;
-    cell.options.use_lite_metadata = true;
+    adjust(cell.options);
     auto r = RunFleetSimulation(traces, cell.options);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->control_plane_recoveries, 1u);
@@ -277,6 +276,26 @@ TEST(SimReportDigestTest, LiteMetadataDurableRunMatchesMirroredDigest) {
     return;
   }
   FAIL() << "no proactive_journal_crash cell";
+}
+
+TEST(SimReportDigestTest, LiteMetadataDurableRunMatchesMirroredDigest) {
+  // use_lite_metadata on the durable path, as perfbench sets it: the flag
+  // no longer changes the backing (every run without the SQL scan is
+  // index-only), and the run, crash and recovery included, reports
+  // exactly the journal cell's digest, pinned when that cell still kept
+  // the SQL mirror.
+  ExpectJournalCellDigest("sim_digest_journal_lite", [](SimOptions& o) {
+    o.use_lite_metadata = true;
+  });
+}
+
+TEST(SimReportDigestTest, SqlScanJournalRunMatchesIndexDigest) {
+  // Algorithm 5's literal SQL scan returns the due databases in the
+  // index's (predicted start, id) order, so the run that selects through
+  // it, crash and recovery included, reports the journal cell's digest.
+  ExpectJournalCellDigest("sim_digest_journal_sql", [](SimOptions& o) {
+    o.use_sql_scan_for_resume_op = true;
+  });
 }
 
 TEST(SimReportDigestTest, OtherRegionsAreBitIdentical) {
