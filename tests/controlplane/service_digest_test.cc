@@ -13,7 +13,6 @@
 // constant is a deliberate, reviewed edit.
 
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -32,74 +31,18 @@
 #include "controlplane/journal.h"
 #include "controlplane/management_service.h"
 #include "faults/crash_points.h"
+#include "golden_digest.h"
 
 namespace prorp::controlplane {
 namespace {
 
 namespace fs = std::filesystem;
+using golden::AddDiagnostics;
+using golden::Fnv1a;
 using policy::DbState;
 
 constexpr EpochSeconds kT0 = 2'000'000;
 constexpr size_t kNumJournalEvents = 19;
-
-class Fnv1a {
- public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Add(bits);
-  }
-  void AddBytes(const std::string& bytes) {
-    Add(static_cast<uint64_t>(bytes.size()));
-    for (unsigned char c : bytes) {
-      h_ ^= c;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(const telemetry::Histogram& hist) {
-    for (uint64_t b : hist.buckets()) Add(b);
-    Add(hist.count());
-    Add(static_cast<uint64_t>(hist.max()));
-    Add(hist.sum());
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void AddDiagnostics(Fnv1a& h, const DiagnosticsReport& d) {
-  for (uint64_t v :
-       {d.observed_iterations, static_cast<uint64_t>(d.max_queue_depth),
-        d.stuck_workflows, d.mitigated, d.skipped_state_changed,
-        d.failed_then_skipped, d.failed_then_shed, d.incidents,
-        d.backoff_retries_scheduled, d.backoff_delay_seconds_total,
-        d.shed_resumes, d.breaker_opens, d.breaker_state_changes,
-        d.storms_detected, d.slow_start_ticks, d.quota_deferrals,
-        d.catch_up_enqueued, d.deleted_while_queued,
-        static_cast<uint64_t>(d.max_brownout_level), d.unacked_dispatches,
-        d.dispatch_timeouts, d.late_acks, d.stale_epoch_acks,
-        d.node_failovers, d.failover_requeues}) {
-    h.Add(v);
-  }
-  for (const ClassDiagnostics& c : d.per_class) {
-    for (uint64_t v :
-         {c.enqueued, c.resumed, c.shed_admission, c.shed_evicted, c.stuck,
-          c.mitigated, c.incidents, c.skipped_state_changed,
-          c.failed_then_skipped, c.failed_then_shed, c.deadline_breaches,
-          c.hedged, c.hedge_wins}) {
-      h.Add(v);
-    }
-  }
-  h.Add(d.queue_wait);
-  h.Add(d.in_flight_duration);
-}
 
 /// The two digests of one scripted run.
 struct Digests {

@@ -6,41 +6,19 @@
 // edit.
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden_digest.h"
 #include "sim/plane_torture.h"
 
 namespace prorp::sim {
 namespace {
 
-class Fnv1a {
- public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Add(bits);
-  }
-  void Add(const Summary& s) {
-    Add(static_cast<uint64_t>(s.count()));
-    Add(s.Percentile(0.50));
-    Add(s.Percentile(0.99));
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using golden::Fnv1a;
 
 uint64_t Digest(const PlaneTortureResult& r) {
   Fnv1a h;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_digest.h"
 #include "workload/region.h"
 #include "workload/trace.h"
 #include "workload/trace_source.h"
@@ -32,40 +33,25 @@ std::vector<Session> CollectSessions(const TraceSource& source,
   return sessions;
 }
 
-/// FNV-1a 64 over the little-endian bytes of each value added.
-class Fnv1a64 {
- public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 1099511628211ull;
-    }
+/// A trace's identity, pattern, creation time and every session bound.
+void AddTrace(golden::Fnv1a& h, const DbTrace& trace) {
+  h.Add(static_cast<uint64_t>(trace.db_id));
+  h.Add(static_cast<uint64_t>(trace.pattern));
+  h.Add(static_cast<uint64_t>(trace.created_at));
+  for (const Session& s : trace.sessions) {
+    h.Add(static_cast<uint64_t>(s.start));
+    h.Add(static_cast<uint64_t>(s.end));
   }
-
-  void Add(const DbTrace& trace) {
-    Add(trace.db_id);
-    Add(static_cast<uint64_t>(trace.pattern));
-    Add(static_cast<uint64_t>(trace.created_at));
-    for (const Session& s : trace.sessions) {
-      Add(static_cast<uint64_t>(s.start));
-      Add(static_cast<uint64_t>(s.end));
-    }
-  }
-
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 14695981039346656037ull;
-};
+}
 
 TEST(TraceDigestTest, GenerateFleetAllRegions) {
-  Fnv1a64 digest;
+  golden::Fnv1a digest;
   uint64_t sessions = 0;
   for (const RegionProfile& profile : AllRegions()) {
     for (uint64_t seed : {7u, 2024u}) {
       for (const DbTrace& trace :
            GenerateFleet(profile, 500, kT0, kEnd, seed, kNewFrom)) {
-        digest.Add(trace);
+        AddTrace(digest, trace);
         sessions += trace.sessions.size();
       }
     }
@@ -76,7 +62,7 @@ TEST(TraceDigestTest, GenerateFleetAllRegions) {
 
 TEST(TraceDigestTest, StreamingFleetSourcePerfbenchShape) {
   StreamingFleetSource source(RegionEU1(), 700, kT0, kEnd, 2024, kNewFrom);
-  Fnv1a64 digest;
+  golden::Fnv1a digest;
   uint64_t sessions = 0;
   for (uint32_t db = 0; db < source.num_dbs(); ++db) {
     DbTrace trace;
@@ -85,7 +71,7 @@ TEST(TraceDigestTest, StreamingFleetSourcePerfbenchShape) {
     trace.sessions = CollectSessions(source, db);
     trace.created_at =
         trace.sessions.empty() ? kT0 : trace.sessions.front().start;
-    digest.Add(trace);
+    AddTrace(digest, trace);
     sessions += trace.sessions.size();
   }
   EXPECT_EQ(sessions, 101428u);
