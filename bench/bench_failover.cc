@@ -208,7 +208,6 @@ int Run(bool smoke, std::string out_path) {
     arm.options.eviction_per_hour = 0;
     arm.options.resume_concurrency_per_node = 2;
     arm.options.num_nodes = 4;
-    arm.options.use_transport = true;
     arm.options.node_crash_node = 1;
     arm.options.node_crash_at = kMeasureFrom + Days(1) + Hours(18);
     arm.options.node_crash_duration = Days(1);

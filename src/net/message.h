@@ -29,8 +29,8 @@ enum class MessageType : uint8_t {
 };
 
 // Envelope flag bits (replies only).
-/// The node had already executed this request id; the reply repeats the
-/// recorded verdict and no side effect ran (redelivery dedup).
+/// The node had already executed this request id successfully; the reply
+/// is an OK ack and no side effect ran (redelivery dedup).
 inline constexpr uint32_t kMfDuplicateDelivery = 1u << 0;
 /// The request's epoch was below the node's fence: a predecessor
 /// incarnation's late message, rejected without executing anything.

@@ -19,7 +19,7 @@ void NodeAgent::FenceEpoch(uint64_t epoch) {
 
 void NodeAgent::Quiesce(EpochSeconds now) {
   // The lease lapsed: every side effect this node produced is released,
-  // so the applied-request verdicts describe a world that no longer
+  // so the applied-request ids describe a world that no longer
   // exists.  Voiding the table means a post-re-lease redelivery
   // re-executes (correctly — the work has to be redone), instead of
   // re-acking a resume that is no longer live.
@@ -93,14 +93,12 @@ void NodeAgent::HandleMessage(const Envelope& env, EpochSeconds now) {
               kMfLeaseExpired, now);
         return;
       }
-      if (auto it = applied_.find(env.request_id); it != applied_.end()) {
-        // Redelivery of a request whose side effect already ran: repeat
-        // the recorded verdict, execute nothing.
+      if (applied_.count(env.request_id) != 0) {
+        // Redelivery of a request whose side effect already ran: ack it
+        // again, execute nothing.
         ++stats_.duplicate_suppressed;
-        Reply(env,
-              it->second == StatusCode::kOk ? MessageType::kAck
-                                            : MessageType::kNack,
-              it->second, kMfDuplicateDelivery, now);
+        Reply(env, MessageType::kAck, StatusCode::kOk, kMfDuplicateDelivery,
+              now);
         return;
       }
       controlplane::ResumeAttempt attempt;
@@ -113,7 +111,9 @@ void NodeAgent::HandleMessage(const Envelope& env, EpochSeconds now) {
       attempt.request_id = env.request_id;
       ++stats_.executed;
       Status s = resume_(attempt, now);
-      if (s.ok()) applied_[env.request_id] = s.code();
+      if (s.ok() && transport_->CanRedeliver()) {
+        applied_.insert(env.request_id);
+      }
       Reply(env, s.ok() ? MessageType::kAck : MessageType::kNack, s.code(),
             0, now);
       return;

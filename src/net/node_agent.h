@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "controlplane/management_service.h"
 #include "net/transport.h"
@@ -13,11 +13,14 @@ namespace prorp::net {
 /// Node-side endpoint of the resume protocol: receives requests
 /// from the transport, makes apply idempotent and epoch-fenced, and acks.
 ///
-/// Idempotence: a per-node applied-request table records every request id
-/// whose execution produced a side effect (the executor returned OK).  A
-/// redelivery of such an id re-acks the recorded verdict without running
-/// anything.  Failed attempts are deliberately NOT recorded: they had no
-/// side effect, so a retransmission doubles as a retry.
+/// Idempotence: when the transport can redeliver a request, a per-node
+/// applied-request table records every request id whose execution
+/// produced a side effect (the executor returned OK).  A redelivery of
+/// such an id is acked OK without running anything.  Failed attempts are
+/// deliberately NOT recorded: they had no side effect, so a
+/// retransmission doubles as a retry.  Over a transport that never
+/// redelivers (InProcessTransport) no id can arrive twice, so the agent
+/// keeps no per-request state at all.
 ///
 /// Fencing: the agent tracks the highest control-plane epoch it has seen
 /// (a ratchet; every message raises it, and recovery raises it explicitly
@@ -32,7 +35,7 @@ namespace prorp::net {
 /// lease past what the plane already accounted for.  Once the lease
 /// lapses (AdvanceTime, or any message arriving after the deadline) the
 /// agent self-quiesces: it releases its resumed databases through the
-/// quiesce handler, voids its applied-request table (those verdicts
+/// quiesce handler, voids its applied-request table (those entries
 /// described side effects that no longer exist), and refuses every
 /// request until a fresh nonzero-ttl renewal re-leases it.  This is the
 /// node half of split-brain prevention — a partitioned "zombie" can never
@@ -119,8 +122,9 @@ class NodeAgent {
   /// Requests sent at or before this instant are refused: they predate a
   /// self-quiesce or restart, and their world no longer exists.
   EpochSeconds refuse_before_ = 0;
-  /// request id -> recorded verdict of a side-effecting execution.
-  std::unordered_map<uint64_t, StatusCode> applied_;
+  /// Request ids whose execution had a side effect (kept only when the
+  /// transport can redeliver).
+  std::unordered_set<uint64_t> applied_;
   Stats stats_;
 };
 

@@ -49,6 +49,11 @@ class Transport {
   /// True when no message is waiting inside the transport.
   virtual bool Idle() const { return true; }
 
+  /// True when one request can reach its endpoint more than once
+  /// (duplicated, or delivered after a retransmission was sent), so the
+  /// receiving node has to suppress the repeat.
+  virtual bool CanRedeliver() const { return true; }
+
   const TransportStats& stats() const { return stats_; }
 
  protected:
@@ -68,14 +73,18 @@ class Transport {
 };
 
 /// The fault-free transport: every Send delivers inline, synchronously,
-/// in order — semantically identical to the legacy direct callback, which
-/// is what the bit-identity regression pins down.
+/// in order.  Every simulator pre-warm crosses it; the runs that called
+/// the node directly before are pinned by digest (transport_sim_test.cc).
+/// It never redelivers: each Send is delivered once, the reply resolves
+/// the dispatch before Send returns (so it is never retransmitted), a
+/// crashed node executes nothing, and a retry carries a fresh request id.
 class InProcessTransport : public Transport {
  public:
   void Send(Envelope env) override {
     ++stats_.sent;
     DeliverNow(env, env.sent_at);
   }
+  bool CanRedeliver() const override { return false; }
 };
 
 }  // namespace prorp::net

@@ -33,6 +33,14 @@ using telemetry::DbId;
 using telemetry::EventKind;
 using telemetry::Phase;
 
+// The failure detector's timing (DESIGN.md section 12): lease period and
+// TTL, silence before suspect, grace before dead, cooldown before rejoin.
+constexpr DurationSeconds kLeaseInterval = 60;
+constexpr DurationSeconds kLeaseTtl = 240;
+constexpr DurationSeconds kSuspectAfter = 150;
+constexpr DurationSeconds kDeadGrace = 120;
+constexpr DurationSeconds kRejoinAfter = 600;
+
 enum class SimEventType : uint8_t {
   kDbCreated,        // first session begins; controller constructed
   kAllocationSample,  // periodic concurrent-allocation census
@@ -244,27 +252,23 @@ class FleetSimulation {
   Status HandleNodeCrash(const SimEvent& ev);
   Status HandleNodeRestart(const SimEvent& ev);
 
-  /// True when a transport run models node loss (failure detection or an
-  /// injected node crash): the lease loop ticks and crash-evicted
-  /// databases are tracked for failover.
+  /// True when a run models node loss (failure detection or an injected
+  /// node crash): the lease loop ticks and crash-evicted databases are
+  /// tracked for failover.
   bool node_loss_modeled() const {
-    return options_.use_transport &&
-           (options_.failure_detection_enabled ||
-            options_.node_crash_node >= 0);
+    return options_.failure_detection_enabled ||
+           options_.node_crash_node >= 0;
   }
 
   bool full_telemetry() const {
     return options_.telemetry == SimOptions::Telemetry::kFull;
   }
 
-  /// The node-side resume executor shared by the legacy and durable
-  /// control planes.  Failure draws come from the member RNG so the
-  /// stream continues across a simulated control-plane restart.
-  controlplane::ManagementService::ResumeCallback MakeResumeCallback();
-
-  /// The executor body behind MakeResumeCallback and the per-node agents:
-  /// `node` is the 0-based node actually running the attempt (the home
-  /// node, or the dispatch target under failover).
+  /// The node-side resume executor each per-node agent runs: `node` is
+  /// the 0-based node actually running the attempt (the home node, or
+  /// the dispatch target under failover).  Failure draws come from the
+  /// member RNG so the stream continues across a simulated control-plane
+  /// restart.
   Status ExecuteResume(const controlplane::ResumeAttempt& a,
                        EpochSeconds now, size_t node);
 
@@ -274,14 +278,16 @@ class FleetSimulation {
   Status ExecuteFailoverPlacement(const controlplane::ResumeAttempt& a,
                                   EpochSeconds now, size_t node);
 
-  /// The resume callback handed to the control plane: the node executor
-  /// directly (legacy), or a hop through the message transport when
-  /// options_.use_transport is set.
+  /// Builds the dispatcher, one agent per node, and the health tracker
+  /// when failure detection is enabled.
+  void BuildTransport();
+
+  /// The resume callback handed to the control plane: a dispatch over
+  /// the transport.
   controlplane::ManagementService::ResumeCallback MakeServiceCallback();
 
   /// Repoints the transport stack at the current service incarnation
-  /// (after construction and after every crash/recovery).  No-op when the
-  /// transport is disabled.
+  /// (after construction and after every crash/recovery).
   void SyncTransportToService();
 
   /// Opens (or, after a crash, recovers) the durable control plane and
@@ -368,11 +374,11 @@ class FleetSimulation {
   std::unique_ptr<controlplane::DurableControlPlane> plane_;
   MetadataStore* metadata_ = nullptr;
   controlplane::ManagementService* management_ = nullptr;
-  /// Message transport between the service and the node executor
-  /// (options_.use_transport).  Fault-free and inline, so every dispatch
-  /// resolves synchronously; the stack outlives control-plane recoveries
-  /// and is re-pointed at each new incarnation.
-  std::unique_ptr<net::InProcessTransport> transport_;
+  /// Message transport between the service and the node executor.
+  /// Fault-free and inline, so every dispatch resolves synchronously; the
+  /// stack outlives control-plane recoveries and is re-pointed at each
+  /// new incarnation.
+  net::InProcessTransport transport_;
   std::unique_ptr<net::TransportDispatcher> dispatcher_;
   /// One agent per node at endpoints 1..max(1, num_nodes), plus the
   /// lease-driven health tracker and failover engine when failure
@@ -664,14 +670,6 @@ void FleetSimulation::HandleMeasureStart(const SimEvent& ev) {
   }
 }
 
-controlplane::ManagementService::ResumeCallback
-FleetSimulation::MakeResumeCallback() {
-  return [this](const controlplane::ResumeAttempt& a,
-                EpochSeconds now) -> Status {
-    return ExecuteResume(a, now, NodeOf(a.db));
-  };
-}
-
 Status FleetSimulation::ExecuteResume(const controlplane::ResumeAttempt& a,
                                       EpochSeconds now, size_t node) {
   if (a.node_offset != 0) {
@@ -764,56 +762,54 @@ Status FleetSimulation::ExecuteFailoverPlacement(
   return s;
 }
 
+void FleetSimulation::BuildTransport() {
+  // Real per-node endpoints: agent at endpoint i+1 serves node i.  The
+  // resolver routes each attempt to its home node, diverting a
+  // declared-dead node's work to the next live endpoint (the executor
+  // still re-warms on the node it actually runs on, and picks a hedge's
+  // target itself).
+  const int n = std::max(1, options_.num_nodes);
+  net::TransportDispatcher::Options dopt;
+  dopt.first_node = 1;
+  dopt.num_nodes = n;
+  if (options_.failure_detection_enabled) {
+    dopt.lease_interval = kLeaseInterval;
+    dopt.lease_ttl = kLeaseTtl;
+    controlplane::NodeHealthTracker::Options hopt;
+    hopt.lease_ttl = kLeaseTtl;
+    hopt.suspect_after = kSuspectAfter;
+    hopt.dead_grace = kDeadGrace;
+    hopt.rejoin_after = kRejoinAfter;
+    tracker_ = std::make_unique<controlplane::NodeHealthTracker>(hopt);
+  }
+  dispatcher_ = std::make_unique<net::TransportDispatcher>(
+      &transport_, dopt,
+      [this, n](const controlplane::ResumeAttempt& a) {
+        auto target = static_cast<net::EndpointId>(1 + NodeOf(a.db));
+        if (tracker_ != nullptr) {
+          for (int i = 0; i < n && tracker_->health(target) ==
+                                       controlplane::NodeHealth::kDead;
+               ++i) {
+            target = static_cast<net::EndpointId>(target % n + 1);
+          }
+        }
+        return target;
+      });
+  if (tracker_ != nullptr) dispatcher_->set_health_tracker(tracker_.get());
+  agents_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const size_t node = static_cast<size_t>(i);
+    agents_.push_back(std::make_unique<net::NodeAgent>(
+        static_cast<net::EndpointId>(1 + i), &transport_,
+        [this, node](const controlplane::ResumeAttempt& a,
+                     EpochSeconds now) -> Status {
+          return ExecuteResume(a, now, node);
+        }));
+  }
+}
+
 controlplane::ManagementService::ResumeCallback
 FleetSimulation::MakeServiceCallback() {
-  if (!options_.use_transport) return MakeResumeCallback();
-  if (dispatcher_ == nullptr) {
-    // Real per-node endpoints: agent at endpoint i+1 serves node i.  The
-    // resolver routes each attempt to its home node, diverting a
-    // declared-dead node's work to the next live endpoint (the executor
-    // still re-warms on the node it actually runs on, and picks a hedge's
-    // target itself).
-    transport_ = std::make_unique<net::InProcessTransport>();
-    const int n = std::max(1, options_.num_nodes);
-    net::TransportDispatcher::Options dopt;
-    dopt.first_node = 1;
-    dopt.num_nodes = n;
-    if (options_.failure_detection_enabled) {
-      dopt.lease_interval = options_.lease_interval;
-      dopt.lease_ttl = options_.lease_ttl;
-      controlplane::NodeHealthTracker::Options hopt;
-      hopt.lease_ttl = options_.lease_ttl;
-      hopt.suspect_after = options_.suspect_after;
-      hopt.dead_grace = options_.dead_grace;
-      hopt.rejoin_after = options_.rejoin_after;
-      tracker_ = std::make_unique<controlplane::NodeHealthTracker>(hopt);
-    }
-    dispatcher_ = std::make_unique<net::TransportDispatcher>(
-        transport_.get(), dopt,
-        [this, n](const controlplane::ResumeAttempt& a) {
-          auto target = static_cast<net::EndpointId>(1 + NodeOf(a.db));
-          if (tracker_ != nullptr) {
-            for (int i = 0;
-                 i < n && tracker_->health(target) ==
-                              controlplane::NodeHealth::kDead;
-                 ++i) {
-              target = static_cast<net::EndpointId>(target % n + 1);
-            }
-          }
-          return target;
-        });
-    if (tracker_ != nullptr) dispatcher_->set_health_tracker(tracker_.get());
-    agents_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const size_t node = static_cast<size_t>(i);
-      agents_.push_back(std::make_unique<net::NodeAgent>(
-          static_cast<net::EndpointId>(1 + i), transport_.get(),
-          [this, node](const controlplane::ResumeAttempt& a,
-                       EpochSeconds now) -> Status {
-            return ExecuteResume(a, now, node);
-          }));
-    }
-  }
   return [this](const controlplane::ResumeAttempt& a,
                 EpochSeconds now) -> Status {
     return dispatcher_->DispatchResume(a, now);
@@ -821,7 +817,6 @@ FleetSimulation::MakeServiceCallback() {
 }
 
 void FleetSimulation::SyncTransportToService() {
-  if (dispatcher_ == nullptr) return;
   dispatcher_->set_service(management_);
   // Fence the nodes against the dead incarnation's stragglers before the
   // new one dispatches anything (inline transport has none; the call
@@ -904,7 +899,7 @@ Status FleetSimulation::HandleLeaseTick(const SimEvent& ev) {
       (void)management_->Pump(ev.time);
     }
   }
-  EpochSeconds next = ev.time + options_.lease_interval;
+  EpochSeconds next = ev.time + kLeaseInterval;
   if (next < options_.end) Push(next, SimEventType::kLeaseTick, 0, 0);
   return Status::OK();
 }
@@ -960,16 +955,7 @@ Result<SimReport> FleetSimulation::Run() {
         "use_lite_metadata asks for no SQL mirror, which the literal-scan "
         "validation path reads");
   }
-  if (options_.failure_detection_enabled && !options_.use_transport) {
-    return Status::InvalidArgument(
-        "failure_detection_enabled requires use_transport (leases ride "
-        "the message stack)");
-  }
   if (options_.node_crash_node >= 0) {
-    if (!options_.use_transport) {
-      return Status::InvalidArgument(
-          "node_crash_node requires use_transport");
-    }
     if (options_.node_crash_node >= std::max(1, options_.num_nodes)) {
       return Status::InvalidArgument("node_crash_node out of range");
     }
@@ -1014,6 +1000,7 @@ Result<SimReport> FleetSimulation::Run() {
   }
 
   failure_rng_ = rng_.Fork();
+  BuildTransport();
   if (!options_.control_plane_journal_dir.empty()) {
     PRORP_RETURN_IF_ERROR(OpenDurableControlPlane(/*now=*/0));
   } else {
@@ -1086,8 +1073,7 @@ Result<SimReport> FleetSimulation::Run() {
   // The transport maintenance tick: lease fan-out + failure detection
   // when enabled, and (node loss generally) the retransmit / timeout
   // loop a deaf node's unanswered dispatches depend on.
-  if (node_loss_modeled() && options_.lease_interval > 0 &&
-      earliest_start + 1 < options_.end) {
+  if (node_loss_modeled() && earliest_start + 1 < options_.end) {
     Push(earliest_start + 1, SimEventType::kLeaseTick, 0, 0);
   }
   if (options_.node_crash_node >= 0 && options_.node_crash_at > 0 &&
@@ -1237,6 +1223,7 @@ Result<SimReport> FleetSimulation::Run() {
   for (const auto& ag : agents_) {
     robustness_.resume_failures_node_down +=
         ag->stats().lease_expired_rejected;
+    robustness_.duplicates_suppressed += ag->stats().duplicate_suppressed;
   }
   report.robustness = robustness_;
   report.pending_failed = management_->pending_failed();

@@ -123,29 +123,20 @@ struct SimOptions {
   /// control_plane_journal_dir.
   EpochSeconds control_plane_crash_at = 0;
 
-  /// Route every control-plane resume dispatch through the typed message
-  /// transport (net::TransportDispatcher -> InProcessTransport -> one
-  /// NodeAgent per node, max(1, num_nodes) of them, each wrapping the
-  /// node-side executor) instead of a direct call.
-  /// Fault-free: acks arrive inline, so the run is bit-identical to the
-  /// direct-call run — the regression test for that identity is what this
-  /// flag exists for.
+  /// No effect; deleted once perfbench stops naming it.  Every resume
+  /// dispatch crosses the message transport (net::TransportDispatcher ->
+  /// InProcessTransport -> one NodeAgent per node, max(1, num_nodes)).
   bool use_transport = false;
 
   // --- Failure detection + fenced failover (DESIGN.md section 12) ---
   /// Enables the lease-driven node health subsystem on top of the message
-  /// transport (requires use_transport): the dispatcher runs a lease loop
-  /// against one NodeAgent per node, a NodeHealthTracker scores grant
-  /// silence and reply latency, and a FailoverEngine re-places a declared
-  /// dead node's databases as reactive-priority work.  Fault-free this is
-  /// pure observation — the run's workload output is identical to a plain
-  /// use_transport run.
+  /// transport: the dispatcher runs a lease loop against one NodeAgent per
+  /// node, a NodeHealthTracker scores grant silence and reply latency, and
+  /// a FailoverEngine re-places a declared dead node's databases as
+  /// reactive-priority work.  Fault-free this is pure observation — the
+  /// run's workload output is identical to a run without it.  The
+  /// detector's timing is fixed in fleet_simulator.cc.
   bool failure_detection_enabled = false;
-  DurationSeconds lease_interval = 60;
-  DurationSeconds lease_ttl = 240;
-  DurationSeconds suspect_after = 150;
-  DurationSeconds dead_grace = 120;
-  DurationSeconds rejoin_after = 600;
 
   /// One injected node-crash window [node_crash_at, node_crash_at +
   /// node_crash_duration): the node's agent drops every message, and the
@@ -154,8 +145,8 @@ struct SimOptions {
   /// enabled the tracker declares the node dead and the failover engine
   /// re-places those databases on survivors; without it (the passive
   /// baseline) they stay paused until their next login rides the
-  /// retransmit/timeout machinery.  Requires use_transport and
-  /// num_nodes > 0; node_crash_node < 0 disables.
+  /// retransmit/timeout machinery.  node_crash_node must be below
+  /// max(1, num_nodes); node_crash_node < 0 disables.
   int node_crash_node = -1;
   EpochSeconds node_crash_at = 0;
   DurationSeconds node_crash_duration = 0;

@@ -62,6 +62,9 @@ struct RobustnessReport {
   /// Work refused node-side because the target's lease had lapsed (the
   /// node fenced itself before the plane re-placed its databases).
   uint64_t resume_failures_node_down = 0;
+  /// Redeliveries the node agents acked without re-executing (always 0
+  /// over the simulator's inline transport, which never redelivers).
+  uint64_t duplicates_suppressed = 0;
 
   // --- Counters: login-wait attribution (storm layer) ---
   /// Reactive logins whose wait started inside an outage window of the

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/fault_injecting_transport.h"
 #include "net/message.h"
 #include "net/transport.h"
 
@@ -17,13 +18,22 @@ struct PlaneSink {
   std::vector<Envelope> replies;
 };
 
+/// The plane's endpoint on one of two wires.  By default the inline
+/// InProcessTransport, which never redelivers.  With `redelivering`, a
+/// FaultInjectingTransport with a null plan: it delivers exactly like the
+/// inline wire, but it is a wire that can redeliver, so the agent keeps
+/// its applied-request table and a hand-delivered repeat is a redelivery.
 struct Fixture {
-  InProcessTransport transport;
+  InProcessTransport inline_wire;
+  FaultInjectingTransport redelivering_wire{nullptr};
+  Transport& transport;
   PlaneSink plane;
   std::vector<ResumeAttempt> executed;
   Status next_verdict = Status::OK();
 
-  Fixture() {
+  explicit Fixture(bool redelivering = false)
+      : transport(redelivering ? static_cast<Transport&>(redelivering_wire)
+                               : inline_wire) {
     transport.RegisterEndpoint(
         kControlPlaneEndpoint,
         [this](const Envelope& env, EpochSeconds) {
@@ -74,14 +84,14 @@ TEST(NodeAgentTest, ExecutesAndAcksWithRequestIdentity) {
 }
 
 TEST(NodeAgentTest, RedeliveryOfAppliedRequestIsSuppressed) {
-  Fixture f;
+  Fixture f(/*redelivering=*/true);
   NodeAgent agent(1, &f.transport, f.Executor());
 
   f.transport.Send(f.Request(42, 3));
   f.transport.Send(f.Request(42, 3));  // redelivery
 
-  // The side effect ran once; the second delivery re-acked the recorded
-  // verdict with the duplicate flag.
+  // The side effect ran once; the second delivery was acked OK again with
+  // the duplicate flag.
   EXPECT_EQ(f.executed.size(), 1u);
   EXPECT_EQ(agent.stats().duplicate_suppressed, 1u);
   ASSERT_EQ(f.plane.replies.size(), 2u);
@@ -91,8 +101,28 @@ TEST(NodeAgentTest, RedeliveryOfAppliedRequestIsSuppressed) {
   EXPECT_EQ(f.plane.replies[0].flags & kMfDuplicateDelivery, 0u);
 }
 
-TEST(NodeAgentTest, FailedAttemptIsNotRecordedSoRetransmissionRetries) {
+// Over the inline wire a request id reaches the agent once, so the agent
+// keeps no per-request state: a repeated id (possible only when delivered
+// by hand) is a new request and executes again.
+TEST(NodeAgentTest, InlineWireAgentKeepsNoPerRequestState) {
   Fixture f;
+  NodeAgent agent(1, &f.transport, f.Executor());
+
+  f.transport.Send(f.Request(42, 3));
+  f.transport.Send(f.Request(42, 3));
+
+  EXPECT_EQ(f.executed.size(), 2u);
+  EXPECT_EQ(agent.stats().executed, 2u);
+  EXPECT_EQ(agent.stats().duplicate_suppressed, 0u);
+  ASSERT_EQ(f.plane.replies.size(), 2u);
+  for (const Envelope& reply : f.plane.replies) {
+    EXPECT_EQ(reply.type, MessageType::kAck);
+    EXPECT_EQ(reply.flags & kMfDuplicateDelivery, 0u);
+  }
+}
+
+TEST(NodeAgentTest, FailedAttemptIsNotRecordedSoRetransmissionRetries) {
+  Fixture f(/*redelivering=*/true);
   NodeAgent agent(1, &f.transport, f.Executor());
 
   f.next_verdict = Status::Unavailable("transient");
@@ -238,11 +268,11 @@ TEST(NodeAgentLeaseTest, DelayedRenewalExtendsOnlyFromItsSendTime) {
   EXPECT_EQ(agent.stats().lease_expired_rejected, 1u);
 }
 
-// The quiesce voids the applied-request table: the recorded verdicts
+// The quiesce voids the applied-request table: the recorded ids
 // describe side effects the quiesce destroyed, so after a re-lease a
 // redelivery must RE-EXECUTE (the work has to be redone), not re-ack.
 TEST(NodeAgentLeaseTest, QuiesceVoidsDedupSoReExecutionIsCorrect) {
-  Fixture f;
+  Fixture f(/*redelivering=*/true);
   NodeAgent agent(1, &f.transport, f.Executor());
 
   f.transport.Send(Renewal(3, 100, 240));
@@ -310,7 +340,7 @@ TEST(NodeAgentLeaseTest, CrashedAgentIsDeafUntilRestart) {
 // it described, so re-execution — not re-ack — is the correct answer to
 // a redelivery of pre-crash work.
 TEST(NodeAgentLeaseTest, RestartVoidsDedupTable) {
-  Fixture f;
+  Fixture f(/*redelivering=*/true);
   NodeAgent agent(1, &f.transport, f.Executor());
 
   Envelope req = f.Request(42, 3);

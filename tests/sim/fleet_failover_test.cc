@@ -30,7 +30,6 @@ SimOptions BaseOptions() {
   options.end = kEnd;
   options.seed = 7;
   options.num_nodes = 4;  // outage_rate_per_day stays 0: no outages
-  options.use_transport = true;
   return options;
 }
 
@@ -102,6 +101,10 @@ TEST(FleetFailoverTest, NodeCrashDetectionRePlacesAndBeatsPassiveQos) {
   EXPECT_EQ(a->kpi.forced_evictions, b->kpi.forced_evictions);
   EXPECT_EQ(a->robustness.node_crash_windows, 1u);
   EXPECT_EQ(b->robustness.node_crash_windows, 1u);
+  // Retransmits to the dead node and failover diversion never deliver a
+  // request twice over the inline wire: no agent suppressed a duplicate.
+  EXPECT_EQ(a->robustness.duplicates_suppressed, 0u);
+  EXPECT_EQ(b->robustness.duplicates_suppressed, 0u);
 
   // No accepted login is lost in either arm.
   EXPECT_GT(a->kpi.logins_total, 0u);
