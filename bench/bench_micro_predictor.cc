@@ -4,7 +4,9 @@
 // the vectorized FastPredictor the fleet simulator uses, across history
 // sizes.  The full-scan case is a history in which no window clears c,
 // so selection reads every window of the horizon: the fleet's slowest
-// predictions look like this, and the dense fills never reach it.
+// predictions look like this, and the dense fills never reach it.  The
+// fleet case cycles through 100 databases whose login counts are as
+// bimodal as a fleet's: 97 read fewer than 50 logins, 3 read 448.
 //
 // Self-timed like bench_micro_storage: every call is timed on its own, so
 // each case reports exact per-call p50/p95/p99 over enough calls that at
@@ -64,15 +66,17 @@ std::vector<int> AllDays() {
 /// seasons with activity, so no prediction and a full scan.
 const std::vector<int> kTwoDays = {3, 17};
 
-/// Times kCalls predictions one at a time, after one untimed warm-up call.
+/// Times kCalls predictions one at a time, cycling through `stores`,
+/// after one untimed warm-up call.
 MicroResult Measure(std::string name, const forecast::Predictor& predictor,
-                    const history::HistoryStore& store) {
+                    const std::vector<const history::HistoryStore*>& stores) {
   // Folding every result into a sink keeps the calls observable.
   volatile int64_t sink = 0;
-  sink = sink + predictor.PredictNextActivity(store, kNow)->start;
+  sink = sink + predictor.PredictNextActivity(*stores[0], kNow)->start;
   Summary lat_us;
   Clock::time_point start = Clock::now();
   for (uint64_t i = 0; i < kCalls; ++i) {
+    const history::HistoryStore& store = *stores[i % stores.size()];
     Clock::time_point t0 = Clock::now();
     Result<forecast::ActivityPrediction> p =
         predictor.PredictNextActivity(store, kNow);
@@ -101,22 +105,24 @@ struct Case {
 };
 
 /// Checks that FastPredictor over `mem` predicts what the faithful
-/// predictor predicts over `mem` and over `sql`.
-bool FastEqualsFaithful(const Case& c, const history::HistoryStore& mem,
-                        const history::HistoryStore& sql) {
-  forecast::FastPredictor fast(c.config);
-  forecast::SlidingWindowPredictor faithful(c.config);
+/// predictor predicts over `mem` and, when given, over `sql`.
+bool FastEqualsFaithful(const std::string& name, const PredictionConfig& cfg,
+                        const history::HistoryStore& mem,
+                        const history::HistoryStore* sql) {
+  forecast::FastPredictor fast(cfg);
+  forecast::SlidingWindowPredictor faithful(cfg);
   Result<forecast::ActivityPrediction> want =
       fast.PredictNextActivity(mem, kNow);
   bool equal = want.ok();
-  for (const history::HistoryStore* store : {&mem, &sql}) {
+  for (const history::HistoryStore* store : {&mem, sql}) {
+    if (store == nullptr) continue;
     Result<forecast::ActivityPrediction> got =
         faithful.PredictNextActivity(*store, kNow);
     equal = equal && got.ok() && *got == *want;
   }
   if (!equal) {
     std::fprintf(stderr, "FAIL: %s: fast and faithful predictions differ\n",
-                 c.name.c_str());
+                 name.c_str());
   }
   return equal;
 }
@@ -146,17 +152,42 @@ int Run(const std::string& out_path) {
     history::MemHistoryStore mem;
     Fill(*sql, c.sessions_per_day, c.days);
     Fill(mem, c.sessions_per_day, c.days);
-    all_equal = FastEqualsFaithful(c, mem, *sql) && all_equal;
+    all_equal = FastEqualsFaithful(c.name, c.config, mem, sql.get()) &&
+                all_equal;
     forecast::SlidingWindowPredictor faithful(c.config);
     if (c.time_sql) {
-      sql_rows.push_back(Measure("faithful_sql_" + c.name, faithful, *sql));
+      sql_rows.push_back(
+          Measure("faithful_sql_" + c.name, faithful, {sql.get()}));
     }
     if (c.time_mem) {
-      mem_rows.push_back(Measure("faithful_mem_" + c.name, faithful, mem));
+      mem_rows.push_back(Measure("faithful_mem_" + c.name, faithful, {&mem}));
     }
     fast_rows.push_back(Measure("fast_" + c.name,
-                                forecast::FastPredictor(c.config), mem));
+                                forecast::FastPredictor(c.config), {&mem}));
   }
+
+  // Fleet-shaped: one database in 34 logs in 16 times a day on all 28
+  // days (448 logins read); the rest once a day on three days in four.
+  std::vector<history::MemHistoryStore> fleet(100);
+  std::vector<const history::HistoryStore*> fleet_stores;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    std::vector<int> days;
+    for (int d = 1; d <= 28; ++d) {
+      if ((d + static_cast<int>(i)) % 4 != 0) days.push_back(d);
+    }
+    if (i % 34 == 0) {
+      Fill(fleet[i], 16, AllDays());
+    } else {
+      Fill(fleet[i], 1, days);
+    }
+    all_equal = FastEqualsFaithful("fleet_bimodal", PredictionConfig{},
+                                   fleet[i], nullptr) &&
+                all_equal;
+    fleet_stores.push_back(&fleet[i]);
+  }
+  fast_rows.push_back(Measure("fast_fleet_bimodal",
+                              forecast::FastPredictor(PredictionConfig{}),
+                              fleet_stores));
   std::vector<MicroResult> results = sql_rows;
   results.insert(results.end(), mem_rows.begin(), mem_rows.end());
   results.insert(results.end(), fast_rows.begin(), fast_rows.end());

@@ -30,6 +30,10 @@ Status PredictionConfig::Validate() const {
         "prediction_horizon must not exceed the seasonality period; the "
         "pattern repeats after one season");
   }
+  if (history_length > kMaxHistoryLength) {
+    return Status::InvalidArgument(
+        "history_length must not exceed 2^31 - 1 seconds");
+  }
   if (history_length < seasonality) {
     return Status::InvalidArgument(
         "history_length must cover at least one season");

@@ -11,6 +11,10 @@ namespace prorp {
 /// Configuration knobs of the next-activity prediction (Algorithm 4).
 /// Defaults are the paper's Table 1 values.
 struct PredictionConfig {
+  /// Bound on h (about 68 years), so that every offset the vectorized
+  /// predictor takes within the last h fits in 31 bits.
+  static constexpr DurationSeconds kMaxHistoryLength = 2'147'483'647;
+
   /// h: history retention length.  Only this much recent customer activity
   /// is kept and analyzed (default 28 days = 4 weeks).
   DurationSeconds history_length = Days(28);
@@ -41,7 +45,8 @@ struct PredictionConfig {
   bool literal_break = false;
 
   /// Validates parameter sanity (positive durations, c in [0,1],
-  /// slide <= window, horizon covered by history).
+  /// slide <= window, horizon covered by history, h at most
+  /// kMaxHistoryLength).
   Status Validate() const;
 
   /// Number of sliding-window positions the outer loop evaluates,

@@ -1,5 +1,7 @@
 #include "forecast/window_selection.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace prorp::forecast {
@@ -11,6 +13,21 @@ std::string ActivityPrediction::ToString() const {
                 FormatTimestamp(start).c_str(),
                 FormatTimestamp(end).c_str(), confidence);
   return buf;
+}
+
+int64_t WindowSelector::MinQualifyingCount(double threshold,
+                                           int64_t num_seasons) {
+  const double n = static_cast<double>(num_seasons);
+  auto qualifies = [&](int64_t k) {
+    return threshold <= static_cast<double>(k) / n;
+  };
+  // Start from the real-valued answer, then settle it with the exact
+  // expression the printed code evaluates (monotone in k).
+  int64_t k = std::clamp<int64_t>(
+      static_cast<int64_t>(std::ceil(threshold * n)), 1, num_seasons + 1);
+  while (k > 1 && qualifies(k - 1)) --k;
+  while (k <= num_seasons && !qualifies(k)) ++k;
+  return k;
 }
 
 Result<ActivityPrediction> SelectPrediction(

@@ -29,6 +29,14 @@ struct WindowStats {
 /// The earliest-start window whose confidence clears the threshold and
 /// is locally maximal wins.
 ///
+/// The printed code compares the probability count / (h / season) with
+/// c and with the previous candidate's.  Both comparisons are monotone
+/// in the count, so the selector compares integer counts instead: with
+/// the least count whose probability clears c, found once per call by
+/// evaluating that same double expression, every choice is the one the
+/// probabilities make.  The confidence is computed once, for the chosen
+/// window.
+///
 /// When config.literal_break is set, reproduces the printed pseudo-code's
 /// ELSE BREAK, which aborts the scan at the first sub-threshold window
 /// (see DESIGN.md section 3 for why that is treated as a transcription
@@ -38,23 +46,23 @@ struct WindowStats {
 class WindowSelector {
  public:
   explicit WindowSelector(const PredictionConfig& config)
-      : threshold_(config.confidence_threshold),
-        num_seasons_(static_cast<double>(config.NumSeasons())),
+      : num_seasons_(static_cast<double>(config.NumSeasons())),
+        min_count_(MinQualifyingCount(config.confidence_threshold,
+                                      config.NumSeasons())),
         literal_break_(config.literal_break) {}
 
   /// Offers the next window's count; returns false once the choice is
   /// final and later windows can no longer change it.
   bool Offer(int64_t seasons_with_activity) {
     const int64_t index = next_++;
-    double prob = static_cast<double>(seasons_with_activity) / num_seasons_;
     // Lines 37-46: take the window if it clears the confidence threshold
     // and its probability still improves on the previous candidate.
-    // (seasons_with_activity > 0 guards the degenerate c = 0 case, where
-    // the printed code would emit an empty window.)
-    if (threshold_ <= prob && seasons_with_activity > 0 &&
-        (confidence_ < prob || confidence_ == 0.0)) {
+    // (min_count_ >= 1 guards the degenerate c = 0 case, where the
+    // printed code would emit an empty window.)
+    if (seasons_with_activity >= min_count_ &&
+        seasons_with_activity > chosen_count_) {
       chosen_ = index;
-      confidence_ = prob;
+      chosen_count_ = seasons_with_activity;
       return true;
     }
     // The printed ELSE BREAK aborts at the first non-qualifying window.
@@ -68,7 +76,10 @@ class WindowSelector {
   /// Index of the chosen window (0 opens at `now`), or -1 if none
   /// qualified.
   int64_t chosen() const { return chosen_; }
-  double confidence() const { return confidence_; }
+  /// The chosen window's probability (0 when none qualified).
+  double confidence() const {
+    return static_cast<double>(chosen_count_) / num_seasons_;
+  }
 
   /// The prediction (lines 38-40): the chosen window, which opens at
   /// `win_start`, narrowed to its extreme login offsets `stats`; None()
@@ -77,16 +88,21 @@ class WindowSelector {
                                 const WindowStats& stats) const {
     if (chosen_ < 0) return ActivityPrediction::None();
     return {win_start + stats.first_login_offset,
-            win_start + stats.last_login_offset, confidence_};
+            win_start + stats.last_login_offset, confidence()};
   }
 
+  /// The least count k >= 1 with `threshold <= k / num_seasons` in
+  /// double arithmetic (num_seasons + 1 if none), i.e. the least count
+  /// the printed comparison accepts.
+  static int64_t MinQualifyingCount(double threshold, int64_t num_seasons);
+
  private:
-  double threshold_;
   double num_seasons_;
+  int64_t min_count_;
   bool literal_break_;
   int64_t next_ = 0;
   int64_t chosen_ = -1;
-  double confidence_ = 0.0;
+  int64_t chosen_count_ = 0;
 };
 
 /// Algorithm 4's outer loop (line 9) over per-window stats computed on

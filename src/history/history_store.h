@@ -2,6 +2,7 @@
 #define PRORP_HISTORY_HISTORY_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,9 +43,9 @@ inline constexpr uint64_t kTupleBytes = 16;
 ///  * SqlHistoryStore — the faithful one: an actual SQL table with a
 ///    clustered B+tree on time_snapshot; Algorithms 2 and 3 are executed
 ///    as SQL statements (this is what the overhead evaluation measures);
-///  * MemHistoryStore — an equivalent sorted in-memory store used by the
-///    fleet simulator, cross-checked against the SQL one by property
-///    tests.
+///  * MemHistoryStore — an equivalent in-memory store (one ascending
+///    array of logins, one of logouts) used by the fleet simulator,
+///    cross-checked against the SQL one by property tests.
 class HistoryStore {
  public:
   virtual ~HistoryStore() = default;
@@ -74,6 +75,18 @@ class HistoryStore {
   /// bulk read; one range scan instead of one query per window).
   virtual Result<std::vector<EpochSeconds>> CollectLogins(
       EpochSeconds lo, EpochSeconds hi) const = 0;
+
+  /// The logins of CollectLogins(lo, hi) as a view, valid until the next
+  /// mutation of this store or of `*scratch`.  A store whose logins are
+  /// contiguous points into its own array and leaves `*scratch` alone;
+  /// this default fills `*scratch` through CollectLogins, so it is one
+  /// history read either way.
+  virtual Result<std::span<const EpochSeconds>> ReadLogins(
+      EpochSeconds lo, EpochSeconds hi,
+      std::vector<EpochSeconds>* scratch) const {
+    PRORP_ASSIGN_OR_RETURN(*scratch, CollectLogins(lo, hi));
+    return std::span<const EpochSeconds>(*scratch);
+  }
 
   /// Full contents in timestamp order (tests, debugging, the customer
   /// materialized view).

@@ -50,10 +50,12 @@ Status TransportDispatcher::DispatchResume(
   env.enqueued_at = attempt.enqueued_at;
 
   ++stats_.dispatched;
-  outstanding_[env.request_id] = Outstanding{env, now, 1};
+  // An earlier dispatch under this id is superseded, as if overwritten.
+  outstanding_.erase(env.request_id);
 
   // An inline transport answers before Send returns; the reply handler
-  // then stashes the verdict instead of treating it as an async ack.
+  // then stashes the verdict instead of treating it as an async ack, and
+  // the dispatch never enters outstanding_.
   in_dispatch_ = true;
   inline_rid_ = env.request_id;
   inline_result_.reset();
@@ -63,6 +65,7 @@ Status TransportDispatcher::DispatchResume(
     ++stats_.inline_acked;
     return *inline_result_;
   }
+  outstanding_[env.request_id] = Outstanding{env, now, 1};
   return Status::Pending("resume dispatch awaiting ack");
 }
 
@@ -80,8 +83,14 @@ void TransportDispatcher::HandleReply(const Envelope& env, EpochSeconds now) {
         if (service_ != nullptr) service_->NoteStaleEpochAck(env.db);
         return;
       }
-      auto it = outstanding_.find(env.request_id);
-      if (it == outstanding_.end()) {
+      // The reply to the dispatch in flight inside Send (the first one:
+      // a duplicate delivered inline is late, like any other).
+      const bool inline_reply = in_dispatch_ &&
+                                env.request_id == inline_rid_ &&
+                                !inline_result_.has_value();
+      auto it = inline_reply ? outstanding_.end()
+                             : outstanding_.find(env.request_id);
+      if (!inline_reply && it == outstanding_.end()) {
         // Duplicate delivery, or an ack racing a local resolution (a
         // hedge win, a timeout).  The workflow already settled; telemetry
         // only, no state transition.
@@ -89,7 +98,7 @@ void TransportDispatcher::HandleReply(const Envelope& env, EpochSeconds now) {
         if (service_ != nullptr) service_->NoteLateAck(env.db);
         return;
       }
-      outstanding_.erase(it);
+      if (!inline_reply) outstanding_.erase(it);
       if (health_ != nullptr && env.enqueued_at > 0 &&
           now >= env.enqueued_at) {
         // The reply echoes its request's transmission time in
@@ -98,7 +107,7 @@ void TransportDispatcher::HandleReply(const Envelope& env, EpochSeconds now) {
         health_->OnAckLatency(env.src, now - env.enqueued_at, now);
       }
       Status verdict = StatusFromCode(env.code, "node reply");
-      if (in_dispatch_ && env.request_id == inline_rid_) {
+      if (inline_reply) {
         inline_result_ = std::move(verdict);
         return;
       }

@@ -79,6 +79,15 @@ TEST(ConfigTest, RejectsHistoryShorterThanSeason) {
   EXPECT_TRUE(p.Validate().IsInvalidArgument());
 }
 
+TEST(ConfigTest, RejectsHistoryBeyond31Bits) {
+  // The vectorized predictor keeps offsets within the last h in 32 bits.
+  PredictionConfig p;
+  p.history_length = PredictionConfig::kMaxHistoryLength;
+  EXPECT_TRUE(p.Validate().ok());
+  p.history_length = PredictionConfig::kMaxHistoryLength + 1;
+  EXPECT_TRUE(p.Validate().IsInvalidArgument());
+}
+
 TEST(ConfigTest, WeeklySeasonalityValidates) {
   PredictionConfig p;
   p.seasonality = Weeks(1);

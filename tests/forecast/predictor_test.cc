@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -313,6 +314,39 @@ void ExpectFastEqualsFaithful(const history::HistoryStore& store,
   ExpectFastEqualsFaithful(store, store, cfg, now);
 }
 
+/// Forwards to a MemHistoryStore and counts the predictors' reads.
+class CountingHistoryStore : public history::HistoryStore {
+ public:
+  Status InsertHistory(EpochSeconds time, int event_type) override {
+    return inner.InsertHistory(time, event_type);
+  }
+  Result<bool> DeleteOldHistory(DurationSeconds h,
+                                EpochSeconds now) override {
+    return inner.DeleteOldHistory(h, now);
+  }
+  Result<history::LoginRangeAgg> LoginMinMax(
+      EpochSeconds lo, EpochSeconds hi) const override {
+    ++login_min_max_calls;
+    return inner.LoginMinMax(lo, hi);
+  }
+  Result<std::vector<EpochSeconds>> CollectLogins(
+      EpochSeconds lo, EpochSeconds hi) const override {
+    ++collect_calls;
+    return inner.CollectLogins(lo, hi);
+  }
+  Result<std::vector<history::HistoryTuple>> ReadAll() const override {
+    return inner.ReadAll();
+  }
+  Result<EpochSeconds> MinTimestamp() const override {
+    return inner.MinTimestamp();
+  }
+  uint64_t NumTuples() const override { return inner.NumTuples(); }
+
+  MemHistoryStore inner;
+  mutable int collect_calls = 0;
+  mutable int login_min_max_calls = 0;
+};
+
 // Property sweep: on random histories and random configurations the
 // faithful and vectorized predictors are bit-identical.
 class PredictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
@@ -445,6 +479,172 @@ TEST_P(PredictorEquivalenceTest, SqlFaithfulEqualsMemFastOnRandomConfigs) {
   }
 }
 
+/// FastPredictor over `store`'s in-place read equals FastPredictor over
+/// the CollectLogins copy of the same history (a store without its own
+/// ReadLogins), with and without literal_break, and both equal the
+/// faithful predictor.
+void ExpectInPlaceEqualsCopy(const MemHistoryStore& store,
+                             const PredictionConfig& cfg, EpochSeconds now) {
+  CountingHistoryStore copying;
+  copying.inner = store;
+  for (bool literal_break : {false, true}) {
+    PredictionConfig flipped = cfg;
+    flipped.literal_break = literal_break;
+    FastPredictor fast(flipped);
+    auto in_place = fast.PredictNextActivity(store, now);
+    auto copied = fast.PredictNextActivity(copying, now);
+    ASSERT_TRUE(in_place.ok()) << in_place.status().ToString();
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    EXPECT_EQ(*in_place, *copied)
+        << "literal_break=" << literal_break << ": " << in_place->ToString()
+        << " vs " << copied->ToString();
+  }
+  EXPECT_EQ(copying.collect_calls, 2);
+  ExpectFastEqualsFaithful(store, cfg, now);
+}
+
+TEST_P(PredictorEquivalenceTest, InPlaceReadEqualsCollectLoginsCopy) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, static_cast<int>(rng.NextInt(0, 35)),
+                      static_cast<int>(rng.NextInt(1, 32)), rng.NextDouble());
+    ExpectInPlaceEqualsCopy(store, RandomConfig(rng), now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, MoreThan1024Windows) {
+  // s = 1 min: over a thousand windows a day (ten thousand a week), more
+  // than any smaller config before it on this thread sized the buffers
+  // for; a default config after it reuses them.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Weeks(1) - 1);
+    AddRandomSessions(rng, store, now, 35, static_cast<int>(rng.NextInt(1, 6)),
+                      rng.NextDouble());
+    PredictionConfig cfg = RandomConfig(rng);
+    cfg.window_size = Hours(rng.NextInt(1, 6));
+    cfg.window_slide = Minutes(1);
+    ASSERT_GT(cfg.NumWindows(), 1024);
+    ExpectInPlaceEqualsCopy(store, DefaultConfig(), now);
+    ExpectInPlaceEqualsCopy(store, cfg, now);
+    ExpectInPlaceEqualsCopy(store, DefaultConfig(), now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, LiteralBreakInPlace) {
+  // Daily 9:00 logins seen from midnight: window 0 is empty, so the
+  // printed ELSE BREAK predicts nothing where the corrected reading
+  // predicts 9:00; random histories follow.
+  Rng rng(GetParam());
+  MemHistoryStore daily;
+  AddDailySessions(daily, kAnchor, 28, Hours(9), Hours(10));
+  PredictionConfig cfg = DefaultConfig();
+  cfg.literal_break = true;
+  auto literal = FastPredictor(cfg).PredictNextActivity(daily, kAnchor);
+  ASSERT_TRUE(literal.ok());
+  EXPECT_FALSE(literal->HasPrediction());
+  ExpectInPlaceEqualsCopy(daily, cfg, kAnchor);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, 35, static_cast<int>(rng.NextInt(1, 4)),
+                      rng.NextDouble());
+    cfg = RandomConfig(rng);
+    cfg.literal_break = true;
+    ExpectInPlaceEqualsCopy(store, cfg, now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, ConfidenceExtremesAndCountBoundariesInPlace) {
+  // c = 0, c = 1, and c exactly at k / n or one ulp above it, where the
+  // integer count comparison must agree with the printed division.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    AddRandomSessions(rng, store, now, 35, static_cast<int>(rng.NextInt(1, 4)),
+                      rng.NextBool(0.5) ? 1.0 : 0.8);
+    PredictionConfig cfg = RandomConfig(rng);
+    const double n = static_cast<double>(cfg.NumSeasons());
+    const double at_k = static_cast<double>(rng.NextInt(1, cfg.NumSeasons())) / n;
+    for (double c : {0.0, 1.0, at_k, std::nextafter(at_k, 2.0),
+                     std::nextafter(at_k, 0.0)}) {
+      cfg.confidence_threshold = std::min(c, 1.0);
+      ExpectInPlaceEqualsCopy(store, cfg, now);
+    }
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, WeeklySeasonalityInPlace) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE(trial);
+    MemHistoryStore store;
+    EpochSeconds now = kAnchor + rng.NextInt(0, Weeks(1) - 1);
+    AddRandomSessions(rng, store, now, 35, static_cast<int>(rng.NextInt(1, 8)),
+                      rng.NextDouble());
+    PredictionConfig cfg = RandomConfig(rng);
+    cfg.seasonality = Weeks(1);
+    cfg.history_length = Weeks(rng.NextInt(1, 5));
+    cfg.prediction_horizon = Days(rng.NextInt(1, 7));
+    ExpectInPlaceEqualsCopy(store, cfg, now);
+  }
+}
+
+TEST_P(PredictorEquivalenceTest, LifespanWitnessInsideReadRange) {
+  // A retention cut with a shorter h, taken days before `now`, leaves the
+  // lifespan witness (login or logout) in the slot just before the first
+  // kept tuple, inside the range the next 28-day prediction reads.  The
+  // SQL store, which really deletes, must predict the same.
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(trial);
+    auto sql_store = history::SqlHistoryStore::Open();
+    ASSERT_TRUE(sql_store.ok());
+    MemHistoryStore store;
+    const EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+    const bool logout_witness = rng.NextBool(0.5);
+    const EpochSeconds witness =
+        StartOfDay(now) - Days(26) + rng.NextInt(0, Hours(20));
+    for (history::HistoryStore* s :
+         {static_cast<history::HistoryStore*>(&store),
+          static_cast<history::HistoryStore*>(sql_store->get())}) {
+      ASSERT_TRUE(
+          s->InsertHistory(witness, logout_witness ? kEventLogout : kEventLogin)
+              .ok());
+    }
+    AddRandomSessions(rng, store, now, 25, static_cast<int>(rng.NextInt(1, 4)),
+                      0.9);
+    auto tuples = store.ReadAll();
+    ASSERT_TRUE(tuples.ok());
+    for (const history::HistoryTuple& t : *tuples) {
+      ASSERT_TRUE(
+          (*sql_store)->InsertHistory(t.time_snapshot, t.event_type).ok());
+    }
+    for (DurationSeconds cut : {Days(20), Days(14), Days(9)}) {
+      auto a = store.DeleteOldHistory(cut, now - Days(3));
+      auto b = (*sql_store)->DeleteOldHistory(cut, now - Days(3));
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(*a, *b);
+    }
+    EXPECT_EQ(*store.MinTimestamp(), witness);
+    EXPECT_EQ(*store.ReadAll(), *(*sql_store)->ReadAll());
+    PredictionConfig cfg = DefaultConfig();
+    cfg.confidence_threshold = rng.NextDouble() * 0.3;
+    ASSERT_GE(witness, now - cfg.NumSeasons() * cfg.seasonality);
+    ExpectInPlaceEqualsCopy(store, cfg, now);
+    ExpectFastEqualsFaithful(**sql_store, store, cfg, now);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PredictorEquivalenceTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
 
@@ -475,39 +675,6 @@ TEST(PredictorEquivalenceTest, SqlStoreMatchesMemStore) {
   EXPECT_EQ(*a, *b);
   EXPECT_TRUE(a->HasPrediction());
 }
-
-/// Forwards to a MemHistoryStore and counts the predictors' reads.
-class CountingHistoryStore : public history::HistoryStore {
- public:
-  Status InsertHistory(EpochSeconds time, int event_type) override {
-    return inner.InsertHistory(time, event_type);
-  }
-  Result<bool> DeleteOldHistory(DurationSeconds h,
-                                EpochSeconds now) override {
-    return inner.DeleteOldHistory(h, now);
-  }
-  Result<history::LoginRangeAgg> LoginMinMax(
-      EpochSeconds lo, EpochSeconds hi) const override {
-    ++login_min_max_calls;
-    return inner.LoginMinMax(lo, hi);
-  }
-  Result<std::vector<EpochSeconds>> CollectLogins(
-      EpochSeconds lo, EpochSeconds hi) const override {
-    ++collect_calls;
-    return inner.CollectLogins(lo, hi);
-  }
-  Result<std::vector<history::HistoryTuple>> ReadAll() const override {
-    return inner.ReadAll();
-  }
-  Result<EpochSeconds> MinTimestamp() const override {
-    return inner.MinTimestamp();
-  }
-  uint64_t NumTuples() const override { return inner.NumTuples(); }
-
-  MemHistoryStore inner;
-  mutable int collect_calls = 0;
-  mutable int login_min_max_calls = 0;
-};
 
 TEST(FastPredictorTest, OneHistoryReadPerPrediction) {
   Rng rng(7);

@@ -1,5 +1,6 @@
 #include "forecast/window_selection.h"
 
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -146,6 +147,45 @@ TEST(WindowSelectionTest, CZeroChosenWindow) {
   EXPECT_EQ(OfferAll(literal, {0, 1}), 1);
   EXPECT_EQ(literal.chosen(), -1);
   EXPECT_FALSE(literal.Prediction(0, WindowStats{}).HasPrediction());
+}
+
+TEST(WindowSelectionTest, SelectionAtThresholdBoundary) {
+  // The selector compares integer counts against the least count whose
+  // probability clears c.  At c = k / n exactly, k seasons qualify; one
+  // ulp above, only k + 1 do; one ulp below, k still does.
+  PredictionConfig cfg = SmallConfig();  // 10 seasons
+  cfg.confidence_threshold = 0.3;
+  WindowSelector at(cfg);
+  EXPECT_EQ(OfferAll(at, {2, 3, 3}), 3);
+  EXPECT_EQ(at.chosen(), 1);
+  EXPECT_DOUBLE_EQ(at.confidence(), 0.3);
+  cfg.confidence_threshold = std::nextafter(0.3, 1.0);
+  WindowSelector above(cfg);
+  EXPECT_EQ(OfferAll(above, {3, 3, 4, 4}), 4);
+  EXPECT_EQ(above.chosen(), 2);
+  EXPECT_DOUBLE_EQ(above.confidence(), 0.4);
+  cfg.confidence_threshold = std::nextafter(0.3, 0.0);
+  WindowSelector below(cfg);
+  EXPECT_EQ(OfferAll(below, {2, 3, 2}), 3);
+  EXPECT_EQ(below.chosen(), 1);
+  // Against the printed expression itself, for every season count up to
+  // 60 and thresholds on, just above and just below every k / n.
+  for (int64_t n = 1; n <= 60; ++n) {
+    const double seasons = static_cast<double>(n);
+    for (int64_t k = 0; k <= n; ++k) {
+      const double at_k = static_cast<double>(k) / seasons;
+      for (double c : {at_k, std::nextafter(at_k, 2.0),
+                       std::nextafter(at_k, -1.0)}) {
+        if (c < 0.0 || c > 1.0) continue;
+        int64_t least = n + 1;
+        for (int64_t j = n; j >= 1; --j) {
+          if (c <= static_cast<double>(j) / seasons) least = j;
+        }
+        EXPECT_EQ(WindowSelector::MinQualifyingCount(c, n), least)
+            << "n=" << n << " c=" << c;
+      }
+    }
+  }
 }
 
 TEST(WindowSelectionTest, StatsErrorPropagates) {

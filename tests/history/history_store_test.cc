@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -237,6 +239,77 @@ TEST(HistoryStoreEquivalenceTest, RandomOperationsMatch) {
   ASSERT_TRUE(all_sql.ok());
   ASSERT_TRUE(all_mem.ok());
   EXPECT_EQ(*all_sql, *all_mem);
+}
+
+// Retention moves the in-memory store's heads and witness slot rather
+// than erasing; after each of many cuts, and after re-inserting deleted
+// timestamps, both stores must still read the same.
+TEST(HistoryStoreEquivalenceTest, RepeatedRetentionCutsAndReinsertion) {
+  Rng rng(20261019);
+  auto sql_store = SqlHistoryStore::Open();
+  ASSERT_TRUE(sql_store.ok());
+  MemHistoryStore mem_store;
+  std::vector<HistoryStore*> stores = {sql_store->get(), &mem_store};
+  auto expect_same = [&] {
+    EXPECT_EQ((*sql_store)->NumTuples(), mem_store.NumTuples());
+    auto all_sql = (*sql_store)->ReadAll();
+    auto all_mem = mem_store.ReadAll();
+    ASSERT_TRUE(all_sql.ok());
+    ASSERT_TRUE(all_mem.ok());
+    EXPECT_EQ(*all_sql, *all_mem);
+    auto min_sql = (*sql_store)->MinTimestamp();
+    auto min_mem = mem_store.MinTimestamp();
+    ASSERT_EQ(min_sql.ok(), min_mem.ok());
+    if (min_sql.ok()) {
+      EXPECT_EQ(*min_sql, *min_mem);
+    }
+    // The in-place read sees exactly what CollectLogins copies.
+    std::vector<EpochSeconds> unused;
+    auto view = mem_store.ReadLogins(0, 1'700'000'000, &unused);
+    auto copy = (*sql_store)->CollectLogins(0, 1'700'000'000);
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(copy.ok());
+    EXPECT_EQ(std::vector<EpochSeconds>(view->begin(), view->end()), *copy);
+    EXPECT_TRUE(unused.empty());
+  };
+  EpochSeconds now = 1'600'000'000;
+  std::vector<std::pair<EpochSeconds, int>> inserted;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      now += rng.NextInt(1, Hours(6));
+      const int type = rng.NextBool(0.5) ? kEventLogin : kEventLogout;
+      inserted.emplace_back(now, type);
+      for (HistoryStore* s : stores) {
+        ASSERT_TRUE(s->InsertHistory(now, type).ok());
+      }
+    }
+    const DurationSeconds h = Days(rng.NextInt(1, 6));
+    for (int cut = 0; cut < 3; ++cut) {
+      auto a = (*sql_store)->DeleteOldHistory(h, now - cut * Hours(5));
+      auto b = mem_store.DeleteOldHistory(h, now - cut * Hours(5));
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(*a, *b);
+      expect_same();
+    }
+    // Re-insert a few timestamps, most of them deleted by now, with
+    // either event type: IF NOT EXISTS must answer alike.
+    for (int i = 0; i < 3; ++i) {
+      const auto& [t, type] =
+          inserted[static_cast<size_t>(rng.NextInt(0, inserted.size() - 1))];
+      const int again = rng.NextBool(0.5) ? type : 1 - type;
+      for (HistoryStore* s : stores) {
+        ASSERT_TRUE(s->InsertHistory(t, again).ok());
+      }
+      expect_same();
+    }
+  }
+  // A timestamp older than the witness becomes the new oldest tuple.
+  for (HistoryStore* s : stores) {
+    ASSERT_TRUE(s->InsertHistory(1'500'000'000, kEventLogout).ok());
+  }
+  expect_same();
+  EXPECT_EQ(*mem_store.MinTimestamp(), 1'500'000'000);
 }
 
 TEST(SqlHistoryStoreTest, DurableAcrossReopen) {

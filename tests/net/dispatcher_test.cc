@@ -85,6 +85,27 @@ struct Fixture {
   int executions = 0;
 };
 
+TEST(TransportDispatcherTest, InlineDispatchLeavesNoTableEntry) {
+  // An inline transport answers inside Send, so the dispatch settles
+  // before it could be parked: it never enters the outstanding table,
+  // not even while the node executes it.
+  InProcessTransport transport;
+  TransportDispatcher dispatcher(&transport, {});
+  size_t outstanding_during_execution = 99;
+  NodeAgent agent(1, &transport, [&](const ResumeAttempt&, EpochSeconds) {
+    outstanding_during_execution = dispatcher.outstanding();
+    return Status::OK();
+  });
+  ResumeAttempt attempt;
+  attempt.db = 3;
+  attempt.request_id = 42;
+  EXPECT_TRUE(dispatcher.DispatchResume(attempt, kT0).ok());
+  EXPECT_EQ(outstanding_during_execution, 0u);
+  EXPECT_EQ(dispatcher.stats().inline_acked, 1u);
+  EXPECT_EQ(dispatcher.stats().late_acks, 0u);
+  EXPECT_TRUE(dispatcher.Idle());
+}
+
 TEST(TransportDispatcherTest, FaultFreeDispatchResolvesInline) {
   InProcessTransport transport;
   Fixture f(&transport);
