@@ -29,16 +29,8 @@ size_t ManagementService::pending_workflows() const {
 
 size_t ManagementService::pending_failed() const {
   size_t n = 0;
-  for (const auto& q : queues_) {
-    for (const WorkItem& item : q) {
-      if (item.attempts > 0) ++n;
-    }
-  }
-  // Unacked dispatches are still open workflows: an item that failed
-  // before going on the wire stays an open term of the invariant until
-  // its ack (or timeout requeue) resolves it.
-  for (const auto& [db, u] : unacked_) {
-    if (u.item.attempts > 0) ++n;
+  for (size_t i = 0; i < kNumResumeClasses; ++i) {
+    n += pending_failed(static_cast<ResumeClass>(i));
   }
   return n;
 }
@@ -513,30 +505,38 @@ void ManagementService::RetireQueued(ResumeClass cls, DbId db) {
 }
 
 Status ManagementService::EnqueueReactive(DbId db, EpochSeconds now) {
+  return AdmitReactive(db, now, /*failover=*/false);
+}
+
+Status ManagementService::EnqueueFailover(DbId db, EpochSeconds now) {
+  return AdmitReactive(db, now, /*failover=*/true);
+}
+
+Status ManagementService::AdmitReactive(DbId db, EpochSeconds now,
+                                        bool failover) {
   if (fenced_) return fence_status_;
-  ++reactive_arrivals_;
-  if (in_flight_.count(db) != 0) return Status::OK();  // already resuming
+  // Plane-initiated failover work must not feed the storm detector.
+  if (!failover) ++reactive_arrivals_;
+  // Dedup against every live form the workflow could already have: an
+  // in-flight resume is already resuming, and a queued pre-warm is
+  // promoted rather than duplicated.
+  if (in_flight_.count(db) != 0) return Status::OK();
   if (auto ua = unacked_.find(db); ua != unacked_.end()) {
     // A dispatch for this database is on the wire with an unknown
-    // outcome.  The login is absorbed — NOT journaled as kAccepted:
+    // outcome.  The request is absorbed — NOT journaled as kAccepted:
     // replay-wise the database is still queued (kDispatched without an
     // outcome), so a fresh accept would corrupt replay.  The interest
     // flag makes the resolution paths promote the workflow to reactive.
     ua->second.reactive_interest = true;
     return Status::OK();
   }
-  auto it = queued_dbs_.find(db);
-  if (it != queued_dbs_.end()) {
-    if (it->second == ResumeClass::kReactiveLogin) return Status::OK();
-    // Promotion: the customer's login outruns a queued pre-warm of the
-    // same database.
+  if (queued_dbs_.count(db) != 0) {
     PromoteToReactive(db, now);
-    if (fenced_) return fence_status_;
-    return Status::OK();
+  } else {
+    EnqueueItem(db, ResumeClass::kReactiveLogin, now, /*brownout_level=*/-1,
+                /*catch_up=*/false, failover);
   }
-  EnqueueItem(db, ResumeClass::kReactiveLogin, now);
-  if (fenced_) return fence_status_;
-  return Status::OK();
+  return fenced_ ? fence_status_ : Status::OK();
 }
 
 Status ManagementService::NoteNodeDead(uint32_t node, EpochSeconds now) {
@@ -547,29 +547,6 @@ Status ManagementService::NoteNodeDead(uint32_t node, EpochSeconds now) {
   rec.time = now;
   if (!Journal(rec)) return fence_status_;
   Apply(rec);
-  return Status::OK();
-}
-
-Status ManagementService::EnqueueFailover(DbId db, EpochSeconds now) {
-  if (fenced_) return fence_status_;
-  // Dedup against every live form the workflow could already have: a
-  // failover must never fork a second concurrent workflow for the same
-  // database.  In-flight and unacked dispatches resolve through their own
-  // paths (timeout/reconcile re-places them), and anything already queued
-  // is promoted to reactive priority rather than duplicated.
-  if (in_flight_.count(db) != 0) return Status::OK();
-  if (auto ua = unacked_.find(db); ua != unacked_.end()) {
-    ua->second.reactive_interest = true;
-    return Status::OK();
-  }
-  if (auto it = queued_dbs_.find(db); it != queued_dbs_.end()) {
-    if (it->second != ResumeClass::kReactiveLogin) PromoteToReactive(db, now);
-    if (fenced_) return fence_status_;
-    return Status::OK();
-  }
-  EnqueueItem(db, ResumeClass::kReactiveLogin, now, /*brownout_level=*/-1,
-              /*catch_up=*/false, /*failover=*/true);
-  if (fenced_) return fence_status_;
   return Status::OK();
 }
 
@@ -1133,6 +1110,15 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
 }
 
 Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
+  // Apply indexes per-class state with the class byte, which kBreaker
+  // spends on a breaker code (kMetaUpsert on a DbState code, checked by
+  // the metadata store): a byte out of range is corrupt, not an index.
+  const size_t max_cls = rec.event == JournalEvent::kBreaker
+                             ? static_cast<size_t>(BreakerState::kHalfOpen)
+                             : kNumResumeClasses - 1;
+  if (rec.event != JournalEvent::kMetaUpsert && rec.cls > max_cls) {
+    return Status::Corruption("journal replay: class byte out of range");
+  }
   const ResumeClass cls = static_cast<ResumeClass>(rec.cls);
   switch (rec.event) {
     case JournalEvent::kEpochStart:

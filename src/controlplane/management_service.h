@@ -432,9 +432,13 @@ class ManagementService {
   /// absorbed while it was on the wire promotes it to reactive.
   void Requeue(const WorkItem& item, bool reactive_interest, EpochSeconds now);
   /// Promotes a queued non-reactive item of `db` to a fresh reactive
-  /// workflow (retire + re-enqueue), shared by EnqueueReactive and the
+  /// workflow (retire + re-enqueue), shared by AdmitReactive and the
   /// unacked resolution paths.
   void PromoteToReactive(DbId db, EpochSeconds now);
+  /// The one reactive-priority admission behind EnqueueReactive and
+  /// EnqueueFailover; `failover` journals kJfFailover and counts no
+  /// reactive arrival.
+  Status AdmitReactive(DbId db, EpochSeconds now, bool failover);
 
   /// Drains up to the queue length of `cls` at entry; `quota` (when
   /// non-null) is the shared slow-start budget across the non-reactive
