@@ -11,21 +11,22 @@ namespace prorp::controlplane {
 Result<std::unique_ptr<DurableControlPlane>> DurableControlPlane::Open(
     const Options& options, ManagementService::ResumeCallback resume,
     const std::function<bool(DbId)>& node_resumed, EpochSeconds now) {
-  if (options.dir.empty()) {
-    return Status::InvalidArgument("durable control plane needs a directory");
-  }
-  if (::mkdir(options.dir.c_str(), 0755) != 0 && errno != EEXIST) {
+  const bool journaled = !options.dir.empty();
+  if (journaled && ::mkdir(options.dir.c_str(), 0755) != 0 &&
+      errno != EEXIST) {
     return Status::IoError("cannot create control-plane directory");
   }
   std::unique_ptr<DurableControlPlane> plane(new DurableControlPlane());
   plane->options_ = options;
-  plane->journal_path_ = JournalPathFor(options.dir);
-  plane->checkpoint_path_ = CheckpointPathFor(options.dir);
   PRORP_ASSIGN_OR_RETURN(plane->metadata_,
                          MetadataStore::Open(options.metadata_backing));
   plane->service_ = std::make_unique<ManagementService>(
       plane->metadata_.get(), options.config, std::move(resume),
       options.max_attempts);
+  // No directory: nothing to recover and nothing to journal (epoch 0).
+  if (!journaled) return plane;
+  plane->journal_path_ = JournalPathFor(options.dir);
+  plane->checkpoint_path_ = CheckpointPathFor(options.dir);
 
   // 1. Newest checkpoint (if any) is the replay base.
   uint64_t base_epoch = 0;
@@ -109,6 +110,9 @@ Result<std::unique_ptr<DurableControlPlane>> DurableControlPlane::Open(
 }
 
 Status DurableControlPlane::Checkpoint() {
+  if (journal_ == nullptr) {
+    return Status::FailedPrecondition("control plane has no journal");
+  }
   if (!journal_->healthy()) return journal_->dead_status();
   if (service_->fenced()) return service_->fence_status();
   // Power-loss durability (kDurable) needs the journal on stable storage
@@ -133,7 +137,9 @@ Status DurableControlPlane::Checkpoint() {
 }
 
 Status DurableControlPlane::MaybeCheckpoint() {
-  if (options_.checkpoint_every == 0) return Status::OK();
+  if (options_.checkpoint_every == 0 || journal_ == nullptr) {
+    return Status::OK();
+  }
   uint64_t appended = journal_->next_seq() - 1;
   if (appended < last_checkpoint_seq_ ||
       appended - last_checkpoint_seq_ < options_.checkpoint_every) {

@@ -279,27 +279,13 @@ class FleetSimulation {
                                   EpochSeconds now, size_t node);
 
   /// Builds the dispatcher, one agent per node, and the health tracker
-  /// when failure detection is enabled.
+  /// and failover engine when failure detection is enabled.
   void BuildTransport();
 
-  /// The resume callback handed to the control plane: a dispatch over
-  /// the transport.
-  controlplane::ManagementService::ResumeCallback MakeServiceCallback();
-
-  /// Repoints the transport stack at the current service incarnation
-  /// (after construction and after every crash/recovery).
-  void SyncTransportToService();
-
-  /// Opens (or, after a crash, recovers) the durable control plane and
-  /// repoints metadata_/management_ at its components.
-  Status OpenDurableControlPlane(EpochSeconds now);
-  /// The SQL mirror of sys.databases opens only for the literal-scan
-  /// validation path, its one reader.
-  MetadataStore::Backing MetadataBacking() const {
-    return options_.use_sql_scan_for_resume_op
-               ? MetadataStore::Backing::kSqlMirrored
-               : MetadataStore::Backing::kIndexOnly;
-  }
+  /// Opens (or, after a crash, recovers) the control plane, then repoints
+  /// metadata_/management_, the dispatcher, the agents' fences and the
+  /// failover engine at the new incarnation.
+  Status OpenControlPlane(EpochSeconds now);
 
   const workload::TraceSource* source_;
   size_t num_dbs_;
@@ -365,12 +351,9 @@ class FleetSimulation {
   int64_t allocated_now_ = 0;
   Summary allocated_samples_;
   std::unique_ptr<forecast::FastPredictor> predictor_;
-  /// The control plane behind `metadata_`/`management_` is either owned
-  /// directly (legacy in-memory mode) or lives inside `plane_` (durable
-  /// journaled mode); all handlers go through the raw pointers so a
-  /// mid-run recovery only has to swap what they point at.
-  std::unique_ptr<MetadataStore> owned_metadata_;
-  std::unique_ptr<controlplane::ManagementService> owned_management_;
+  /// The control plane, journaled when control_plane_journal_dir is set;
+  /// all handlers go through the raw pointers below so a mid-run recovery
+  /// only has to swap what they point at.
   std::unique_ptr<controlplane::DurableControlPlane> plane_;
   MetadataStore* metadata_ = nullptr;
   controlplane::ManagementService* management_ = nullptr;
@@ -549,7 +532,7 @@ Status FleetSimulation::HandleResumeOpTick(const SimEvent& ev) {
   PRORP_RETURN_IF_ERROR(
       management_->RunOnce(ev.time, options_.use_sql_scan_for_resume_op)
           .status());
-  if (plane_ != nullptr) PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
+  PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
   EpochSeconds next =
       ev.time + options_.config.control_plane.resume_operation_period;
   if (next < options_.end) Push(next, SimEventType::kResumeOpTick, 0, 0);
@@ -625,7 +608,7 @@ Status FleetSimulation::HandlePumpTick(const SimEvent& ev) {
   // Reactive work arriving between proactive iterations must not wait for
   // the next RunOnce: drain the reactive class and run the watchdog.
   (void)management_->Pump(ev.time);
-  if (plane_ != nullptr) PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
+  PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
   EpochSeconds next =
       ev.time + options_.config.control_plane.resume_operation_period;
   if (next < options_.end) Push(next, SimEventType::kPumpTick, 0, 0);
@@ -795,7 +778,26 @@ void FleetSimulation::BuildTransport() {
         }
         return target;
       });
-  if (tracker_ != nullptr) dispatcher_->set_health_tracker(tracker_.get());
+  if (tracker_ != nullptr) {
+    dispatcher_->set_health_tracker(tracker_.get());
+    // The tracker and engine ride across a plane crash (they model
+    // plane-side RAM, but re-detection after recovery is covered by the
+    // failover-torture harness); OpenControlPlane points the engine at
+    // each service incarnation.
+    engine_ = std::make_unique<controlplane::FailoverEngine>(
+        nullptr, tracker_.get(), [this](uint32_t node) {
+          // Placement source: the crash-evicted databases homed on the
+          // dead endpoint and not yet re-placed.
+          std::vector<DbId> dbs;
+          for (DbId db = 0; db < num_dbs_; ++db) {
+            if (!crash_evicted_.empty() && crash_evicted_[db] &&
+                NodeOf(db) + 1 == node) {
+              dbs.push_back(db);
+            }
+          }
+          return dbs;
+        });
+  }
   agents_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const size_t node = static_cast<size_t>(i);
@@ -808,53 +810,24 @@ void FleetSimulation::BuildTransport() {
   }
 }
 
-controlplane::ManagementService::ResumeCallback
-FleetSimulation::MakeServiceCallback() {
-  return [this](const controlplane::ResumeAttempt& a,
-                EpochSeconds now) -> Status {
-    return dispatcher_->DispatchResume(a, now);
-  };
-}
-
-void FleetSimulation::SyncTransportToService() {
-  dispatcher_->set_service(management_);
-  // Fence the nodes against the dead incarnation's stragglers before the
-  // new one dispatches anything (inline transport has none; the call
-  // keeps the recovery contract explicit).
-  for (auto& ag : agents_) ag->FenceEpoch(management_->epoch());
-  if (tracker_ == nullptr) return;
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<controlplane::FailoverEngine>(
-        management_, tracker_.get(), [this](uint32_t node) {
-          // Placement source: the crash-evicted databases homed on the
-          // dead endpoint and not yet re-placed.
-          std::vector<DbId> dbs;
-          for (DbId db = 0; db < num_dbs_; ++db) {
-            if (!crash_evicted_.empty() && crash_evicted_[db] &&
-                NodeOf(db) + 1 == node) {
-              dbs.push_back(db);
-            }
-          }
-          return dbs;
-        });
-  } else {
-    // The tracker and engine ride across a plane crash (they model
-    // plane-side RAM, but re-detection after recovery is covered by the
-    // failover-torture harness); only the service pointer moves.
-    engine_->set_service(management_);
-  }
-}
-
-Status FleetSimulation::OpenDurableControlPlane(EpochSeconds now) {
+Status FleetSimulation::OpenControlPlane(EpochSeconds now) {
   controlplane::DurableControlPlane::Options cp;
   cp.dir = options_.control_plane_journal_dir;
   cp.config = options_.config.control_plane;
   cp.sync_mode = controlplane::ControlPlaneJournal::SyncMode::kBuffered;
   cp.checkpoint_every = options_.control_plane_checkpoint_every;
-  cp.metadata_backing = MetadataBacking();
+  // The SQL mirror of sys.databases opens only for the literal-scan
+  // validation path, its one reader.
+  cp.metadata_backing = options_.use_sql_scan_for_resume_op
+                            ? MetadataStore::Backing::kSqlMirrored
+                            : MetadataStore::Backing::kIndexOnly;
   PRORP_ASSIGN_OR_RETURN(
       plane_, controlplane::DurableControlPlane::Open(
-                  cp, MakeServiceCallback(),
+                  cp,
+                  [this](const controlplane::ResumeAttempt& a,
+                         EpochSeconds t) -> Status {
+                    return dispatcher_->DispatchResume(a, t);
+                  },
                   [this](DbId db) {
                     // Reconcile oracle: the node holds the resumed
                     // resources iff the database's lifecycle FSM is not
@@ -866,7 +839,12 @@ Status FleetSimulation::OpenDurableControlPlane(EpochSeconds now) {
                   now));
   metadata_ = &plane_->metadata();
   management_ = &plane_->service();
-  SyncTransportToService();
+  dispatcher_->set_service(management_);
+  // Fence the nodes against the dead incarnation's stragglers before the
+  // new one dispatches anything (inline transport has none; the call
+  // keeps the recovery contract explicit).
+  for (auto& ag : agents_) ag->FenceEpoch(management_->epoch());
+  if (engine_ != nullptr) engine_->set_service(management_);
   cp_last_replayed_ = plane_->recovery_stats().replayed;
   return Status::OK();
 }
@@ -882,7 +860,7 @@ Status FleetSimulation::HandleControlPlaneCrash(const SimEvent& ev) {
   plane_.reset();
   metadata_ = nullptr;
   management_ = nullptr;
-  PRORP_RETURN_IF_ERROR(OpenDurableControlPlane(ev.time));
+  PRORP_RETURN_IF_ERROR(OpenControlPlane(ev.time));
   ++cp_recoveries_;
   return Status::OK();
 }
@@ -1001,17 +979,7 @@ Result<SimReport> FleetSimulation::Run() {
 
   failure_rng_ = rng_.Fork();
   BuildTransport();
-  if (!options_.control_plane_journal_dir.empty()) {
-    PRORP_RETURN_IF_ERROR(OpenDurableControlPlane(/*now=*/0));
-  } else {
-    PRORP_ASSIGN_OR_RETURN(owned_metadata_,
-                           MetadataStore::Open(MetadataBacking()));
-    metadata_ = owned_metadata_.get();
-    owned_management_ = std::make_unique<controlplane::ManagementService>(
-        metadata_, options_.config.control_plane, MakeServiceCallback());
-    management_ = owned_management_.get();
-    SyncTransportToService();
-  }
+  PRORP_RETURN_IF_ERROR(OpenControlPlane(/*now=*/0));
 
   EpochSeconds measure_from = options_.measure_from;
   // The report only ever publishes fleet totals, so skip the ledger's

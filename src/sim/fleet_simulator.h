@@ -108,12 +108,12 @@ struct SimOptions {
   bool use_sql_scan_for_resume_op = false;
 
   // --- Durable control plane (DESIGN.md section 10) ---
-  /// Non-empty: the metadata store and management service run behind the
-  /// DurableControlPlane — every externally visible control-plane
-  /// transition is journaled to `<dir>/journal.wal` (buffered sync; the
-  /// simulated fsync boundary is the crash event below) and periodically
-  /// folded into `<dir>/checkpoint.bin`.  Empty (default) keeps the
-  /// legacy in-memory control plane.
+  /// The metadata store and management service always run inside one
+  /// DurableControlPlane.  Non-empty: every externally visible
+  /// control-plane transition is journaled to `<dir>/journal.wal`
+  /// (buffered sync; the simulated fsync boundary is the crash event
+  /// below) and periodically folded into `<dir>/checkpoint.bin`.  Empty
+  /// (default): the same plane runs with no journal and no checkpoint.
   std::string control_plane_journal_dir;
   /// Journal records between automatic checkpoints (durable mode only).
   uint64_t control_plane_checkpoint_every = 4096;
