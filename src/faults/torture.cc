@@ -18,99 +18,11 @@ namespace {
 
 using storage::DurableTree;
 
-// ---------------------------------------------------------------------------
-// Raw DurableTree workload
-// ---------------------------------------------------------------------------
-
-struct Op {
-  enum Kind { kInsert, kUpdate, kDelete, kDeleteRange } kind = kInsert;
-  int64_t key = 0;
-  int64_t key2 = 0;  // hi for kDeleteRange
-  std::vector<uint8_t> value;
-};
-
-using TreeModel = std::map<int64_t, std::vector<uint8_t>>;
-
 std::vector<uint8_t> MakeValue(uint64_t op_index, int64_t key) {
   uint64_t v = op_index * 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(key);
   std::vector<uint8_t> out(8);
   std::memcpy(out.data(), &v, 8);
   return out;
-}
-
-/// The recorded workload: a deterministic function of the seed alone, so
-/// the counting pass and every torture pass replay the same op stream.
-std::vector<Op> GenerateOps(const TortureOptions& options) {
-  Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 0xd1b54a32d192ed03ULL);
-  std::vector<Op> ops;
-  ops.reserve(options.num_ops);
-  std::set<int64_t> live;
-  const int64_t key_space =
-      static_cast<int64_t>(options.num_ops) * 8 + 16;
-  for (uint64_t i = 0; i < options.num_ops; ++i) {
-    double roll = rng.NextDouble();
-    Op op;
-    if (!live.empty() && roll < options.delete_fraction) {
-      auto it = live.begin();
-      std::advance(it, rng.NextBelow(live.size()));
-      if (rng.NextBool(0.25)) {
-        op.kind = Op::kDeleteRange;
-        op.key = *it;
-        op.key2 = op.key + static_cast<int64_t>(rng.NextBelow(64));
-        live.erase(live.lower_bound(op.key), live.upper_bound(op.key2));
-      } else {
-        op.kind = Op::kDelete;
-        op.key = *it;
-        live.erase(it);
-      }
-    } else if (!live.empty() &&
-               roll < options.delete_fraction + options.update_fraction) {
-      auto it = live.begin();
-      std::advance(it, rng.NextBelow(live.size()));
-      op.kind = Op::kUpdate;
-      op.key = *it;
-      op.value = MakeValue(i, op.key);
-    } else {
-      op.kind = Op::kInsert;
-      int64_t key = rng.NextInt(0, key_space);
-      while (live.count(key)) key = rng.NextInt(0, key_space);
-      op.key = key;
-      op.value = MakeValue(i, key);
-      live.insert(key);
-    }
-    ops.push_back(std::move(op));
-  }
-  return ops;
-}
-
-Status ApplyOp(DurableTree* tree, const Op& op) {
-  switch (op.kind) {
-    case Op::kInsert:
-      return tree->Insert(op.key, op.value.data());
-    case Op::kUpdate:
-      return tree->Update(op.key, op.value.data());
-    case Op::kDelete:
-      return tree->Delete(op.key);
-    case Op::kDeleteRange:
-      return tree->DeleteRange(op.key, op.key2).status();
-  }
-  return Status::InvalidArgument("unknown op kind");
-}
-
-void ApplyModel(TreeModel* model, const Op& op) {
-  switch (op.kind) {
-    case Op::kInsert:
-    case Op::kUpdate:
-      (*model)[op.key] = op.value;
-      break;
-    case Op::kDelete:
-      model->erase(op.key);
-      break;
-    case Op::kDeleteRange:
-      model->erase(model->lower_bound(op.key),
-                   model->upper_bound(op.key2));
-      break;
-  }
 }
 
 DurableTree::Options TreeOptionsFor(const TortureOptions& options,
@@ -123,16 +35,213 @@ DurableTree::Options TreeOptionsFor(const TortureOptions& options,
   return topt;
 }
 
+// A subject of the crash-torture driver below: the store it opens on a
+// directory, the recorded op stream (a deterministic function of the seed
+// alone, so the counting pass and every torture pass replay the same
+// stream), the reference model an op moves, the store's structural
+// invariant check, and the contents collected back as a model.
+
+/// The raw DurableTree workload.
+struct TreeSubject {
+  struct Op {
+    enum Kind { kInsert, kUpdate, kDelete, kDeleteRange } kind = kInsert;
+    int64_t key = 0;
+    int64_t key2 = 0;  // hi for kDeleteRange
+    std::vector<uint8_t> value;
+  };
+  using Store = DurableTree;
+  using Model = std::map<int64_t, std::vector<uint8_t>>;
+  static constexpr std::string_view kName = "tree";
+
+  static Result<std::unique_ptr<Store>> Open(const TortureOptions& options,
+                                             const std::string& dir) {
+    return DurableTree::Open(TreeOptionsFor(options, dir));
+  }
+
+  static std::vector<Op> Ops(const TortureOptions& options) {
+    Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 0xd1b54a32d192ed03ULL);
+    std::vector<Op> ops;
+    ops.reserve(options.num_ops);
+    std::set<int64_t> live;
+    const int64_t key_space =
+        static_cast<int64_t>(options.num_ops) * 8 + 16;
+    for (uint64_t i = 0; i < options.num_ops; ++i) {
+      double roll = rng.NextDouble();
+      Op op;
+      if (!live.empty() && roll < options.delete_fraction) {
+        auto it = live.begin();
+        std::advance(it, rng.NextBelow(live.size()));
+        if (rng.NextBool(0.25)) {
+          op.kind = Op::kDeleteRange;
+          op.key = *it;
+          op.key2 = op.key + static_cast<int64_t>(rng.NextBelow(64));
+          live.erase(live.lower_bound(op.key), live.upper_bound(op.key2));
+        } else {
+          op.kind = Op::kDelete;
+          op.key = *it;
+          live.erase(it);
+        }
+      } else if (!live.empty() &&
+                 roll < options.delete_fraction + options.update_fraction) {
+        auto it = live.begin();
+        std::advance(it, rng.NextBelow(live.size()));
+        op.kind = Op::kUpdate;
+        op.key = *it;
+        op.value = MakeValue(i, op.key);
+      } else {
+        op.kind = Op::kInsert;
+        int64_t key = rng.NextInt(0, key_space);
+        while (live.count(key)) key = rng.NextInt(0, key_space);
+        op.key = key;
+        op.value = MakeValue(i, key);
+        live.insert(key);
+      }
+      ops.push_back(std::move(op));
+    }
+    return ops;
+  }
+
+  static Status Apply(Store* tree, const Op& op) {
+    switch (op.kind) {
+      case Op::kInsert:
+        return tree->Insert(op.key, op.value.data());
+      case Op::kUpdate:
+        return tree->Update(op.key, op.value.data());
+      case Op::kDelete:
+        return tree->Delete(op.key);
+      case Op::kDeleteRange:
+        return tree->DeleteRange(op.key, op.key2).status();
+    }
+    return Status::InvalidArgument("unknown op kind");
+  }
+
+  static void ApplyModel(Model* model, const Op& op) {
+    switch (op.kind) {
+      case Op::kInsert:
+      case Op::kUpdate:
+        (*model)[op.key] = op.value;
+        break;
+      case Op::kDelete:
+        model->erase(op.key);
+        break;
+      case Op::kDeleteRange:
+        model->erase(model->lower_bound(op.key),
+                     model->upper_bound(op.key2));
+        break;
+    }
+  }
+
+  static Status CheckInvariants(Store& tree) {
+    return tree.tree().CheckInvariants();
+  }
+
+  static Result<Model> Collect(const Store& tree) {
+    Model got;
+    PRORP_RETURN_IF_ERROR(tree.ScanRange(
+        INT64_MIN, INT64_MAX, [&](int64_t key, const uint8_t* value) {
+          got[key] = std::vector<uint8_t>(value, value + 8);
+          return true;
+        }));
+    return got;
+  }
+};
+
+/// The SQL history-store workload: inserts with strictly increasing
+/// timestamps plus periodic retention sweeps.
+struct SqlSubject {
+  struct Op {
+    enum Kind { kInsert, kRetention } kind = kInsert;
+    int64_t time = 0;    // kInsert
+    int event_type = 0;  // kInsert
+    int64_t now = 0;     // kRetention
+    int64_t h = 0;       // kRetention window, seconds
+  };
+  using Store = history::SqlHistoryStore;
+  using Model = std::map<int64_t, int>;  // time_snapshot -> event_type
+  static constexpr std::string_view kName = "sql-history";
+
+  static Result<std::unique_ptr<Store>> Open(const TortureOptions& options,
+                                             const std::string& dir) {
+    const DurableTree::Options tuning = TreeOptionsFor(options, "");
+    return Store::Open(dir, &tuning);
+  }
+
+  static std::vector<Op> Ops(const TortureOptions& options) {
+    Rng rng(options.seed * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL);
+    std::vector<Op> ops;
+    ops.reserve(options.num_ops);
+    int64_t now = 1'000'000;
+    for (uint64_t i = 0; i < options.num_ops; ++i) {
+      now += rng.NextInt(1, 120);
+      Op op;
+      if (i > 0 && i % 97 == 0) {
+        op.kind = Op::kRetention;
+        op.now = now;
+        // Retain roughly the most recent two thirds of the stream so each
+        // sweep has something to delete (a real DeleteRange through SQL).
+        op.h = (now - 1'000'000) * 2 / 3 + 1;
+      } else {
+        op.kind = Op::kInsert;
+        op.time = now;
+        op.event_type = rng.NextBool(0.5) ? 1 : 0;
+      }
+      ops.push_back(op);
+    }
+    return ops;
+  }
+
+  static Status Apply(Store* store, const Op& op) {
+    if (op.kind == Op::kInsert) {
+      return store->InsertHistory(op.time, op.event_type);
+    }
+    return store->DeleteOldHistory(op.h, op.now).status();
+  }
+
+  /// Mirrors SqlHistoryStore semantics: IF NOT EXISTS insert; retention
+  /// keeps the oldest tuple and deletes everything strictly between it
+  /// and the start of recent history.
+  static void ApplyModel(Model* model, const Op& op) {
+    if (op.kind == Op::kInsert) {
+      model->emplace(op.time, op.event_type);
+      return;
+    }
+    if (model->empty()) return;
+    int64_t min_ts = model->begin()->first;
+    int64_t history_start = op.now - op.h;
+    if (min_ts >= history_start) return;
+    model->erase(model->upper_bound(min_ts),
+                 model->lower_bound(history_start));
+  }
+
+  static Status CheckInvariants(Store& store) {
+    PRORP_ASSIGN_OR_RETURN(
+        sql::Table * table,
+        store.database()->GetTable("sys.pause_resume_history"));
+    return table->durable_tree()->tree().CheckInvariants();
+  }
+
+  static Result<Model> Collect(const Store& store) {
+    PRORP_ASSIGN_OR_RETURN(std::vector<history::HistoryTuple> tuples,
+                           store.ReadAll());
+    Model got;
+    for (const history::HistoryTuple& t : tuples) {
+      got[t.time_snapshot] = t.event_type;
+    }
+    return got;
+  }
+};
+
 /// Replays `ops`, tracking the reference model of acknowledged operations
 /// and (on crash) the candidate model including the in-flight op.
 /// Returns an error only on an unexpected (non-Aborted) failure.
-Status ReplayTreeWorkload(DurableTree* tree, const std::vector<Op>& ops,
-                          TreeModel* acked, TreeModel* inflight,
-                          TortureResult* result) {
+template <typename S>
+Status Replay(typename S::Store* store, const std::vector<typename S::Op>& ops,
+              typename S::Model* acked, typename S::Model* inflight,
+              TortureResult* result) {
   for (uint64_t i = 0; i < ops.size(); ++i) {
-    TreeModel post = *acked;
-    ApplyModel(&post, ops[i]);
-    Status s = ApplyOp(tree, ops[i]);
+    typename S::Model post = *acked;
+    S::ApplyModel(&post, ops[i]);
+    Status s = S::Apply(store, ops[i]);
     if (s.ok()) {
       *acked = std::move(post);
       ++result->acked_ops;
@@ -143,252 +252,95 @@ Status ReplayTreeWorkload(DurableTree* tree, const std::vector<Op>& ops,
       *inflight = std::move(post);
       return Status::OK();
     }
-    return Status::Internal("torture workload op " + std::to_string(i) +
+    return Status::Internal("torture " + std::string(S::kName) + " op " +
+                            std::to_string(i) +
                             " failed unexpectedly: " + s.ToString());
   }
   return Status::OK();
 }
 
-Result<TreeModel> CollectTree(const DurableTree& tree) {
-  TreeModel got;
-  PRORP_RETURN_IF_ERROR(tree.ScanRange(
-      INT64_MIN, INT64_MAX, [&](int64_t key, const uint8_t* value) {
-        got[key] = std::vector<uint8_t>(value, value + 8);
-        return true;
-      }));
-  return got;
+/// Opens a fresh store in `dir` and replays the subject's op stream into
+/// it; the store is dropped with no shutdown work (a simulated process
+/// death when an armed point fired).
+template <typename S>
+Status ReplayFresh(const TortureOptions& options, const std::string& dir,
+                   typename S::Model* acked, typename S::Model* inflight,
+                   TortureResult* result) {
+  PRORP_ASSIGN_OR_RETURN(auto store, S::Open(options, dir));
+  return Replay<S>(store.get(), S::Ops(options), acked, inflight, result);
 }
 
-// ---------------------------------------------------------------------------
-// SQL history-store workload
-// ---------------------------------------------------------------------------
-
-struct SqlOp {
-  enum Kind { kInsert, kRetention } kind = kInsert;
-  int64_t time = 0;    // kInsert
-  int event_type = 0;  // kInsert
-  int64_t now = 0;     // kRetention
-  int64_t h = 0;       // kRetention window, seconds
-};
-
-using SqlModel = std::map<int64_t, int>;  // time_snapshot -> event_type
-
-std::vector<SqlOp> GenerateSqlOps(const TortureOptions& options) {
-  Rng rng(options.seed * 0xbf58476d1ce4e5b9ULL + 0x94d049bb133111ebULL);
-  std::vector<SqlOp> ops;
-  ops.reserve(options.num_ops);
-  int64_t now = 1'000'000;
-  for (uint64_t i = 0; i < options.num_ops; ++i) {
-    now += rng.NextInt(1, 120);
-    SqlOp op;
-    if (i > 0 && i % 97 == 0) {
-      op.kind = SqlOp::kRetention;
-      op.now = now;
-      // Retain roughly the most recent two thirds of the stream so each
-      // sweep has something to delete (a real DeleteRange through SQL).
-      op.h = (now - 1'000'000) * 2 / 3 + 1;
-    } else {
-      op.kind = SqlOp::kInsert;
-      op.time = now;
-      op.event_type = rng.NextBool(0.5) ? 1 : 0;
-    }
-    ops.push_back(op);
+template <typename S>
+Result<std::map<std::string, uint64_t>> Observe(const TortureOptions& options,
+                                                const std::string& dir) {
+  CrashPointRegistry& reg = CrashPointRegistry::Global();
+  reg.Reset();
+  reg.SetCounting(true);
+  typename S::Model acked, inflight;
+  TortureResult scratch;
+  Status run = ReplayFresh<S>(options, dir, &acked, &inflight, &scratch);
+  std::map<std::string, uint64_t> hits;
+  for (std::string_view point : AllCrashPoints()) {
+    hits[std::string(point)] = reg.hits(point);
   }
-  return ops;
+  reg.Reset();
+  PRORP_RETURN_IF_ERROR(run);
+  return hits;
 }
 
-Status ApplySqlOp(history::SqlHistoryStore* store, const SqlOp& op) {
-  if (op.kind == SqlOp::kInsert) {
-    return store->InsertHistory(op.time, op.event_type);
+template <typename S>
+Result<TortureResult> Run(const TortureOptions& options,
+                          const std::string& dir, std::string_view point,
+                          uint64_t nth) {
+  CrashPointRegistry& reg = CrashPointRegistry::Global();
+  reg.Reset();
+  Rng payload_rng(options.seed ^ 0x2545f4914f6cdd1dULL);
+  reg.Arm(point, nth, payload_rng.NextU64());
+
+  TortureResult result;
+  result.crash_point = std::string(point);
+  typename S::Model acked, inflight;
+  Status run = ReplayFresh<S>(options, dir, &acked, &inflight, &result);
+  reg.Reset();
+  PRORP_RETURN_IF_ERROR(run);
+
+  PRORP_ASSIGN_OR_RETURN(auto recovered, S::Open(options, dir));
+  PRORP_RETURN_IF_ERROR(S::CheckInvariants(*recovered));
+  PRORP_ASSIGN_OR_RETURN(typename S::Model got, S::Collect(*recovered));
+  if (got != acked && !(result.crashed && got == inflight)) {
+    return Status::Corruption(
+        std::string(S::kName) + " recovery mismatch at crash point '" +
+        result.crash_point + "': recovered " + std::to_string(got.size()) +
+        " entries, expected " + std::to_string(acked.size()) +
+        " (acked) or " + std::to_string(inflight.size()) + " (in-flight)");
   }
-  return store->DeleteOldHistory(op.h, op.now).status();
-}
-
-/// Mirrors SqlHistoryStore semantics: IF NOT EXISTS insert; retention
-/// keeps the oldest tuple and deletes everything strictly between it and
-/// the start of recent history.
-void ApplySqlModel(SqlModel* model, const SqlOp& op) {
-  if (op.kind == SqlOp::kInsert) {
-    model->emplace(op.time, op.event_type);
-    return;
-  }
-  if (model->empty()) return;
-  int64_t min_ts = model->begin()->first;
-  int64_t history_start = op.now - op.h;
-  if (min_ts >= history_start) return;
-  model->erase(model->upper_bound(min_ts),
-               model->lower_bound(history_start));
-}
-
-Status ReplaySqlWorkload(history::SqlHistoryStore* store,
-                         const std::vector<SqlOp>& ops, SqlModel* acked,
-                         SqlModel* inflight, TortureResult* result) {
-  for (uint64_t i = 0; i < ops.size(); ++i) {
-    SqlModel post = *acked;
-    ApplySqlModel(&post, ops[i]);
-    Status s = ApplySqlOp(store, ops[i]);
-    if (s.ok()) {
-      *acked = std::move(post);
-      ++result->acked_ops;
-      continue;
-    }
-    if (s.code() == StatusCode::kAborted) {
-      result->crashed = true;
-      *inflight = std::move(post);
-      return Status::OK();
-    }
-    return Status::Internal("torture SQL op " + std::to_string(i) +
-                            " failed unexpectedly: " + s.ToString());
-  }
-  return Status::OK();
-}
-
-Result<SqlModel> CollectSql(const history::SqlHistoryStore& store) {
-  PRORP_ASSIGN_OR_RETURN(std::vector<history::HistoryTuple> tuples,
-                         store.ReadAll());
-  SqlModel got;
-  for (const history::HistoryTuple& t : tuples) {
-    got[t.time_snapshot] = t.event_type;
-  }
-  return got;
-}
-
-template <typename Model>
-Status VerifyRecovered(const Model& got, const Model& acked,
-                       const Model& inflight, const TortureResult& result,
-                       std::string_view what) {
-  if (got == acked) return Status::OK();
-  if (result.crashed && got == inflight) return Status::OK();
-  return Status::Corruption(
-      std::string(what) + " recovery mismatch at crash point '" +
-      result.crash_point + "': recovered " + std::to_string(got.size()) +
-      " entries, expected " + std::to_string(acked.size()) +
-      " (acked) or " + std::to_string(inflight.size()) + " (in-flight)");
+  result.recovered_entries = got.size();
+  return result;
 }
 
 }  // namespace
 
 Result<std::map<std::string, uint64_t>> ObserveCrashPoints(
     const TortureOptions& options, const std::string& dir) {
-  CrashPointRegistry& reg = CrashPointRegistry::Global();
-  reg.Reset();
-  reg.SetCounting(true);
-  Status run = [&]() -> Status {
-    PRORP_ASSIGN_OR_RETURN(auto tree,
-                           DurableTree::Open(TreeOptionsFor(options, dir)));
-    TreeModel acked, inflight;
-    TortureResult scratch;
-    return ReplayTreeWorkload(tree.get(), GenerateOps(options), &acked,
-                              &inflight, &scratch);
-  }();
-  std::map<std::string, uint64_t> hits;
-  for (std::string_view point : AllCrashPoints()) {
-    hits[std::string(point)] = reg.hits(point);
-  }
-  reg.Reset();
-  PRORP_RETURN_IF_ERROR(run);
-  return hits;
+  return Observe<TreeSubject>(options, dir);
 }
 
 Result<std::map<std::string, uint64_t>> ObserveSqlCrashPoints(
     const TortureOptions& options, const std::string& dir) {
-  CrashPointRegistry& reg = CrashPointRegistry::Global();
-  reg.Reset();
-  reg.SetCounting(true);
-  storage::DurableTree::Options tuning = TreeOptionsFor(options, "");
-  Status run = [&]() -> Status {
-    PRORP_ASSIGN_OR_RETURN(auto store,
-                           history::SqlHistoryStore::Open(dir, &tuning));
-    SqlModel acked, inflight;
-    TortureResult scratch;
-    return ReplaySqlWorkload(store.get(), GenerateSqlOps(options), &acked,
-                             &inflight, &scratch);
-  }();
-  std::map<std::string, uint64_t> hits;
-  for (std::string_view point : AllCrashPoints()) {
-    hits[std::string(point)] = reg.hits(point);
-  }
-  reg.Reset();
-  PRORP_RETURN_IF_ERROR(run);
-  return hits;
+  return Observe<SqlSubject>(options, dir);
 }
 
 Result<TortureResult> RunCrashTorture(const TortureOptions& options,
                                       const std::string& dir,
                                       std::string_view point, uint64_t nth) {
-  CrashPointRegistry& reg = CrashPointRegistry::Global();
-  reg.Reset();
-  Rng payload_rng(options.seed ^ 0x2545f4914f6cdd1dULL);
-  reg.Arm(point, nth, payload_rng.NextU64());
-
-  TortureResult result;
-  result.crash_point = std::string(point);
-  TreeModel acked, inflight;
-  {
-    auto tree_or = DurableTree::Open(TreeOptionsFor(options, dir));
-    if (!tree_or.ok()) {
-      reg.Reset();
-      return tree_or.status();
-    }
-    Status run = ReplayTreeWorkload(tree_or->get(), GenerateOps(options),
-                                    &acked, &inflight, &result);
-    if (!run.ok()) {
-      reg.Reset();
-      return run;
-    }
-    // Simulated process death: the tree is dropped with no shutdown work.
-  }
-  reg.Reset();
-
-  PRORP_ASSIGN_OR_RETURN(auto recovered,
-                         DurableTree::Open(TreeOptionsFor(options, dir)));
-  PRORP_RETURN_IF_ERROR(recovered->tree().CheckInvariants());
-  PRORP_ASSIGN_OR_RETURN(TreeModel got, CollectTree(*recovered));
-  PRORP_RETURN_IF_ERROR(
-      VerifyRecovered(got, acked, inflight, result, "tree"));
-  result.recovered_entries = got.size();
-  return result;
+  return Run<TreeSubject>(options, dir, point, nth);
 }
 
 Result<TortureResult> RunSqlCrashTorture(const TortureOptions& options,
                                          const std::string& dir,
                                          std::string_view point,
                                          uint64_t nth) {
-  CrashPointRegistry& reg = CrashPointRegistry::Global();
-  reg.Reset();
-  Rng payload_rng(options.seed ^ 0x2545f4914f6cdd1dULL);
-  reg.Arm(point, nth, payload_rng.NextU64());
-
-  TortureResult result;
-  result.crash_point = std::string(point);
-  storage::DurableTree::Options tuning = TreeOptionsFor(options, "");
-  SqlModel acked, inflight;
-  {
-    auto store_or = history::SqlHistoryStore::Open(dir, &tuning);
-    if (!store_or.ok()) {
-      reg.Reset();
-      return store_or.status();
-    }
-    Status run = ReplaySqlWorkload(store_or->get(), GenerateSqlOps(options),
-                                   &acked, &inflight, &result);
-    if (!run.ok()) {
-      reg.Reset();
-      return run;
-    }
-  }
-  reg.Reset();
-
-  PRORP_ASSIGN_OR_RETURN(auto recovered,
-                         history::SqlHistoryStore::Open(dir, &tuning));
-  PRORP_ASSIGN_OR_RETURN(
-      sql::Table * table,
-      recovered->database()->GetTable("sys.pause_resume_history"));
-  PRORP_RETURN_IF_ERROR(table->durable_tree()->tree().CheckInvariants());
-  PRORP_ASSIGN_OR_RETURN(SqlModel got, CollectSql(*recovered));
-  PRORP_RETURN_IF_ERROR(
-      VerifyRecovered(got, acked, inflight, result, "sql-history"));
-  result.recovered_entries = got.size();
-  return result;
+  return Run<SqlSubject>(options, dir, point, nth);
 }
 
 Result<BitFlipSweepResult> RunBitFlipSweep(
@@ -478,8 +430,10 @@ TortureOptions CampaignWorkloadOptions(const BitFlipCampaignOptions& options) {
 
 Result<BitFlipCampaignResult> RunBitFlipCampaign(
     const BitFlipCampaignOptions& options, const std::string& dir) {
+  using Model = TreeSubject::Model;
   BitFlipCampaignResult result;
-  const std::vector<Op> ops = GenerateOps(CampaignWorkloadOptions(options));
+  const std::vector<TreeSubject::Op> ops =
+      TreeSubject::Ops(CampaignWorkloadOptions(options));
 
   // Counting pass: learn how many disk reads / writes the workload issues
   // so the scripted flips land inside the observed ranges.
@@ -490,10 +444,10 @@ Result<BitFlipCampaignResult> RunBitFlipCampaign(
     PRORP_ASSIGN_OR_RETURN(
         auto tree, DurableTree::Open(
                        CampaignTreeOptions(options, dir + "/count", &plan)));
-    TreeModel acked, inflight;
+    Model acked, inflight;
     TortureResult scratch;
-    PRORP_RETURN_IF_ERROR(
-        ReplayTreeWorkload(tree.get(), ops, &acked, &inflight, &scratch));
+    PRORP_RETURN_IF_ERROR(Replay<TreeSubject>(tree.get(), ops, &acked,
+                                              &inflight, &scratch));
     reads = plan.ops_seen(FaultOp::kDiskRead);
     writes = plan.ops_seen(FaultOp::kDiskWrite);
   }
@@ -529,10 +483,10 @@ Result<BitFlipCampaignResult> RunBitFlipCampaign(
     PRORP_ASSIGN_OR_RETURN(
         auto tree,
         DurableTree::Open(CampaignTreeOptions(options, run_dir, &plan)));
-    TreeModel acked, inflight;
+    Model acked, inflight;
     TortureResult scratch;
-    PRORP_RETURN_IF_ERROR(
-        ReplayTreeWorkload(tree.get(), ops, &acked, &inflight, &scratch));
+    PRORP_RETURN_IF_ERROR(Replay<TreeSubject>(tree.get(), ops, &acked,
+                                              &inflight, &scratch));
     if (scratch.crashed) {
       return Status::Internal("bit-flip case " + std::to_string(c) +
                               " aborted unexpectedly");
@@ -542,7 +496,7 @@ Result<BitFlipCampaignResult> RunBitFlipCampaign(
     result.flips_fired += plan.injected();
     // Zero acked-record loss, through whatever repairs the flip forced.
     PRORP_RETURN_IF_ERROR(tree->tree().CheckInvariants());
-    PRORP_ASSIGN_OR_RETURN(TreeModel got, CollectTree(*tree));
+    PRORP_ASSIGN_OR_RETURN(Model got, TreeSubject::Collect(*tree));
     if (got != acked) {
       return Status::Corruption("bit-flip case " + std::to_string(c) +
                                 " lost acked records");
@@ -555,7 +509,7 @@ Result<BitFlipCampaignResult> RunBitFlipCampaign(
                                 " did not scrub clean: " +
                                 report.ToString());
     }
-    PRORP_ASSIGN_OR_RETURN(got, CollectTree(*tree));
+    PRORP_ASSIGN_OR_RETURN(got, TreeSubject::Collect(*tree));
     if (got != acked) {
       return Status::Corruption("bit-flip case " + std::to_string(c) +
                                 " lost acked records during scrub repair");
