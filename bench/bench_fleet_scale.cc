@@ -80,17 +80,19 @@ constexpr EpochSeconds kScaleEnd = kT0 + Days(kVirtualDays);
 // own figures, each ingredient's loss fails at least one budget.
 constexpr uint64_t kSmokeRssBudget10k = uint64_t{24} * 1024 * 1024;
 constexpr uint64_t kSmokeAllocationBudget10k = 115'000;
-// Budgets on proactive_10k's and durable_10k's allocation counts, which
-// barely move between runs of this single-threaded simulator.  With the
-// predictor reading each history in place into per-thread buffers, and
-// inline-answered pre-warms leaving no dispatcher table entry, the arms
-// made at most 1,333,257 and 1,337,600 allocations in seven runs;
-// the budgets leave 5% headroom.  Each of these put back alone fails them: the predictor's
+// Budgets on proactive_10k's and durable_10k's allocation counts, each
+// the arm's largest over its pairs: the first run of an arm in the
+// process makes 1,333,258 and 1,337,600, later runs 76 and 1 fewer (the
+// predictor's per-thread scratch and the crash-point registry grow once
+// per process).  With the predictor reading each history in place into
+// those buffers, and inline-answered pre-warms leaving no dispatcher
+// table entry, the budgets are those counts plus 5%.  Each of these put
+// back alone fails them: the predictor's
 // CollectLogins copy (2,329,296), a table node per inline dispatch
 // (1,734,950), node agents recording every applied request id (about
 // 400,000 more).  Before all three the arms made 3,673,980 and 3,678,398.
-constexpr uint64_t kSmokeAllocationBudgetProactive10k = 1'400'000;
-constexpr uint64_t kSmokeAllocationBudgetDurable10k = 1'405'000;
+constexpr uint64_t kSmokeAllocationBudgetProactive10k = 1'399'921;
+constexpr uint64_t kSmokeAllocationBudgetDurable10k = 1'404'480;
 // Committed smoke-gate constants for the 100k scale configuration.  Full
 // runs (BENCH_fleet_scale.json) on a shared 4-vCPU host measured 1.30M and
 // later 2.64M events/sec, and 88 MB peak RSS; the floor leaves 2.6-5.3x
@@ -292,12 +294,23 @@ int Run(bool smoke, const std::string& out_path) {
                     durable_first ? "durable" : "proactive",
                     ratio(pairs.back()));
       }
+      // Each arm's first run in the process also pays one-time heap
+      // growth (the predictor's per-thread scratch, the crash-point
+      // registry), so the kept pair reports the arm's largest count: the
+      // timing that picks the median pair must not pick the count.
+      uint64_t allocations[2] = {0, 0};
+      for (const auto& [proactive, durable] : pairs) {
+        allocations[0] = std::max(allocations[0], proactive.allocations);
+        allocations[1] = std::max(allocations[1], durable.allocations);
+      }
       std::sort(pairs.begin(), pairs.end(),
                 [&](const auto& a, const auto& b) {
                   return ratio(a) < ratio(b);
                 });
       results.back() = std::move(pairs[pairs.size() / 2].first);
       *r = std::move(pairs[pairs.size() / 2].second);
+      results.back().allocations = allocations[0];
+      r->allocations = allocations[1];
     }
     results.push_back(std::move(*r));
   }
