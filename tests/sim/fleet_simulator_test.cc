@@ -468,8 +468,8 @@ TEST(FleetSimulatorTest, CrashAtRequiresJournalDir) {
 
 TEST(FleetSimulatorTest, DurableControlPlaneMatchesLegacyBitExactly) {
   // Journaling every control-plane transition must be behavior-neutral:
-  // the durable run replays the exact decision sequence of the legacy
-  // in-memory run, including transient-failure mitigation draws.
+  // the durable run replays the exact decision sequence of the same plane
+  // opened with no journal, including transient-failure mitigation draws.
   auto traces = workload::GenerateFleet(workload::RegionEU1(), 40, kT0,
                                         kEnd, 13);
   SimOptions legacy = BaseOptions(PolicyMode::kProactive);
