@@ -3,11 +3,14 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "golden_digest.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -309,6 +312,69 @@ TEST_F(BPlusTreeTest, MetaPageLayoutIsStable) {
   EXPECT_EQ(words[1], 2u);
   EXPECT_EQ(words[2], 12u);
   EXPECT_EQ(entries, 5u);
+}
+
+// Grows a tree of four-entry leaves to height 3, then deletes every key in
+// a fresh shuffle.  Internal nodes hold 339 keys, so the drain underfills
+// internal nodes as well as leaves: it is the workload here that runs the
+// internal-node borrow-left, borrow-right and merge steps.  The digest folds
+// every page image (checksum, free pages and stale bytes included) at each
+// checkpoint, so a rebalance that moves any byte differently changes it.
+TEST_F(BPlusTreeTest, GrowThenDrainPinsPageImages) {
+  constexpr uint32_t kWidth = 1000;
+  Make(kWidth, /*pool_pages=*/16);
+  ASSERT_EQ(tree_->leaf_capacity(), 4u);
+  ASSERT_EQ(tree_->internal_capacity(), 339u);
+  std::vector<int64_t> keys(8000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<int64_t>(i) * 3;
+  }
+  Rng rng(2024);
+  auto shuffle = [&] {
+    for (size_t i = keys.size() - 1; i > 0; --i) {
+      std::swap(keys[i], keys[rng.NextBelow(i + 1)]);
+    }
+  };
+  auto value_of = [&](int64_t k) {
+    std::vector<uint8_t> v(kWidth);
+    for (uint32_t i = 0; i < kWidth; ++i) {
+      v[i] = static_cast<uint8_t>((k * 31 + i) & 0xFF);
+    }
+    return v;
+  };
+  golden::Fnv1a digest;
+  auto checkpoint = [&] {
+    Status check = tree_->CheckInvariants();
+    EXPECT_TRUE(check.ok()) << check.ToString();
+    EXPECT_TRUE(pool_->FlushAll().ok());
+    std::string image(kPageSize, '\0');
+    for (PageId id = 0; id < disk_->num_pages(); ++id) {
+      EXPECT_TRUE(
+          disk_->Read(id, reinterpret_cast<uint8_t*>(image.data())).ok());
+      digest.AddBytes(image);
+    }
+  };
+
+  shuffle();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(tree_->Insert(keys[i], value_of(keys[i]).data()).ok());
+    if ((i + 1) % 2000 == 0) checkpoint();
+  }
+  EXPECT_EQ(*tree_->Height(), 3u);
+  for (int64_t k : {int64_t{0}, int64_t{4242}, int64_t{23997}}) {
+    auto v = tree_->Find(k);
+    ASSERT_TRUE(v.ok()) << k;
+    EXPECT_EQ(*v, value_of(k));
+  }
+
+  shuffle();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(tree_->Delete(keys[i]).ok()) << keys[i];
+    if ((i + 1) % 2000 == 0 || i + 1 == 7990) checkpoint();
+  }
+  EXPECT_TRUE(tree_->empty());
+  EXPECT_EQ(*tree_->Height(), 1u);
+  EXPECT_EQ(digest.value(), 0x26c20db4222eee78ULL);
 }
 
 // Randomized differential test against std::map across mixed operations.
