@@ -136,7 +136,6 @@ Status LifecycleController::OnProactiveResume(EpochSeconds now) {
         "proactive resume requires a physically paused database");
   }
   ++stats_.proactive_resumes;
-  prewarmed_ = true;
   // Algorithm 5 line 8: the database enters LogicalPause() — resources
   // allocated, awaiting the predicted login, customer not billed.
   pause_start_ = now;
@@ -276,7 +275,6 @@ void LifecycleController::Transition(DbState to, EpochSeconds now,
 void LifecycleController::EnterLogicalPause(EpochSeconds now,
                                             TransitionCause cause) {
   ++stats_.logical_pauses;
-  prewarmed_ = false;  // an ordinary pause, not a control-plane pre-warm
   pause_start_ = now;  // lines 15-16
   Transition(DbState::kLogicallyPaused, now, cause);
   next_timer_ = ComputeNextBoundary(now);

@@ -174,7 +174,6 @@ class LifecycleController {
   bool old_ = false;
   bool prediction_usable_ = false;  // false after a predictor failure
   bool degraded_ = false;           // history store failing; act reactive
-  bool prewarmed_ = false;  // current pause was a control-plane pre-warm
   EpochSeconds last_restore_time_ = 0;  // eviction-restore cooldown anchor
   forecast::ActivityPrediction next_activity_;
   EpochSeconds pause_start_ = 0;

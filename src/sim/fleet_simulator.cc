@@ -216,12 +216,10 @@ class FleetSimulation {
   }
 
   void SetPhase(DbId db, Phase phase, EpochSeconds time) {
-    bool was_allocated = current_phase_[db] != Phase::kReclaimed &&
-                         phase_known_[db];
+    bool was_allocated = current_phase_[db] != Phase::kReclaimed;
     bool is_allocated = phase != Phase::kReclaimed;
     if (is_allocated && !was_allocated) ++allocated_now_;
     if (!is_allocated && was_allocated) --allocated_now_;
-    phase_known_[db] = 1;
     ledger_->SetPhase(db, phase, time);
     current_phase_[db] = phase;
   }
@@ -346,7 +344,6 @@ class FleetSimulation {
   std::vector<std::unique_ptr<workload::SessionCursor>> cursors_;
   std::vector<EpochSeconds> cur_session_end_;
   std::vector<Phase> current_phase_;
-  std::vector<uint8_t> phase_known_;
 
   int64_t allocated_now_ = 0;
   Summary allocated_samples_;
@@ -956,7 +953,6 @@ Result<SimReport> FleetSimulation::Run() {
   cursors_.resize(n);
   cur_session_end_.assign(n, 0);
   current_phase_.assign(n, Phase::kReclaimed);
-  phase_known_.assign(n, 0);
   if (node_loss_modeled()) crash_evicted_.assign(n, 0);
   predictor_ = std::make_unique<forecast::FastPredictor>(
       options_.config.policy.prediction);
@@ -1071,16 +1067,11 @@ Result<SimReport> FleetSimulation::Run() {
   // events at a time, ascending seq; handlers appending to the current
   // tick extend the same pass.  Indexing (not iterators) because
   // tick_ may reallocate mid-loop.
-  bool done = false;
-  while (!done && queue_.PopNextTick(&tick_)) {
+  while (queue_.PopNextTick(&tick_)) {
     if (tick_.front().time >= options_.end) break;
     tick_time_ = tick_.front().time;
     for (size_t i = 0; i < tick_.size(); ++i) {
       SimEvent ev = tick_[i];
-      if (ev.time >= options_.end) {  // unreachable; defensive
-        done = true;
-        break;
-      }
       ++events_processed_;
       switch (ev.type) {
         case SimEventType::kDbCreated:
