@@ -14,7 +14,9 @@
 // Usage:
 //   bench_micro_storage [--smoke] [--out=PATH]
 //
-// --smoke shrinks op counts for CI and emits the same JSON.
+// --smoke shrinks op counts for CI and emits the same JSON.  Exits 1
+// unless every B+tree arm's tree passes CheckInvariants and holds the
+// entries the arm inserted.
 
 #include <chrono>
 #include <cstdint>
@@ -94,18 +96,34 @@ MicroResult BenchCrc32(const std::string& name, uint64_t total_ops,
   });
 }
 
-MicroResult BenchBtreeInsert(uint64_t total_ops) {
+/// Clears `*ok` (after printing why) unless the tree of arm `name` passes
+/// CheckInvariants and holds `entries` entries.
+void CheckTree(const std::string& name, const storage::BPlusTree& tree,
+               uint64_t entries, bool* ok) {
+  Status s = tree.CheckInvariants();
+  if (s.ok() && tree.size() == entries) return;
+  std::fprintf(stderr, "FAIL: %s: %s, %llu entries (expected %llu)\n",
+               name.c_str(), s.ToString().c_str(),
+               static_cast<unsigned long long>(tree.size()),
+               static_cast<unsigned long long>(entries));
+  *ok = false;
+}
+
+MicroResult BenchBtreeInsert(uint64_t total_ops, bool* ok) {
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 1024);
   auto tree = storage::BPlusTree::Create(&pool, 8).value();
   int64_t v = 0;
   int64_t key = 0;
-  return MeasureBatched("btree_insert_sequential", total_ops, 256, [&] {
-    (void)tree->Insert(key++, reinterpret_cast<const uint8_t*>(&v));
-  });
+  MicroResult r =
+      MeasureBatched("btree_insert_sequential", total_ops, 256, [&] {
+        (void)tree->Insert(key++, reinterpret_cast<const uint8_t*>(&v));
+      });
+  CheckTree(r.name, *tree, total_ops, ok);
+  return r;
 }
 
-MicroResult BenchBtreeLookup(uint64_t total_ops, int64_t n) {
+MicroResult BenchBtreeLookup(uint64_t total_ops, int64_t n, bool* ok) {
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 1024);
   auto tree = storage::BPlusTree::Create(&pool, 8).value();
@@ -114,12 +132,14 @@ MicroResult BenchBtreeLookup(uint64_t total_ops, int64_t n) {
     (void)tree->Insert(i * 16, reinterpret_cast<const uint8_t*>(&v));
   }
   Rng rng(7);
-  return MeasureBatched("btree_point_lookup", total_ops, 256, [&] {
+  MicroResult r = MeasureBatched("btree_point_lookup", total_ops, 256, [&] {
     (void)tree->Find(rng.NextInt(0, n * 16));
   });
+  CheckTree(r.name, *tree, static_cast<uint64_t>(n), ok);
+  return r;
 }
 
-MicroResult BenchBtreeScan(uint64_t total_ops, int64_t n) {
+MicroResult BenchBtreeScan(uint64_t total_ops, int64_t n, bool* ok) {
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 1024);
   auto tree = storage::BPlusTree::Create(&pool, 8).value();
@@ -128,7 +148,7 @@ MicroResult BenchBtreeScan(uint64_t total_ops, int64_t n) {
     (void)tree->Insert(i * 16, reinterpret_cast<const uint8_t*>(&v));
   }
   Rng rng(7);
-  return MeasureBatched("btree_range_scan_100", total_ops, 64, [&] {
+  MicroResult r = MeasureBatched("btree_range_scan_100", total_ops, 64, [&] {
     int64_t lo = rng.NextInt(0, n * 16);
     uint64_t count = 0;
     (void)tree->ScanRange(lo, lo + 1600, [&](int64_t, const uint8_t*) {
@@ -136,6 +156,8 @@ MicroResult BenchBtreeScan(uint64_t total_ops, int64_t n) {
       return count < 100;
     });
   });
+  CheckTree(r.name, *tree, static_cast<uint64_t>(n), ok);
+  return r;
 }
 
 MicroResult BenchSqlHistoryInsert(uint64_t total_ops) {
@@ -255,9 +277,10 @@ int Run(bool smoke, const std::string& out_path) {
   std::vector<MicroResult> results;
   results.push_back(BenchCrc32("crc32_bytewise_4k", kCrcOps, false));
   results.push_back(BenchCrc32("crc32_slice8_4k", kCrcOps, true));
-  results.push_back(BenchBtreeInsert(kTreeOps));
-  results.push_back(BenchBtreeLookup(kTreeOps, 100'000));
-  results.push_back(BenchBtreeScan(kTreeOps / 4, 100'000));
+  bool trees_ok = true;
+  results.push_back(BenchBtreeInsert(kTreeOps, &trees_ok));
+  results.push_back(BenchBtreeLookup(kTreeOps, 100'000, &trees_ok));
+  results.push_back(BenchBtreeScan(kTreeOps / 4, 100'000, &trees_ok));
   results.push_back(BenchSqlHistoryInsert(kSqlOps));
   results.push_back(BenchWalAppendNoSync(kWalNoSync));
   results.push_back(BenchWalSerialSync(kWalSerial));
@@ -294,7 +317,7 @@ int Run(bool smoke, const std::string& out_path) {
   if (!out_path.empty()) {
     std::printf("wrote %s\n", out_path.c_str());
   }
-  return 0;
+  return trees_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -16,18 +16,6 @@
 using namespace prorp;         // NOLINT: bench brevity
 using namespace prorp::bench;  // NOLINT
 
-namespace {
-
-bool AccountingReconciles(const sim::SimReport& report) {
-  const auto& d = report.diagnostics;
-  return d.stuck_workflows == d.mitigated + d.incidents +
-                                  d.failed_then_skipped +
-                                  d.failed_then_shed +
-                                  report.pending_failed;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   size_t num_dbs = argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) : 120;
   int eval_days = argc > 2 ? std::atoi(argv[2]) : 5;

@@ -29,14 +29,6 @@ namespace {
 
 using controlplane::ResumeClass;
 
-bool AccountingReconciles(const sim::SimReport& report) {
-  const auto& d = report.diagnostics;
-  return d.stuck_workflows == d.mitigated + d.incidents +
-                                  d.failed_then_skipped +
-                                  d.failed_then_shed +
-                                  report.pending_failed;
-}
-
 /// Storm-layer knobs shared by every storm arm: finite per-node resume
 /// capacity plus a token-bucket limiter, sized so a fault-free run has
 /// zero congestion (self-check 1 depends on that headroom).

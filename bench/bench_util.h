@@ -240,6 +240,16 @@ inline std::vector<Result<sim::SimReport>> RunArms(
       std::move(jobs), common::ThreadPool::DefaultThreads());
 }
 
+/// True when every stuck workflow of the run is accounted for: mitigated,
+/// an incident, skipped or shed after a failure, or still pending.
+inline bool AccountingReconciles(const sim::SimReport& report) {
+  const auto& d = report.diagnostics;
+  return d.stuck_workflows == d.mitigated + d.incidents +
+                                  d.failed_then_skipped +
+                                  d.failed_then_shed +
+                                  report.pending_failed;
+}
+
 inline void PrintHeader(const char* figure, const char* claim) {
   std::printf("==============================================================\n");
   std::printf("%s\n", figure);
