@@ -72,9 +72,9 @@ TEST(TimerWheelDifferentialTest, StreamingTelemetryMatchesFull) {
 
 TEST(TimerWheelDifferentialTest, QueueShrinksAfterSameTickStorm) {
   // Every database logs in at the identical instant: one tick holding
-  // the whole fleet, the worst case the post-storm shrink policy exists
-  // for.  Without it the burst's high-water slot capacity would be held
-  // for the rest of the run.
+  // the whole fleet, the worst case the wheel's pool compaction exists
+  // for.  Without it the burst's high-water node pool would be held for
+  // the rest of the run.
   const size_t kFleet = 20'000;
   std::vector<workload::DbTrace> traces;
   traces.reserve(kFleet);
