@@ -18,11 +18,6 @@ std::vector<std::string_view> AllCrashPoints() {
   return points;
 }
 
-CrashPointRegistry& CrashPointRegistry::Global() {
-  static CrashPointRegistry* registry = new CrashPointRegistry();
-  return *registry;
-}
-
 void CrashPointRegistry::Arm(std::string_view point, uint64_t nth,
                              uint64_t payload) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -52,8 +47,7 @@ void CrashPointRegistry::SetCounting(bool on) {
   active_.store(on || !armed_point_.empty(), std::memory_order_release);
 }
 
-Status CrashPointRegistry::Hit(std::string_view point) {
-  if (!active_.load(std::memory_order_relaxed)) return Status::OK();
+Status CrashPointRegistry::HitActive(std::string_view point) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t n = ++hit_counts_[std::string(point)];
   if (!armed_point_.empty() && point == armed_point_ && n == armed_nth_ &&

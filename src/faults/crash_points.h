@@ -62,13 +62,16 @@ std::vector<std::string_view> ControlPlaneCrashPoints();
 /// one-line hook (PRORP_CRASH_POINT) per point; the torture harness arms
 /// one point at a time and replays a workload until it fires.
 ///
-/// Disarmed cost is one relaxed atomic load, so hooks are safe on hot
-/// paths (B+tree splits, WAL appends).  Arming and hit accounting are
-/// mutex-protected; production code never arms, tests arm from a single
-/// thread.
+/// Disarmed cost is one inline relaxed atomic load, so hooks are safe on
+/// hot paths (B+tree splits, WAL appends, every journal frame).  Arming
+/// and hit accounting are mutex-protected; production code never arms,
+/// tests arm from a single thread.
 class CrashPointRegistry {
  public:
-  static CrashPointRegistry& Global();
+  static CrashPointRegistry& Global() {
+    static CrashPointRegistry* registry = new CrashPointRegistry();
+    return *registry;
+  }
 
   /// Arms `point` to fire on its `nth` (1-based) future hit.  `payload`
   /// parameterizes the crash effect at the site (e.g. how many bytes of a
@@ -85,8 +88,12 @@ class CrashPointRegistry {
   void SetCounting(bool on);
 
   /// Called by instrumented code via PRORP_CRASH_POINT.  Returns
-  /// Status::Aborted when this hit is the armed one, OK otherwise.
-  Status Hit(std::string_view point);
+  /// Status::Aborted when this hit is the armed one, OK otherwise.  Only
+  /// an armed or counting registry leaves the inline test.
+  Status Hit(std::string_view point) {
+    if (!active_.load(std::memory_order_relaxed)) return Status::OK();
+    return HitActive(point);
+  }
 
   /// Hits recorded at `point` since the last Reset()/Arm().
   uint64_t hits(std::string_view point) const;
@@ -102,6 +109,9 @@ class CrashPointRegistry {
 
  private:
   CrashPointRegistry() = default;
+
+  /// Hit accounting and firing of an armed or counting registry.
+  Status HitActive(std::string_view point);
 
   std::atomic<bool> active_{false};  // armed or counting
   std::atomic<bool> fired_{false};
