@@ -29,7 +29,8 @@
 //  * scale_10k's peak RSS or allocation count exceeds its budget (see
 //    kSmokeRssBudget10k: losing any scale-path ingredient fails one);
 //  * proactive_10k's or durable_10k's allocation count exceeds its
-//    budget (see kSmokeAllocationBudgetProactive10k);
+//    budget (see kSmokeAllocationBudgetProactive10k), or proactive_10k's
+//    peak RSS exceeds its budget (see kSmokeRssBudgetProactive10k);
 //  * scale_100k's events/sec falls below the committed floor, or its
 //    peak RSS exceeds the committed budget;
 //  * proactive_10k runs at less than 0.10x scale_10k's events/sec.  The
@@ -72,27 +73,35 @@ constexpr EpochSeconds kScaleEnd = kT0 + Days(kVirtualDays);
 
 // Budgets on scale_10k's peak RSS and allocation count.  Both count what
 // the run holds and asks for, so unlike events/s they do not move with
-// the host's load.  The arm peaks at ~12 MiB over ~76k allocations; put
-// back one at a time, the scale-path ingredients cost (peak RSS,
-// allocations): full telemetry (108 MiB, 76k), the SQL-mirrored metadata
-// store (13 MiB, 58M), one in-memory history per database (68 MiB,
-// 155k), materialized traces (34 MiB, 155k).  At ~2x and ~1.5x the arm's
-// own figures, each ingredient's loss fails at least one budget.
+// the host's load.  The arm peaks at ~11 MiB over 39,525 allocations;
+// the allocation budget is that count plus 5%.  The timer wheel's
+// per-slot vectors, in place of its one node pool, made it 76,395.  Put
+// back one at a time, and measured with those vectors, the scale-path
+// ingredients cost (peak RSS, allocations): full telemetry (108 MiB,
+// 76k), the SQL-mirrored metadata store (13 MiB, 58M), one in-memory
+// history per database (68 MiB, 155k), materialized traces (34 MiB,
+// 155k).  Each ingredient's loss fails at least one budget.
 constexpr uint64_t kSmokeRssBudget10k = uint64_t{24} * 1024 * 1024;
-constexpr uint64_t kSmokeAllocationBudget10k = 115'000;
+constexpr uint64_t kSmokeAllocationBudget10k = 41'502;
 // Budgets on proactive_10k's and durable_10k's allocation counts, each
 // the arm's largest over its pairs: the first run of an arm in the
-// process makes 1,333,258 and 1,337,600, later runs 76 and 1 fewer (the
+// process makes 1,289,949 and 1,294,291, later runs up to 76 fewer (the
 // predictor's per-thread scratch and the crash-point registry grow once
 // per process).  With the predictor reading each history in place into
-// those buffers, and inline-answered pre-warms leaving no dispatcher
-// table entry, the budgets are those counts plus 5%.  Each of these put
-// back alone fails them: the predictor's
-// CollectLogins copy (2,329,296), a table node per inline dispatch
-// (1,734,950), node agents recording every applied request id (about
-// 400,000 more).  Before all three the arms made 3,673,980 and 3,678,398.
-constexpr uint64_t kSmokeAllocationBudgetProactive10k = 1'399'921;
-constexpr uint64_t kSmokeAllocationBudgetDurable10k = 1'404'480;
+// those buffers, inline-answered pre-warms leaving no dispatcher table
+// entry, and the timer wheel's events in one node pool, the budgets are
+// those counts plus 5%.  Each of these put back alone fails them: the
+// predictor's CollectLogins copy (2,329,296), a table node per inline
+// dispatch (1,734,950), node agents recording every applied request id
+// (about 400,000 more).  Before all three the arms made 3,673,980 and
+// 3,678,398; the wheel's per-slot vectors added about 43,300 to each.
+constexpr uint64_t kSmokeAllocationBudgetProactive10k = 1'354'447;
+constexpr uint64_t kSmokeAllocationBudgetDurable10k = 1'359'006;
+// Budget on proactive_10k's peak RSS.  The arm peaks at 33.8 MiB (the
+// same in every pair of one run); with the timer wheel's per-slot
+// vectors in place of its node pool it peaked at 39.8 MiB, which fails
+// this budget.
+constexpr uint64_t kSmokeRssBudgetProactive10k = uint64_t{36} * 1024 * 1024;
 // Committed smoke-gate constants for the 100k scale configuration.  Full
 // runs (BENCH_fleet_scale.json) on a shared 4-vCPU host measured 1.30M and
 // later 2.64M events/sec, and 88 MB peak RSS; the floor leaves 2.6-5.3x
@@ -365,6 +374,16 @@ int Run(bool smoke, const std::string& out_path) {
                    "RSS, above its budget of %llu MiB\n",
                    scale10k->peak_rss_bytes / 1048576.0,
                    static_cast<unsigned long long>(kSmokeRssBudget10k >> 20));
+      return 1;
+    }
+    if (proactive10k != nullptr &&
+        proactive10k->peak_rss_bytes > kSmokeRssBudgetProactive10k) {
+      std::fprintf(stderr,
+                   "FAIL: proactive_10k peaked at %.1f MiB RSS, above its "
+                   "budget of %llu MiB\n",
+                   proactive10k->peak_rss_bytes / 1048576.0,
+                   static_cast<unsigned long long>(
+                       kSmokeRssBudgetProactive10k >> 20));
       return 1;
     }
     // Zero under sanitizers: not measured.
