@@ -242,8 +242,10 @@ struct SimReport {
   telemetry::Histogram login_delay_hist;
   telemetry::Histogram history_tuples_hist;
   telemetry::Histogram history_bytes_hist;
-  /// Bytes held by the event queue's slot/heap storage at run end — the
-  /// post-storm shrink regression metric.
+  /// Event storage held at run end: the timer wheel's node pool
+  /// (payloads and links, by capacity; not its fixed ~49 KB of slot heads
+  /// and bitmaps) plus the tick buffer's capacity.  The regression metric
+  /// of the post-storm pool compaction.
   uint64_t event_queue_bytes = 0;
 };
 
