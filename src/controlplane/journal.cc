@@ -32,12 +32,13 @@ enum Field : unsigned {
   kNotBefore,
   kDeadline,
   kStats0,
-  kFieldCount = kStats0 + 4,
+  kIdleBefore = kStats0 + 4,
+  kFieldCount,
 };
 
 constexpr size_t kMaxVarintBytes = 10;
 constexpr size_t kMaxValueBytes =
-    1 + 2 + kFieldCount * kMaxVarintBytes;  // the mask needs 2 bytes
+    1 + 3 + kFieldCount * kMaxVarintBytes;  // the mask needs 3 bytes
 constexpr size_t kMaxFrameBytes =
     storage::WriteAheadLog::InsertFrameBytes(kMaxValueBytes);
 
@@ -95,7 +96,7 @@ uint32_t PresenceMask(const JournalRecord& r) {
       r.flags != 0,           r.attempt != 0,     r.time != 0,
       r.predicted_start != 0, r.enqueued_at != 0, r.not_before != 0,
       r.deadline != 0,        r.stats[0] != 0,    r.stats[1] != 0,
-      r.stats[2] != 0,        r.stats[3] != 0,
+      r.stats[2] != 0,        r.stats[3] != 0,    r.idle_before != 0,
   };
   uint32_t mask = 0;
   for (unsigned f = 0; f < kFieldCount; ++f) {
@@ -123,6 +124,7 @@ size_t EncodeFrame(uint64_t seq, const JournalRecord& r, uint8_t* frame) {
       r.stats[1],
       r.stats[2],
       r.stats[3],
+      r.idle_before,
   };
   const uint32_t mask = PresenceMask(r);
   uint8_t* const value = frame + storage::WriteAheadLog::kInsertValueOffset;
@@ -188,6 +190,7 @@ Result<JournalRecord> Decode(const storage::WalRecord& wr) {
   r.not_before = undelta(kNotBefore);
   r.deadline = undelta(kDeadline);
   for (size_t i = 0; i < r.stats.size(); ++i) r.stats[i] = wire[kStats0 + i];
+  r.idle_before = wire[kIdleBefore];
   // A set bit must name a non-zero field, so each record has one encoding.
   if (PresenceMask(r) != mask) {
     return Status::Corruption("journal record mask names a zero field");

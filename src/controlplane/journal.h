@@ -84,6 +84,9 @@ struct JournalRecord {
   /// idempotent: [0] resumed this iteration, [1] max_queue_depth,
   /// [2] quota_deferrals, [3] quota_this_iteration.
   std::array<uint64_t, 4> stats{};
+  /// kIteration: idle iterations counted, not run, since the previous
+  /// iteration (ManagementService::IdleAt); each resumed nothing.
+  uint64_t idle_before = 0;
 };
 
 /// The control-plane write-ahead journal: JournalRecords framed through

@@ -56,12 +56,28 @@ Summary ManagementService::resumed_per_iteration() const {
   return sample;
 }
 
-void ManagementService::NoteIterationResumed(uint64_t resumed) {
+void ManagementService::NoteIterationResumed(uint64_t resumed,
+                                             uint64_t idle) {
   if (resumed >= resumed_per_iteration_.size()) {
     resumed_per_iteration_.resize(resumed + 1);
   }
   ++resumed_per_iteration_[resumed];
+  resumed_per_iteration_[0] += idle;
+  diagnostics_.observed_iterations += idle;
   total_resumed_ += resumed;
+}
+
+bool ManagementService::IdleAt(EpochSeconds now) const {
+  if (fenced_ || breaker_ != BreakerState::kClosed || storm_active_ ||
+      reactive_arrivals_ != 0 || async_resumed_pending_ != 0 ||
+      !in_flight_.empty() || !unacked_.empty()) {
+    return false;
+  }
+  for (const auto& q : queues_) {
+    if (!q.empty()) return false;
+  }
+  return !metadata_->AnyDueForResume(now, config_.prewarm_interval,
+                                     config_.resume_operation_period);
 }
 
 bool ManagementService::AccountingReconciles() const {
@@ -971,7 +987,8 @@ uint64_t ManagementService::Pump(EpochSeconds now) {
 }
 
 Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
-                                            bool use_sql_scan) {
+                                            bool use_sql_scan,
+                                            uint64_t idle_before) {
   if (fenced_) return fence_status_;
   // Breaker cool-down is virtual-clock based, like everything else here.
   if (breaker_ == BreakerState::kOpen &&
@@ -1102,10 +1119,11 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
     rec.stats[1] = static_cast<uint64_t>(diagnostics_.max_queue_depth);
     rec.stats[2] = diagnostics_.quota_deferrals;
     rec.stats[3] = quota_this_iteration_;
+    rec.idle_before = idle_before;
     if (quota != nullptr) rec.flags |= kJfSlowStart;
     if (!Journal(rec)) return fence_status_;
   }
-  NoteIterationResumed(resumed);
+  NoteIterationResumed(resumed, idle_before);
   return resumed;
 }
 
@@ -1198,6 +1216,18 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
         return Status::Corruption(
             "journal replay: iteration resumed more than ever resumed");
       }
+      // The idle count is added in one step, so a forged one costs no
+      // time; one that would overflow a counter, this iteration's own
+      // included, is corrupt.
+      constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+      const uint64_t zero_entry = resumed_per_iteration_.empty()
+                                      ? 0
+                                      : resumed_per_iteration_[0];
+      if (rec.idle_before >= kMax - diagnostics_.observed_iterations ||
+          rec.idle_before >= kMax - zero_entry) {
+        return Status::Corruption(
+            "journal replay: idle iteration count overflows the counters");
+      }
       ++diagnostics_.observed_iterations;
       diagnostics_.max_queue_depth = std::max(
           diagnostics_.max_queue_depth, static_cast<size_t>(rec.stats[1]));
@@ -1206,7 +1236,7 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
         ++diagnostics_.slow_start_ticks;
         ++ramp_step_;
       }
-      NoteIterationResumed(rec.stats[0]);
+      NoteIterationResumed(rec.stats[0], rec.idle_before);
       quota_this_iteration_ = rec.stats[3];
       reactive_arrivals_ = 0;
       return Status::OK();

@@ -143,6 +143,12 @@ Result<std::vector<DbId>> MetadataStore::SelectDueForResume(
   return due;
 }
 
+bool MetadataStore::AnyDueForResume(EpochSeconds now, DurationSeconds k,
+                                    DurationSeconds period) const {
+  auto it = resume_index_.lower_bound({now + k, 0});
+  return it != resume_index_.end() && it->first.first < now + k + period;
+}
+
 Result<std::vector<DbId>> MetadataStore::SelectDueForResumeSql(
     EpochSeconds now, DurationSeconds k, DurationSeconds period) const {
   if (db_ == nullptr) {

@@ -67,6 +67,12 @@ class MetadataStore {
                                                DurationSeconds k,
                                                DurationSeconds period) const;
 
+  /// Whether SelectDueForResume(now, k, period) would select anything:
+  /// one index probe, no allocation.  Both selection paths return the
+  /// same set, so this answers for the SQL scan too.
+  bool AnyDueForResume(EpochSeconds now, DurationSeconds k,
+                       DurationSeconds period) const;
+
   /// The same selection as a literal SQL scan of sys.databases.
   /// FailedPrecondition unless the store was opened kSqlMirrored.
   Result<std::vector<DbId>> SelectDueForResumeSql(

@@ -376,6 +376,10 @@ class FleetSimulation {
   Rng failure_rng_{0};
   uint64_t cp_recoveries_ = 0;
   uint64_t cp_last_replayed_ = 0;
+  /// Resume ticks skipped because the service was idle (IdleAt) and not
+  /// yet handed to a RunOnce, and all skipped so far.
+  uint64_t idle_ticks_held_ = 0;
+  uint64_t resume_ticks_skipped_ = 0;
   std::unique_ptr<telemetry::UsageLedger> ledger_;
   telemetry::EventCounts counts_;
   /// Null under Telemetry::kStreaming — events are counted, not buffered.
@@ -526,13 +530,26 @@ Status FleetSimulation::HandleTimer(const SimEvent& ev) {
 }
 
 Status FleetSimulation::HandleResumeOpTick(const SimEvent& ev) {
-  PRORP_RETURN_IF_ERROR(
-      management_->RunOnce(ev.time, options_.use_sql_scan_for_resume_op)
-          .status());
-  PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
   EpochSeconds next =
       ev.time + options_.config.control_plane.resume_operation_period;
-  if (next < options_.end) Push(next, SimEventType::kResumeOpTick, 0, 0);
+  const bool last = next >= options_.end;
+  // An iteration that can only count itself is counted here instead; the
+  // next RunOnce folds the count into its kIteration frame.  The run's
+  // last tick always runs, so no count outlives the run, and the count
+  // lives here rather than in the service so a plane crash keeps it.
+  if (!last && management_->IdleAt(ev.time)) {
+    ++idle_ticks_held_;
+    ++resume_ticks_skipped_;
+  } else {
+    PRORP_RETURN_IF_ERROR(management_
+                              ->RunOnce(ev.time,
+                                        options_.use_sql_scan_for_resume_op,
+                                        idle_ticks_held_)
+                              .status());
+    idle_ticks_held_ = 0;
+  }
+  PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
+  if (!last) Push(next, SimEventType::kResumeOpTick, 0, 0);
   return Status::OK();
 }
 
@@ -1192,6 +1209,7 @@ Result<SimReport> FleetSimulation::Run() {
   if (capacity_ != nullptr) report.resume_waits = capacity_->waits();
   report.control_plane_recoveries = cp_recoveries_;
   report.control_plane_replayed = cp_last_replayed_;
+  report.resume_ticks_skipped = resume_ticks_skipped_;
   report.measure_from = measure_from;
   report.measure_end = options_.end;
   report.allocated_samples = allocated_samples_;

@@ -229,6 +229,12 @@ struct SimReport {
   /// journal records replayed by the last one (0 in legacy mode).
   uint64_t control_plane_recoveries = 0;
   uint64_t control_plane_replayed = 0;
+  /// Algorithm 5 ticks counted instead of run: the management service was
+  /// idle (ManagementService::IdleAt), so RunOnce would have changed only
+  /// its iteration counters, and the next RunOnce counted them.
+  /// diagnostics.observed_iterations and resumed_per_iteration include
+  /// them; the journal holds no frame of their own.
+  uint64_t resume_ticks_skipped = 0;
   EpochSeconds measure_from = 0;
   EpochSeconds measure_end = 0;
 
