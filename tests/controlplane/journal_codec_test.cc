@@ -47,6 +47,7 @@ void ExpectSameRecord(const JournalRecord& got, const JournalRecord& want,
   EXPECT_EQ(got.deadline, want.deadline) << label;
   EXPECT_EQ(got.predicted_start, want.predicted_start) << label;
   EXPECT_EQ(got.stats, want.stats) << label;
+  EXPECT_EQ(got.idle_before, want.idle_before) << label;
 }
 
 /// Journals `records` into `path` and returns the WAL values they became.
@@ -145,6 +146,14 @@ std::vector<JournalRecord> ExtremeRecords() {
     r.attempt = attempt;  // an admission shed journals attempt -1
     records.push_back(r);
   }
+  for (uint64_t idle : {uint64_t{1}, uint64_t{1} << 40, kU64Max}) {
+    JournalRecord r;
+    r.event = JournalEvent::kIteration;
+    r.time = 1'000'000;
+    r.stats = {3, 0, 0, idle};
+    r.idle_before = idle;
+    records.push_back(r);
+  }
   return records;
 }
 
@@ -165,9 +174,34 @@ TEST(JournalCodecTest, ExtremeFieldValuesRoundTrip) {
     ExpectSameRecord(got[i], want[i], "record " + std::to_string(i));
   }
   // A record of zeros is the event byte and an empty mask; no record
-  // needs more than the event byte, a 2-byte mask and 14 varints.
+  // needs more than the event byte, a 3-byte mask and 15 varints.
   EXPECT_EQ(values[0].size(), 2u);
-  for (const Bytes& v : values) EXPECT_LE(v.size(), 3u + 14 * 10);
+  for (const Bytes& v : values) EXPECT_LE(v.size(), 4u + 15 * 10);
+}
+
+TEST(JournalCodecTest, IdleCountIsOnlyOnTheWireWhenNonZero) {
+  // kIteration at time 60 that resumed 2: the event byte, the mask of
+  // `time` and stats[0] (bits 5 and 10, two varint bytes) and the two
+  // fields.  A zero idle count leaves these bytes as they always were; a
+  // non-zero one sets mask bit 14, which takes a third mask byte, and
+  // appends its varint.
+  JournalRecord rec;
+  rec.event = JournalEvent::kIteration;
+  rec.time = 60;
+  rec.stats[0] = 2;
+  JournalRecord idle = rec;
+  idle.idle_before = 300;
+  const std::string path = FreshDir("journal_codec_idle") + "/j.wal";
+  const std::vector<Bytes> values = EncodedValues(path, {rec, idle});
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values[0], (Bytes{0x80 | 16, 0xa0, 0x08, 60, 2}));
+  EXPECT_EQ(values[1], (Bytes{0x80 | 16, 0xa0, 0x88, 0x01, 60, 2, 0xac, 0x02}));
+  JournalRecord got;
+  ASSERT_TRUE(ReplayValue(path, values[1], &got).ok());
+  ExpectSameRecord(got, idle, "idle record");
+  // A present idle field of zero is not this encoding's.
+  EXPECT_TRUE(ReplayValue(path, {0x80 | 16, 0x80, 0x80, 0x01, 0x00}, nullptr)
+                  .IsCorruption());
 }
 
 TEST(JournalCodecTest, FixedLayoutValueIsCorruption) {
@@ -228,7 +262,9 @@ TEST(JournalCodecTest, ImpossibleValuesAreCorruption) {
         0x02}},
       {"non-minimal varint", {kTagged, 0x01, 0x81, 0x00}},
       {"non-minimal mask", {kTagged, 0x80, 0x00}},
-      {"unknown mask bit 14", {kTagged, 0x80, 0x80, 0x01}},
+      {"mask bit 14 (idle_before) without its field",
+       {kTagged, 0x80, 0x80, 0x01}},
+      {"unknown mask bit 15", {kTagged, 0x80, 0x80, 0x02}},
       {"unknown mask bit 20", {kTagged, 0x80, 0x80, 0x40}},
       {"trailing byte", {kTagged, 0x00, 0x00}},
       {"trailing byte after a field", {kTagged, 0x01, 0x05, 0x07}},

@@ -2,6 +2,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -348,6 +349,73 @@ TEST(CheckpointTest, ImplausibleIterationCountsAreCorruption) {
   EXPECT_TRUE(plane.svc->ApplyForRecovery(iteration).IsCorruption());
   EXPECT_EQ(plane.svc->diagnostics().observed_iterations, 0u);
   EXPECT_EQ(plane.svc->resumed_per_iteration().count(), 0u);
+}
+
+// Idle iterations counted by a skipping caller travel in the next
+// kIteration frame and replay by addition: recovery counts them exactly,
+// with or without a checkpoint, and a count that would overflow
+// observed_iterations or the zero entry of the per-count sample is
+// Corruption.  A forged count near the bound applies in one step.
+TEST(DurableControlPlaneTest, IdleIterationCountReplaysByAddition) {
+  const std::string dir = FreshDir("dcp_idle_count");
+  DurableControlPlane::Options opt;
+  opt.dir = dir;
+  opt.config = SmallConfig();
+  opt.checkpoint_every = 0;
+  auto ok_cb = [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); };
+  auto not_resumed = [](DbId) { return false; };
+  {
+    auto plane = DurableControlPlane::Open(opt, ok_cb, not_resumed, kT0);
+    ASSERT_TRUE(plane.ok()) << plane.status().ToString();
+    ManagementService& svc = (*plane)->service();
+    ASSERT_TRUE((*plane)
+                    ->metadata()
+                    .UpsertState(7, DbState::kPhysicallyPaused, kT0 + 960)
+                    .ok());
+    ASSERT_TRUE(svc.RunOnce(kT0 + 60, false, 0).ok());
+    ASSERT_TRUE((*plane)->Checkpoint().ok());
+    // Ten idle ticks, then the tick that selects database 7.
+    auto r = svc.RunOnce(kT0 + 660, false, 10);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, 1u);
+    ASSERT_TRUE(svc.RunOnce(kT0 + 900, false, 3).ok());
+    EXPECT_EQ(svc.diagnostics().observed_iterations, 16u);
+    ASSERT_TRUE(SaveCheckpoint(dir + "/live.bin", (*plane)->metadata(), svc,
+                               1, 1)
+                    .ok());
+  }  // dies: the last two frames live only in the journal
+  auto plane = DurableControlPlane::Open(opt, ok_cb, not_resumed, kT0 + 960);
+  ASSERT_TRUE(plane.ok()) << plane.status().ToString();
+  const ManagementService& svc = (*plane)->service();
+  EXPECT_EQ(svc.diagnostics().observed_iterations, 16u);
+  const Summary sample = svc.resumed_per_iteration();
+  EXPECT_EQ(sample.count(), 16u);
+  EXPECT_EQ(sample.Percentile(0.9), 0.0);
+  EXPECT_EQ(sample.Percentile(1.0), 1.0);
+  ASSERT_TRUE(SaveCheckpoint(dir + "/recovered.bin", (*plane)->metadata(),
+                             svc, 1, 1)
+                  .ok());
+  EXPECT_EQ(ReadFileBytes(dir + "/recovered.bin"),
+            ReadFileBytes(dir + "/live.bin"));
+
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  JournalRecord iteration;
+  iteration.event = JournalEvent::kIteration;
+  for (uint64_t forged : {kMax, kMax - 1}) {
+    BarePlane bare;
+    DriveIterations(&bare, {0});
+    iteration.idle_before = forged;
+    EXPECT_TRUE(bare.svc->ApplyForRecovery(iteration).IsCorruption())
+        << forged;
+    EXPECT_EQ(bare.svc->diagnostics().observed_iterations, 1u);
+  }
+  BarePlane bare;
+  iteration.idle_before = kMax - 1;  // reaches the bound, in one step
+  ASSERT_TRUE(bare.svc->ApplyForRecovery(iteration).ok());
+  EXPECT_EQ(bare.svc->diagnostics().observed_iterations, kMax);
+  iteration.idle_before = 0;  // one more iteration would wrap
+  EXPECT_TRUE(bare.svc->ApplyForRecovery(iteration).IsCorruption());
+  EXPECT_EQ(bare.svc->diagnostics().observed_iterations, kMax);
 }
 
 // A CRC-valid checkpoint or journal whose class byte (or breaker code)
