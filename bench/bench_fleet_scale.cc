@@ -38,6 +38,8 @@
 //    machine; with one in-place history read and one counting pass per
 //    prediction it is about 0.35, and with one history read per season
 //    it was about 0.05;
+//  * durable_10k skips fewer idle resume ticks than its committed count
+//    (see kSmokeSkippedFloorDurable10k);
 //  * durable_10k runs at less than kSmokeDurableRatioFloor10k x
 //    proactive_10k's events/sec (see that constant for the measured
 //    ratios).  That ratio is taken over kDurablePairs proactive_10k /
@@ -125,6 +127,12 @@ constexpr double kSmokeProactiveRatioFloor10k = 0.10;
 // frames' 0.62-0.69 (alternating, same host; the pairs' first arm
 // alternating too); the slowest run clears 0.57 by 0.05.
 constexpr double kSmokeDurableRatioFloor10k = 0.57;
+// Floor on durable_10k's resume ticks skipped as idle
+// (ManagementService::IdleAt): 19,640 of its Algorithm 5 ticks, one a
+// minute for 60 days.  The count depends on the simulation alone, not on
+// the host, so the floor is the exact count; a predicate that never
+// reports idle makes it 0.
+constexpr uint64_t kSmokeSkippedFloorDurable10k = 19'640;
 // proactive_10k / durable_10k pairs, in both modes.  One pair measured
 // 0.29 in one of four back-to-back runs on unchanged code.
 constexpr size_t kDurablePairs = 3;
@@ -136,6 +144,7 @@ struct ScaleResult {
   double seconds = 0;
   uint64_t peak_rss_bytes = 0;  // attributed to this run via ResetPeakRss
   uint64_t allocations = 0;     // 0 under sanitizers = not measured
+  uint64_t resume_ticks_skipped = 0;  // idle Algorithm 5 ticks, counted
 
   double events_per_sec() const { return seconds > 0 ? events / seconds : 0; }
   double dbs_per_sec() const { return seconds > 0 ? num_dbs / seconds : 0; }
@@ -192,6 +201,7 @@ Result<ScaleResult> RunScaleConfig(const std::string& name, size_t num_dbs,
   r.seconds = seconds;
   r.peak_rss_bytes = PeakRssSinceResetBytes();
   r.allocations = AllocationsSince(allocs_before);
+  r.resume_ticks_skipped = report.resume_ticks_skipped;
   return r;
 }
 
@@ -202,6 +212,10 @@ void PrintRow(const ScaleResult& r) {
               static_cast<unsigned long long>(r.events), r.seconds,
               r.events_per_sec(), r.dbs_per_sec(),
               static_cast<unsigned long long>(r.peak_rss_bytes >> 20));
+  if (r.resume_ticks_skipped > 0) {
+    std::printf("%-12s resume ticks skipped as idle: %llu\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.resume_ticks_skipped));
+  }
 }
 
 bool WriteScaleJson(const std::string& path, const std::string& mode,
@@ -426,6 +440,17 @@ int Run(bool smoke, const std::string& out_path) {
                    "%.3fx the reactive scale config's events/s (floor "
                    "%.2fx)\n",
                    proactive_ratio10k, kSmokeProactiveRatioFloor10k);
+      return 1;
+    }
+    if (durable10k != nullptr &&
+        durable10k->resume_ticks_skipped < kSmokeSkippedFloorDurable10k) {
+      std::fprintf(stderr,
+                   "FAIL: durable_10k skipped %llu idle resume ticks, below "
+                   "its committed %llu\n",
+                   static_cast<unsigned long long>(
+                       durable10k->resume_ticks_skipped),
+                   static_cast<unsigned long long>(
+                       kSmokeSkippedFloorDurable10k));
       return 1;
     }
     if (durable_ratio10k < kSmokeDurableRatioFloor10k) {
