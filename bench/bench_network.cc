@@ -71,7 +71,6 @@ ArmOutcome RunArm(const std::string& name, net::Transport* transport,
   ArmOutcome out;
   net::TransportDispatcher::Options dopt;
   dopt.retransmit_after = 30;
-  dopt.max_transmissions = 4;
   net::TransportDispatcher dispatcher(transport, dopt);
 
   std::vector<bool> resumed(static_cast<size_t>(n), false);
@@ -90,7 +89,6 @@ ArmOutcome RunArm(const std::string& name, net::Transport* transport,
   auto meta = MetadataStore::Open();
   if (!meta.ok()) return out;
   ControlPlaneConfig config;
-  config.retry_backoff_base = 60;
   config.retry_backoff_cap = 240;
   auto service = std::make_unique<ManagementService>(
       meta->get(), config,

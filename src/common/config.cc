@@ -65,23 +65,12 @@ Status ControlPlaneConfig::Validate() const {
     return Status::InvalidArgument(
         "resume_operation_period must be positive");
   }
-  if (retry_backoff_base <= 0) {
-    return Status::InvalidArgument("retry_backoff_base must be positive");
-  }
-  if (retry_backoff_cap < retry_backoff_base) {
+  if (retry_backoff_cap < kRetryBackoffBase) {
     return Status::InvalidArgument(
-        "retry_backoff_cap must be >= retry_backoff_base");
-  }
-  if (retry_jitter_fraction < 0.0 || retry_jitter_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "retry_jitter_fraction must be in [0, 1]");
+        "retry_backoff_cap must be >= kRetryBackoffBase (60 s)");
   }
   if (breaker_window == 0) {
     return Status::InvalidArgument("breaker_window must be positive");
-  }
-  if (breaker_failure_ratio <= 0.0 || breaker_failure_ratio > 1.0) {
-    return Status::InvalidArgument(
-        "breaker_failure_ratio must be in (0, 1]");
   }
   if (breaker_open_duration <= 0) {
     return Status::InvalidArgument(
@@ -91,14 +80,8 @@ Status ControlPlaneConfig::Validate() const {
     return Status::InvalidArgument(
         "breaker_half_open_probes must be positive");
   }
-  if (!(brownout_l1 > 0.0 && brownout_l1 <= brownout_l2 &&
-        brownout_l2 <= brownout_l3 && brownout_l3 <= 1.0)) {
-    return Status::InvalidArgument(
-        "brownout thresholds must satisfy 0 < l1 <= l2 <= l3 <= 1");
-  }
-  if (deadline_reactive <= 0 || deadline_imminent <= 0 ||
-      deadline_speculative <= 0 || deadline_maintenance <= 0) {
-    return Status::InvalidArgument("workflow deadlines must be positive");
+  if (deadline_imminent <= 0) {
+    return Status::InvalidArgument("deadline_imminent must be positive");
   }
   if (slow_start_initial_quota == 0) {
     return Status::InvalidArgument(
@@ -107,10 +90,6 @@ Status ControlPlaneConfig::Validate() const {
   if (slow_start_quota_cap < slow_start_initial_quota) {
     return Status::InvalidArgument(
         "slow_start_quota_cap must be >= slow_start_initial_quota");
-  }
-  if (slow_start_jitter_fraction < 0.0 || slow_start_jitter_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "slow_start_jitter_fraction must be in [0, 1]");
   }
   if (storm_cooldown < 0) {
     return Status::InvalidArgument("storm_cooldown must be non-negative");

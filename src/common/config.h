@@ -84,7 +84,8 @@ struct PolicyConfig {
 /// mitigation runner (Section 7): capped exponential backoff between
 /// retry attempts of a stuck resume workflow, and a circuit breaker that
 /// sheds proactive resumes while the resume path is systematically
-/// failing.
+/// failing.  The k-prefixed constants are the values no deployment
+/// varies; DESIGN.md section 8.6 says why each is fixed.
 struct ControlPlaneConfig {
   /// k: pre-warm interval; resources are proactively resumed k time units
   /// ahead of predicted customer activity (default 5 minutes).
@@ -95,28 +96,28 @@ struct ControlPlaneConfig {
   DurationSeconds resume_operation_period = Minutes(1);
 
   /// Backoff before retry attempt n (1-based) of a failed resume
-  /// workflow: min(retry_backoff_cap, retry_backoff_base * 2^(n-1)),
-  /// plus a deterministic jitter in [0, retry_jitter_fraction * delay]
+  /// workflow: min(retry_backoff_cap, kRetryBackoffBase * 2^(n-1)),
+  /// plus a deterministic jitter in [0, kRetryJitterFraction * delay]
   /// hashed from (database, attempt) so that a burst of simultaneous
   /// failures does not retry in lockstep.  All delays are virtual-clock
   /// relative: a retry becomes eligible at the first RunOnce whose `now`
   /// has passed its deadline.
-  DurationSeconds retry_backoff_base = Minutes(1);
+  static constexpr DurationSeconds kRetryBackoffBase = Minutes(1);
+  static constexpr double kRetryJitterFraction = 0.25;
   DurationSeconds retry_backoff_cap = Minutes(8);
-  double retry_jitter_fraction = 0.25;
 
   /// Circuit breaker over resume-workflow outcomes.  When the last
-  /// `breaker_window` attempts contain at least `breaker_failure_ratio`
-  /// failures, the breaker opens: fresh proactive resumes are shed (the
-  /// databases stay physically paused and fall back to reactive resume on
-  /// the customer's login) and queued retries are held.  After
+  /// `breaker_window` attempts contain at least a kBreakerFailureRatio
+  /// share of failures, the breaker opens: fresh proactive resumes are
+  /// shed (the databases stay physically paused and fall back to reactive
+  /// resume on the customer's login) and queued retries are held.  After
   /// `breaker_open_duration` the breaker half-opens and allows
   /// `breaker_half_open_probes` probe attempts per iteration; a probe
   /// failure re-opens it, `breaker_half_open_probes` consecutive
   /// successes close it.  FailedPrecondition outcomes (the database
   /// resumed on its own) are breaker-neutral.
+  static constexpr double kBreakerFailureRatio = 0.5;
   size_t breaker_window = 20;
-  double breaker_failure_ratio = 0.5;
   DurationSeconds breaker_open_duration = Minutes(5);
   int breaker_half_open_probes = 3;
 
@@ -134,23 +135,25 @@ struct ControlPlaneConfig {
   bool admission_control_enabled = false;
 
   /// Brownout engages by the fraction of queue_capacity occupied by
-  /// non-reactive work: level 1 sheds fresh maintenance arrivals, level 2
-  /// also speculative proactive, level 3 everything except reactive
-  /// logins.  Only meaningful with admission control + a finite capacity.
-  double brownout_l1 = 0.50;
-  double brownout_l2 = 0.75;
-  double brownout_l3 = 0.95;
+  /// non-reactive work: level 1 (from kBrownoutL1) sheds fresh
+  /// maintenance arrivals, level 2 also speculative proactive, level 3
+  /// everything except reactive logins.  Only meaningful with admission
+  /// control + a finite capacity.
+  static constexpr double kBrownoutL1 = 0.50;
+  static constexpr double kBrownoutL2 = 0.75;
+  static constexpr double kBrownoutL3 = 0.95;
 
   /// Per-workflow deadlines with a single hedged retry: a workflow still
   /// queued (or still in flight, for reactive resumes) past its class
   /// deadline gets one extra attempt routed to a different node.  The
   /// hedge bypasses backoff, breaker, and quota — it is the rescue path —
-  /// and is bounded at one per workflow.
+  /// and is bounded at one per workflow.  Only the imminent-proactive
+  /// deadline is tunable.
+  static constexpr DurationSeconds kDeadlineReactive = Minutes(2);
+  static constexpr DurationSeconds kDeadlineSpeculative = Hours(1);
+  static constexpr DurationSeconds kDeadlineMaintenance = Hours(4);
   bool deadline_hedging_enabled = false;
-  DurationSeconds deadline_reactive = Minutes(2);
   DurationSeconds deadline_imminent = Minutes(10);
-  DurationSeconds deadline_speculative = Hours(1);
-  DurationSeconds deadline_maintenance = Hours(4);
 
   /// Storm detector: a storm starts when one selection returns at least
   /// storm_due_burst_threshold due databases, when at least
@@ -167,11 +170,12 @@ struct ControlPlaneConfig {
 
   /// Slow-start ramp while a storm is active: the non-reactive admission
   /// quota per iteration is min(cap, initial * 2^tick) plus deterministic
-  /// jitter (the same capped-exponential + jitter helpers as the retry
-  /// backoff, growing instead of delaying).
+  /// jitter in [0, kSlowStartJitterFraction * quota] (the same
+  /// capped-exponential + jitter helpers as the retry backoff, growing
+  /// instead of delaying).  A quota below 4 gets no jitter.
+  static constexpr double kSlowStartJitterFraction = 0.25;
   uint64_t slow_start_initial_quota = 2;
   uint64_t slow_start_quota_cap = 1ULL << 20;
-  double slow_start_jitter_fraction = 0.25;
 
   /// Catch-up sweep at storm start: physically paused databases whose
   /// predicted start was missed (shed or stuck while the resume path was

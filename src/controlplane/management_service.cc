@@ -99,22 +99,22 @@ bool ManagementService::AccountingReconciles() const {
 }
 
 DurationSeconds ManagementService::BackoffDelay(DbId db, int attempt) const {
-  return common::BackoffDelay(config_.retry_backoff_base,
+  return common::BackoffDelay(ControlPlaneConfig::kRetryBackoffBase,
                               config_.retry_backoff_cap,
-                              config_.retry_jitter_fraction,
+                              ControlPlaneConfig::kRetryJitterFraction,
                               static_cast<uint64_t>(db), attempt);
 }
 
 DurationSeconds ManagementService::DeadlineFor(ResumeClass cls) const {
   switch (cls) {
     case ResumeClass::kReactiveLogin:
-      return config_.deadline_reactive;
+      return ControlPlaneConfig::kDeadlineReactive;
     case ResumeClass::kImminentProactive:
       return config_.deadline_imminent;
     case ResumeClass::kSpeculativeProactive:
-      return config_.deadline_speculative;
+      return ControlPlaneConfig::kDeadlineSpeculative;
     case ResumeClass::kMaintenance:
-      return config_.deadline_maintenance;
+      return ControlPlaneConfig::kDeadlineMaintenance;
   }
   return config_.deadline_imminent;
 }
@@ -365,7 +365,7 @@ void ManagementService::RecordOutcome(bool success, EpochSeconds now) {
   if (breaker_ == BreakerState::kClosed &&
       outcomes_.size() == config_.breaker_window &&
       static_cast<double>(window_failures_) >=
-          config_.breaker_failure_ratio *
+          ControlPlaneConfig::kBreakerFailureRatio *
               static_cast<double>(config_.breaker_window)) {
     SetBreaker(BreakerState::kOpen, now);
   }
@@ -383,9 +383,9 @@ int ManagementService::ComputeBrownoutLevel() const {
   }
   double occupancy = static_cast<double>(NonReactiveQueued()) /
                      static_cast<double>(config_.queue_capacity);
-  if (occupancy >= config_.brownout_l3) return 3;
-  if (occupancy >= config_.brownout_l2) return 2;
-  if (occupancy >= config_.brownout_l1) return 1;
+  if (occupancy >= ControlPlaneConfig::kBrownoutL3) return 3;
+  if (occupancy >= ControlPlaneConfig::kBrownoutL2) return 2;
+  if (occupancy >= ControlPlaneConfig::kBrownoutL1) return 1;
   return 0;
 }
 
@@ -987,7 +987,6 @@ uint64_t ManagementService::Pump(EpochSeconds now) {
 }
 
 Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
-                                            bool use_sql_scan,
                                             uint64_t idle_before) {
   if (fenced_) return fence_status_;
   // Breaker cool-down is virtual-clock based, like everything else here.
@@ -1011,18 +1010,10 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
   half_open_probes_issued_ = 0;
 
   // Step 1: Algorithm 5's selection.
-  std::vector<DbId> due;
-  if (use_sql_scan) {
-    PRORP_ASSIGN_OR_RETURN(
-        due, metadata_->SelectDueForResumeSql(
-                 now, config_.prewarm_interval,
-                 config_.resume_operation_period));
-  } else {
-    PRORP_ASSIGN_OR_RETURN(
-        due, metadata_->SelectDueForResume(
-                 now, config_.prewarm_interval,
-                 config_.resume_operation_period));
-  }
+  PRORP_ASSIGN_OR_RETURN(
+      std::vector<DbId> due,
+      metadata_->SelectDueForResume(now, config_.prewarm_interval,
+                                    config_.resume_operation_period));
   // Detector signals observed since the last iteration.
   uint64_t reactive_spike = reactive_arrivals_;
   reactive_arrivals_ = 0;
@@ -1077,7 +1068,7 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
         common::CappedExponential(
             static_cast<int64_t>(config_.slow_start_initial_quota),
             static_cast<int64_t>(config_.slow_start_quota_cap), ramp_step_),
-        config_.slow_start_jitter_fraction, storm_seq_,
+        ControlPlaneConfig::kSlowStartJitterFraction, storm_seq_,
         static_cast<uint64_t>(ramp_step_)));
     ++ramp_step_;
     ++diagnostics_.slow_start_ticks;

@@ -178,8 +178,8 @@ class ManagementService {
   /// One iteration of the proactive resume operation.  Returns the number
   /// of databases proactively resumed in this iteration (the Figure 11
   /// metric; reactive and maintenance successes are counted per class but
-  /// excluded here).  Set `use_sql_scan` to exercise the faithful SQL
-  /// path.
+  /// excluded here).  The selection is the metadata store's: a store
+  /// opened with its SQL mirror answers through the literal SQL scan.
   ///
   /// `idle_before` counts the iterations the caller skipped since its
   /// previous call because IdleAt was true.  Each of them would have
@@ -190,8 +190,7 @@ class ManagementService {
   /// journaled; until RunOnce returns OK the caller keeps the count.  A
   /// caller that runs every iteration passes 0 and journals exactly the
   /// frames it always did.
-  Result<uint64_t> RunOnce(EpochSeconds now, bool use_sql_scan = false,
-                           uint64_t idle_before = 0);
+  Result<uint64_t> RunOnce(EpochSeconds now, uint64_t idle_before = 0);
 
   /// True only when RunOnce(now) would change nothing but the iteration
   /// counters: the service is not fenced, the breaker is closed, no storm
@@ -317,7 +316,9 @@ class ManagementService {
   /// for tests asserting the schedule.
   DurationSeconds BackoffDelay(DbId db, int attempt) const;
 
-  /// Deadline budget of a class (meaningful with deadline hedging on).
+  /// Deadline budget of a class (meaningful with deadline hedging on):
+  /// ControlPlaneConfig::deadline_imminent for imminent pre-warms, the
+  /// fixed ControlPlaneConfig::kDeadline* values for the other classes.
   DurationSeconds DeadlineFor(ResumeClass cls) const;
 
   // --- Durability & recovery (DESIGN.md section 10) ---

@@ -126,19 +126,20 @@ Status MetadataStore::ApplyUpsert(DbId db, policy::DbState state,
   }
   entry = {state, predicted_start, true};
   if (state == policy::DbState::kPhysicallyPaused && predicted_start > 0) {
-    resume_index_[{predicted_start, db}] = true;
+    resume_index_.insert({predicted_start, db});
   }
   return Status::OK();
 }
 
 Result<std::vector<DbId>> MetadataStore::SelectDueForResume(
     EpochSeconds now, DurationSeconds k, DurationSeconds period) const {
+  if (db_ != nullptr) return SelectDueForResumeSql(now, k, period);
   std::vector<DbId> due;
   EpochSeconds lo = now + k;
   EpochSeconds hi = now + k + period;
   for (auto it = resume_index_.lower_bound({lo, 0});
-       it != resume_index_.end() && it->first.first < hi; ++it) {
-    due.push_back(it->first.second);
+       it != resume_index_.end() && it->first < hi; ++it) {
+    due.push_back(it->second);
   }
   return due;
 }
@@ -146,7 +147,7 @@ Result<std::vector<DbId>> MetadataStore::SelectDueForResume(
 bool MetadataStore::AnyDueForResume(EpochSeconds now, DurationSeconds k,
                                     DurationSeconds period) const {
   auto it = resume_index_.lower_bound({now + k, 0});
-  return it != resume_index_.end() && it->first.first < now + k + period;
+  return it != resume_index_.end() && it->first < now + k + period;
 }
 
 Result<std::vector<DbId>> MetadataStore::SelectDueForResumeSql(
@@ -172,8 +173,8 @@ Result<std::vector<MissedResume>> MetadataStore::SelectMissedResume(
   EpochSeconds lo = now - lookback;
   EpochSeconds hi = now + k;
   for (auto it = resume_index_.lower_bound({lo, 0});
-       it != resume_index_.end() && it->first.first < hi; ++it) {
-    missed.push_back({it->first.second, it->first.first});
+       it != resume_index_.end() && it->first < hi; ++it) {
+    missed.push_back({it->second, it->first});
   }
   return missed;
 }

@@ -1,8 +1,9 @@
 #ifndef PRORP_CONTROLPLANE_METADATA_STORE_H_
 #define PRORP_CONTROLPLANE_METADATA_STORE_H_
 
-#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -32,14 +33,16 @@ struct MissedResume {
 ///
 /// Two query paths answer Algorithm 5's selection:
 ///  * an ordered secondary index on (start_of_pred_activity, database_id)
-///    restricted to physically paused databases (SelectDueForResume) — the
-///    production-grade access path that makes a once-a-minute scan over
-///    hundreds of thousands of databases cheap, and
+///    restricted to physically paused databases — the production-grade
+///    access path that makes a once-a-minute scan over hundreds of
+///    thousands of databases cheap, and
 ///  * the faithful SQL table, scanned exactly per Algorithm 5 lines 2-6
 ///    (SelectDueForResumeSql), kept only under Backing::kSqlMirrored as
 ///    the oracle of the index.
-/// Property tests assert the two return identical lists, in
-/// (start_of_pred_activity, database_id) order.
+/// SelectDueForResume answers through the SQL scan when the store keeps
+/// the mirror and through the index otherwise.  Property tests assert the
+/// two return identical lists, in (start_of_pred_activity, database_id)
+/// order.
 class MetadataStore {
  public:
   /// Which storage backs the store.  kIndexOnly (default) keeps the
@@ -61,8 +64,9 @@ class MetadataStore {
   Status UpsertState(DbId db, policy::DbState state,
                      EpochSeconds predicted_start);
 
-  /// Algorithm 5 lines 2-6 over the secondary index: physically paused
-  /// databases with now + k <= start_of_pred_activity < now + k + period.
+  /// Algorithm 5 lines 2-6: physically paused databases with
+  /// now + k <= start_of_pred_activity < now + k + period, from the SQL
+  /// scan under Backing::kSqlMirrored and from the index otherwise.
   Result<std::vector<DbId>> SelectDueForResume(EpochSeconds now,
                                                DurationSeconds k,
                                                DurationSeconds period) const;
@@ -149,7 +153,7 @@ class MetadataStore {
   uint64_t live_ = 0;
   /// (predicted_start, db) for physically paused databases with a
   /// prediction.
-  std::map<std::pair<EpochSeconds, DbId>, bool> resume_index_;
+  std::set<std::pair<EpochSeconds, DbId>> resume_index_;
   ControlPlaneJournal* journal_ = nullptr;
   uint64_t epoch_ = 0;
 };

@@ -149,21 +149,10 @@ Result<EpochSeconds> SqlHistoryStore::MinTimestamp() const {
   return v.value;
 }
 
-Result<storage::ScrubReport> SqlHistoryStore::Scrub() {
-  PRORP_ASSIGN_OR_RETURN(sql::Table * table, db_->GetTable(kHistoryTable));
-  return table->durable_tree()->Scrub();
-}
-
 storage::IntegrityStats SqlHistoryStore::integrity_stats() const {
   auto table = db_->GetTable(kHistoryTable);
   if (!table.ok()) return {};
   return (*table)->durable_tree()->integrity_stats();
-}
-
-bool SqlHistoryStore::quarantined() const {
-  auto table = db_->GetTable(kHistoryTable);
-  if (!table.ok()) return false;
-  return (*table)->durable_tree()->quarantined();
 }
 
 uint64_t SqlHistoryStore::NumTuples() const {

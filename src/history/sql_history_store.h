@@ -43,17 +43,8 @@ class SqlHistoryStore : public HistoryStore {
   sql::Database* database() { return db_.get(); }
   const sql::Database* database() const { return db_.get(); }
 
-  /// On-demand integrity pass over the history table (checksums, page-id
-  /// self-references, B+tree invariants).  Self-heals via snapshot + WAL
-  /// rebuild when the report is dirty; quarantines when healing fails.
-  Result<storage::ScrubReport> Scrub();
-
   /// Detect / repair / quarantine counters of the history table's tree.
   storage::IntegrityStats integrity_stats() const;
-
-  /// True once the underlying store has been quarantined; operations
-  /// return the stored Corruption status from then on.
-  bool quarantined() const;
 
  private:
   SqlHistoryStore() = default;

@@ -38,7 +38,7 @@ Status TransportDispatcher::DispatchResume(
   Envelope env;
   env.type = MessageType::kResumeRequest;
   env.src = kControlPlaneEndpoint;
-  env.dst = resolver_ ? resolver_(attempt) : options_.first_node;
+  env.dst = resolver_ ? resolver_(attempt) : kFirstNode;
   env.request_id = attempt.request_id;
   env.epoch = service_ != nullptr ? service_->epoch() : 0;
   env.sent_at = now;
@@ -144,8 +144,7 @@ void TransportDispatcher::Tick(EpochSeconds now) {
     // Register the fan-out set at the first tick's virtual time, so an
     // unseen node is neither healthy-forever nor instantly suspect.
     for (int i = 0; i < options_.num_nodes; ++i) {
-      health_->Register(options_.first_node + static_cast<EndpointId>(i),
-                        now);
+      health_->Register(kFirstNode + static_cast<EndpointId>(i), now);
     }
     health_registered_ = true;
   }
@@ -164,7 +163,7 @@ void TransportDispatcher::Tick(EpochSeconds now) {
     auto it = outstanding_.find(rid);
     if (it == outstanding_.end()) continue;  // resolved by an earlier resend
     Outstanding& o = it->second;
-    if (o.transmissions < options_.max_transmissions) {
+    if (o.transmissions < kMaxTransmissions) {
       ++stats_.retransmissions;
       ++o.transmissions;
       o.last_sent = now;
@@ -186,8 +185,7 @@ void TransportDispatcher::Tick(EpochSeconds now) {
   if (options_.lease_interval > 0 && now >= next_lease_at_) {
     next_lease_at_ = now + options_.lease_interval;
     for (int i = 0; i < options_.num_nodes; ++i) {
-      const EndpointId node =
-          options_.first_node + static_cast<EndpointId>(i);
+      const EndpointId node = kFirstNode + static_cast<EndpointId>(i);
       Envelope lease;
       lease.type = MessageType::kLeaseRenew;
       lease.src = kControlPlaneEndpoint;

@@ -27,12 +27,16 @@ namespace prorp::net {
 /// OnDispatchAck / OnDispatchTimeout.
 class TransportDispatcher {
  public:
+  /// Total transmissions (first send + retransmissions) before a
+  /// dispatch is reported timed out.
+  static constexpr int kMaxTransmissions = 4;
+  /// Node endpoints are [kFirstNode, kFirstNode + num_nodes); endpoint 0
+  /// is the control plane (kControlPlaneEndpoint).
+  static constexpr EndpointId kFirstNode = 1;
+
   struct Options {
     /// Resend an unanswered request after this long.
     DurationSeconds retransmit_after = 30;
-    /// Total transmissions (first send + retransmissions) before the
-    /// dispatch is reported timed out.
-    int max_transmissions = 4;
     /// Period of lease renewals to every node (0 disables).  Leases are
     /// liveness/epoch advertisements; with a nonzero lease_ttl (and a
     /// health tracker attached) they become the failure detector's
@@ -43,14 +47,12 @@ class TransportDispatcher {
     /// When a health tracker is attached, suspect and dead nodes get
     /// ttl=0 probes instead, so their fence-safe bound stops advancing.
     DurationSeconds lease_ttl = 0;
-    /// Node endpoints [first_node, first_node + num_nodes) for lease
-    /// fan-out.
-    EndpointId first_node = 1;
+    /// Nodes in the lease fan-out, from kFirstNode.
     int num_nodes = 1;
   };
 
   /// Maps an attempt to its destination endpoint (home node vs hedge
-  /// target).  Null routes everything to `first_node`.
+  /// target).  Null routes everything to kFirstNode.
   using NodeResolver =
       std::function<EndpointId(const controlplane::ResumeAttempt&)>;
 

@@ -48,7 +48,6 @@ enum class SimEventType : uint8_t {
   kSessionStart,     // subsequent customer login
   kTimer,            // lifecycle controller wait-condition re-check
   kResumeOpTick,     // periodic proactive resume operation
-  kScrubTick,        // periodic integrity scrub of SQL-backed histories
   kEviction,         // capacity-pressure reclamation attempt
   kResumeLatencyDone,  // reactive resume finished; resources usable
   kMeasureStart,     // KPI window begins: swap ledger/recorder
@@ -239,7 +238,6 @@ class FleetSimulation {
   Status HandleSessionEnd(const SimEvent& ev);
   Status HandleTimer(const SimEvent& ev);
   Status HandleResumeOpTick(const SimEvent& ev);
-  Status HandleScrubTick(const SimEvent& ev);
   Status HandleEviction(const SimEvent& ev);
   Status HandleResumeLatencyDone(const SimEvent& ev);
   void HandleMeasureStart(const SimEvent& ev);
@@ -319,7 +317,7 @@ class FleetSimulation {
   history::NullHistoryStore null_history_;
   std::vector<LifecycleController*> controllers_;  // null until created
   std::vector<history::HistoryStore*> history_;
-  /// Concrete views of SQL-backed stores (scrubber + integrity rollup);
+  /// Concrete views of SQL-backed stores (integrity rollup);
   /// allocated only when options_.sql_history_count > 0.
   std::vector<history::SqlHistoryStore*> sql_history_;
   std::vector<std::unique_ptr<history::SqlHistoryStore>> owned_sql_;
@@ -541,27 +539,12 @@ Status FleetSimulation::HandleResumeOpTick(const SimEvent& ev) {
     ++idle_ticks_held_;
     ++resume_ticks_skipped_;
   } else {
-    PRORP_RETURN_IF_ERROR(management_
-                              ->RunOnce(ev.time,
-                                        options_.use_sql_scan_for_resume_op,
-                                        idle_ticks_held_)
-                              .status());
+    PRORP_RETURN_IF_ERROR(
+        management_->RunOnce(ev.time, idle_ticks_held_).status());
     idle_ticks_held_ = 0;
   }
   PRORP_RETURN_IF_ERROR(plane_->MaybeCheckpoint());
   if (!last) Push(next, SimEventType::kResumeOpTick, 0, 0);
-  return Status::OK();
-}
-
-Status FleetSimulation::HandleScrubTick(const SimEvent& ev) {
-  for (history::SqlHistoryStore* store : sql_history_) {
-    if (store == nullptr || store->quarantined()) continue;
-    // A scrub failure must not kill the run: a dirty store repairs or
-    // quarantines itself, and the integrity counters record the outcome.
-    (void)store->Scrub();
-  }
-  EpochSeconds next = ev.time + options_.scrub_interval;
-  if (next < options_.end) Push(next, SimEventType::kScrubTick, 0, 0);
   return Status::OK();
 }
 
@@ -760,14 +743,14 @@ Status FleetSimulation::ExecuteFailoverPlacement(
 }
 
 void FleetSimulation::BuildTransport() {
-  // Real per-node endpoints: agent at endpoint i+1 serves node i.  The
+  // Real per-node endpoints: agent at endpoint i+1 serves node i
+  // (TransportDispatcher::kFirstNode is 1).  The
   // resolver routes each attempt to its home node, diverting a
   // declared-dead node's work to the next live endpoint (the executor
   // still re-warms on the node it actually runs on, and picks a hedge's
   // target itself).
   const int n = std::max(1, options_.num_nodes);
   net::TransportDispatcher::Options dopt;
-  dopt.first_node = 1;
   dopt.num_nodes = n;
   if (options_.failure_detection_enabled) {
     dopt.lease_interval = kLeaseInterval;
@@ -932,6 +915,9 @@ Result<SimReport> FleetSimulation::Run() {
     return Status::InvalidArgument(
         "SimOptions.use_legacy_event_heap must be false");
   }
+  if (options_.scrub_interval != 0) {
+    return Status::InvalidArgument("SimOptions.scrub_interval must be 0");
+  }
   if (options_.control_plane_crash_at > 0 &&
       options_.control_plane_journal_dir.empty()) {
     return Status::InvalidArgument(
@@ -1038,14 +1024,6 @@ Result<SimReport> FleetSimulation::Run() {
       Push(first, SimEventType::kMaintenanceTick, 0, 0);
     }
   }
-  if (options_.scrub_interval > 0 && options_.sql_history_count > 0) {
-    // Anchored to the earliest database: earlier ticks have nothing to
-    // scrub.
-    EpochSeconds first_scrub = earliest_start + options_.scrub_interval;
-    if (first_scrub < options_.end) {
-      Push(first_scrub, SimEventType::kScrubTick, 0, 0);
-    }
-  }
   if (options_.control_plane_crash_at > 0 &&
       options_.control_plane_crash_at < options_.end) {
     Push(options_.control_plane_crash_at, SimEventType::kControlPlaneCrash,
@@ -1105,9 +1083,6 @@ Result<SimReport> FleetSimulation::Run() {
           break;
         case SimEventType::kResumeOpTick:
           PRORP_RETURN_IF_ERROR(HandleResumeOpTick(ev));
-          break;
-        case SimEventType::kScrubTick:
-          PRORP_RETURN_IF_ERROR(HandleScrubTick(ev));
           break;
         case SimEventType::kEviction:
           PRORP_RETURN_IF_ERROR(HandleEviction(ev));

@@ -89,22 +89,21 @@ struct SimOptions {
   /// the in-memory one.  0 = all in-memory (the fast default).
   uint64_t sql_history_count = 0;
 
-  /// Period of the background integrity scrubber over the SQL-backed
-  /// history stores (0 disables).  Each tick checksum-verifies every page
-  /// and walks the B+tree invariants; a dirty store self-heals from
-  /// snapshot + WAL or is quarantined.  Counters land in the robustness
-  /// report.
+  /// Must be 0: the simulator runs no periodic scrub of its SQL-backed
+  /// history stores (RunFleetSimulation rejects any other value); a
+  /// store is scrubbed on demand through DurableTree::Scrub.  Deleted
+  /// once perfbench stops naming it.
   DurationSeconds scrub_interval = 0;
 
   /// Disables the control plane's proactive resume operation (ablation:
   /// proactive pause without proactive resume).
   bool proactive_resume_enabled = true;
 
-  /// Route Algorithm 5's selection through the literal SQL scan instead
-  /// of the ordered index (slow; for validation runs).  Only this path
-  /// opens the metadata store's sys.databases SQL mirror
-  /// (MetadataStore::Backing::kSqlMirrored); every other run keeps the
-  /// index alone.
+  /// Opens the metadata store with its sys.databases SQL mirror
+  /// (MetadataStore::Backing::kSqlMirrored), which then answers
+  /// Algorithm 5's selection through the literal SQL scan instead of the
+  /// ordered index (slow; for validation runs).  Every other run keeps
+  /// the index alone.
   bool use_sql_scan_for_resume_op = false;
 
   // --- Durable control plane (DESIGN.md section 10) ---

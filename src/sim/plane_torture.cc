@@ -64,15 +64,12 @@ ControlPlaneConfig TortureConfig(const PlaneTortureOptions& opt) {
   // within the run, long enough that max_attempts spans any outage — a
   // reactive workflow must never exhaust into an incident (that would be
   // an accepted-login loss the harness would rightly flag).
-  config.retry_backoff_base = 60;
   config.retry_backoff_cap = 240;
   config.breaker_window = 10;
-  config.breaker_failure_ratio = 0.5;
   config.breaker_open_duration = 300;
   config.queue_capacity = 32;
   config.admission_control_enabled = true;
   config.deadline_hedging_enabled = true;
-  config.deadline_reactive = 120;
   config.deadline_imminent = 600;
   config.storm_login_spike_threshold = opt.storm ? 16 : 0;
   config.storm_recovery_backlog = 8;
@@ -316,10 +313,8 @@ class Harness {
       const PlaneTortureOptions& opt) {
     TransportDispatcher::Options dopt;
     dopt.retransmit_after = 30;
-    dopt.max_transmissions = 4;
     dopt.lease_interval = opt.lease_interval;
     dopt.lease_ttl = opt.detection_enabled ? opt.lease_ttl : 0;
-    dopt.first_node = 1;
     dopt.num_nodes = opt.num_nodes;
     return dopt;
   }

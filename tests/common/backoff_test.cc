@@ -63,9 +63,9 @@ TEST(BackoffTest, GoldensMatchControlPlaneDefaults) {
   // The default golden table above is only a regression guard if the
   // shipped configuration still uses the captured parameters.
   ControlPlaneConfig cfg;
-  EXPECT_EQ(cfg.retry_backoff_base, 60);
+  EXPECT_EQ(ControlPlaneConfig::kRetryBackoffBase, 60);
   EXPECT_EQ(cfg.retry_backoff_cap, 480);
-  EXPECT_DOUBLE_EQ(cfg.retry_jitter_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(ControlPlaneConfig::kRetryJitterFraction, 0.25);
 }
 
 TEST(BackoffTest, NoJitterIsCappedPowerOfTwoSchedule) {

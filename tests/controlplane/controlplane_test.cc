@@ -83,27 +83,34 @@ TEST(MetadataStoreTest, ResumedDbLeavesResumeIndex) {
   EXPECT_TRUE(due->empty());
 }
 
+// A mirrored store selects through the SQL scan, an index-only store
+// through the index; given the same upserts they must agree.
 TEST(MetadataStoreTest, SqlScanMatchesIndexPath) {
-  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
-  ASSERT_TRUE(store.ok());
+  auto mirrored = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
+  auto index_only = MetadataStore::Open(MetadataStore::Backing::kIndexOnly);
+  ASSERT_TRUE(mirrored.ok());
+  ASSERT_TRUE(index_only.ok());
+  auto upsert = [&](telemetry::DbId db, DbState state, EpochSeconds pred) {
+    ASSERT_TRUE((*mirrored)->UpsertState(db, state, pred).ok());
+    ASSERT_TRUE((*index_only)->UpsertState(db, state, pred).ok());
+  };
   Rng rng(2024);
   for (telemetry::DbId db = 0; db < 500; ++db) {
     DbState state = static_cast<DbState>(rng.NextInt(0, 2));
     EpochSeconds pred = rng.NextBool(0.7) ? rng.NextInt(1000, 5000) : 0;
-    ASSERT_TRUE((*store)->UpsertState(db, state, pred).ok());
+    upsert(db, state, pred);
   }
   // Randomly update a third of them.
   for (int i = 0; i < 150; ++i) {
     telemetry::DbId db = static_cast<telemetry::DbId>(rng.NextInt(0, 499));
     DbState state = static_cast<DbState>(rng.NextInt(0, 2));
-    ASSERT_TRUE(
-        (*store)->UpsertState(db, state, rng.NextInt(1000, 5000)).ok());
+    upsert(db, state, rng.NextInt(1000, 5000));
   }
   for (EpochSeconds now = 900; now <= 5000; now += 137) {
-    auto fast = (*store)->SelectDueForResume(now, 60, 300);
-    auto sql = (*store)->SelectDueForResumeSql(now, 60, 300);
-    ASSERT_TRUE(fast.ok());
+    auto sql = (*mirrored)->SelectDueForResume(now, 60, 300);
+    auto fast = (*index_only)->SelectDueForResume(now, 60, 300);
     ASSERT_TRUE(sql.ok());
+    ASSERT_TRUE(fast.ok());
     // Same rows in the same (predicted start, id) order.
     EXPECT_EQ(*fast, *sql) << "at now=" << now;
   }
@@ -157,6 +164,7 @@ TEST_F(ManagementServiceTest, ResumesDueDatabases) {
   EXPECT_EQ(service.total_resumed(), 1u);
 }
 
+// A mirrored store answers Algorithm 5's selection through the SQL scan.
 TEST_F(ManagementServiceTest, SqlScanPathWorksToo) {
   auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
   ASSERT_TRUE(store.ok());
@@ -171,7 +179,7 @@ TEST_F(ManagementServiceTest, SqlScanPathWorksToo) {
                   ->UpsertState(9, DbState::kPhysicallyPaused,
                                 now + Minutes(5) + 10)
                   .ok());
-  auto n = service.RunOnce(now, /*use_sql_scan=*/true);
+  auto n = service.RunOnce(now);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
 }
@@ -294,9 +302,7 @@ TEST_F(ManagementServiceTest, FailedThenStateChangedIsDroppedOnce) {
 
 TEST_F(ManagementServiceTest, BackoffScheduleIsExponentialCappedJittered) {
   ControlPlaneConfig cfg = Config();
-  cfg.retry_backoff_base = 60;   // seconds
   cfg.retry_backoff_cap = 480;
-  cfg.retry_jitter_fraction = 0.25;
   ManagementService service(metadata_.get(), cfg,
                             [](const ResumeAttempt&, EpochSeconds) {
                               return Status::OK();
@@ -321,7 +327,6 @@ TEST_F(ManagementServiceTest, BackoffScheduleIsExponentialCappedJittered) {
 TEST_F(ManagementServiceTest, BreakerOpensShedsThenRecovers) {
   ControlPlaneConfig cfg = Config();
   cfg.breaker_window = 4;
-  cfg.breaker_failure_ratio = 0.5;
   cfg.breaker_open_duration = Minutes(5);
   cfg.breaker_half_open_probes = 2;
   bool healthy = false;
@@ -379,7 +384,6 @@ TEST_F(ManagementServiceTest, BreakerOpensShedsThenRecovers) {
 TEST_F(ManagementServiceTest, FailedHalfOpenProbeReopensBreaker) {
   ControlPlaneConfig cfg = Config();
   cfg.breaker_window = 2;
-  cfg.breaker_failure_ratio = 0.5;
   cfg.breaker_open_duration = Minutes(5);
   cfg.breaker_half_open_probes = 1;
   uint64_t calls = 0;

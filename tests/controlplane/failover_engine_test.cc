@@ -31,7 +31,6 @@ ControlPlaneConfig SmallConfig() {
   ControlPlaneConfig config;
   config.prewarm_interval = 300;
   config.resume_operation_period = 60;
-  config.retry_backoff_base = 60;
   config.retry_backoff_cap = 240;
   config.queue_capacity = 16;
   config.admission_control_enabled = true;

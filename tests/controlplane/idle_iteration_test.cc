@@ -402,7 +402,7 @@ LockstepStats RunLockstep(const Scenario& s) {
       ++held;
       ++stats.skipped;
     } else {
-      Result<uint64_t> rb = skipping.svc().RunOnce(tick, false, held);
+      Result<uint64_t> rb = skipping.svc().RunOnce(tick, held);
       ++stats.runs;
       EXPECT_EQ(ra.status().code(), rb.status().code())
           << s.name << " tick " << i;
@@ -424,7 +424,7 @@ LockstepStats RunLockstep(const Scenario& s) {
   // The last tick always runs, so the final states match byte for byte.
   const EpochSeconds last = kT0 + s.ticks * kPeriod;
   Result<uint64_t> ra = every.svc().RunOnce(last);
-  Result<uint64_t> rb = skipping.svc().RunOnce(last, false, held);
+  Result<uint64_t> rb = skipping.svc().RunOnce(last, held);
   EXPECT_TRUE(ra.ok() && rb.ok()) << s.name;
   EXPECT_EQ(every.CheckpointBytes(), skipping.CheckpointBytes()) << s.name;
   EXPECT_TRUE(skipping.svc().AccountingReconciles()) << s.name;
@@ -437,7 +437,6 @@ ControlPlaneConfig BaseConfig() {
   ControlPlaneConfig config;
   config.prewarm_interval = Minutes(5);
   config.resume_operation_period = kPeriod;
-  config.retry_backoff_base = 60;
   config.retry_backoff_cap = 480;
   return config;
 }
@@ -455,7 +454,6 @@ Scenario HedgingWire() {
   s.name = "hedging_wire";
   s.config = BaseConfig();
   s.config.deadline_hedging_enabled = true;
-  s.config.deadline_reactive = Minutes(2);
   s.config.deadline_imminent = Minutes(4);
   s.pending_pct = 30;
   s.seed = 12;
@@ -507,7 +505,6 @@ Scenario Mixed(const std::string& name) {
   s.name = name;
   s.config = BaseConfig();
   s.config.deadline_hedging_enabled = true;
-  s.config.deadline_reactive = Minutes(2);
   s.config.deadline_imminent = Minutes(4);
   s.config.queue_capacity = 8;
   s.config.admission_control_enabled = true;

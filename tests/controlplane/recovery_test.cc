@@ -42,7 +42,6 @@ ControlPlaneConfig SmallConfig() {
   ControlPlaneConfig config;
   config.prewarm_interval = 300;
   config.resume_operation_period = 60;
-  config.retry_backoff_base = 60;
   config.retry_backoff_cap = 240;
   config.queue_capacity = 16;
   config.admission_control_enabled = true;
@@ -372,13 +371,13 @@ TEST(DurableControlPlaneTest, IdleIterationCountReplaysByAddition) {
                     ->metadata()
                     .UpsertState(7, DbState::kPhysicallyPaused, kT0 + 960)
                     .ok());
-    ASSERT_TRUE(svc.RunOnce(kT0 + 60, false, 0).ok());
+    ASSERT_TRUE(svc.RunOnce(kT0 + 60, 0).ok());
     ASSERT_TRUE((*plane)->Checkpoint().ok());
     // Ten idle ticks, then the tick that selects database 7.
-    auto r = svc.RunOnce(kT0 + 660, false, 10);
+    auto r = svc.RunOnce(kT0 + 660, 10);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(*r, 1u);
-    ASSERT_TRUE(svc.RunOnce(kT0 + 900, false, 3).ok());
+    ASSERT_TRUE(svc.RunOnce(kT0 + 900, 3).ok());
     EXPECT_EQ(svc.diagnostics().observed_iterations, 16u);
     ASSERT_TRUE(SaveCheckpoint(dir + "/live.bin", (*plane)->metadata(), svc,
                                1, 1)
@@ -849,7 +848,6 @@ TEST(DurableControlPlaneTest, OpenBreakerSurvivesCrashOpen) {
   opt.dir = dir;
   opt.config = SmallConfig();
   opt.config.breaker_window = 4;
-  opt.config.breaker_failure_ratio = 0.5;
   opt.config.breaker_open_duration = 600;
   opt.max_attempts = 10;
   bool fail_all = true;

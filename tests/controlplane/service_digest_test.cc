@@ -275,7 +275,6 @@ ControlPlaneConfig BaseConfig() {
   ControlPlaneConfig config;
   config.prewarm_interval = 300;
   config.resume_operation_period = 60;
-  config.retry_backoff_base = 60;
   config.retry_backoff_cap = 240;
   config.deadline_hedging_enabled = true;
   return config;
@@ -293,7 +292,6 @@ Digests InlineScenario(std::set<JournalEvent>* seen) {
   config.admission_control_enabled = true;
   config.catch_up_enabled = true;
   config.breaker_window = 4;
-  config.breaker_failure_ratio = 0.5;
   config.breaker_open_duration = 180;
   config.breaker_half_open_probes = 2;
   config.storm_due_burst_threshold = 5;

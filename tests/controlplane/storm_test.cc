@@ -72,10 +72,9 @@ TEST_F(StormServiceTest, DrainsInStrictClassPriorityOrder) {
 
 TEST_F(StormServiceTest, BoundedQueueEvictsTheLowestClassFirst) {
   ControlPlaneConfig cfg = BaseConfig();
-  cfg.admission_control_enabled = true;
+  // Admission control stays off, so the brownout level stays 0 and the
+  // capacity bound is isolated.
   cfg.queue_capacity = 2;
-  // Disable the brownout ladder so the capacity bound is isolated.
-  cfg.brownout_l1 = cfg.brownout_l2 = cfg.brownout_l3 = 10.0;
   ManagementService service(
       metadata_.get(), cfg,
       ManagementService::ResumeCallback(
@@ -139,6 +138,52 @@ TEST_F(StormServiceTest, BrownoutLadderShedsLowClassesAndSparesReactive) {
   EXPECT_EQ(service.diagnostics().cls(ResumeClass::kReactiveLogin).shed(),
             0u);
   EXPECT_TRUE(service.AccountingReconciles());
+}
+
+// The fixed brownout thresholds (0.50 / 0.75 / 0.95 of queue_capacity)
+// at their boundaries, and the fixed per-class deadlines.
+TEST_F(StormServiceTest, BrownoutLevelsAndDeadlinesAtTheirBoundaries) {
+  ControlPlaneConfig cfg = BaseConfig();
+  cfg.admission_control_enabled = true;
+  cfg.queue_capacity = 20;
+  cfg.breaker_window = 100;  // every attempt fails; keep the breaker shut
+  ManagementService service(
+      metadata_.get(), cfg,
+      ManagementService::ResumeCallback(
+          [&](const ResumeAttempt&, EpochSeconds) {
+            return Status::Unavailable("resume path degraded");
+          }),
+      /*max_attempts=*/10);
+  for (DbId db = 1; db <= 10; ++db) ASSERT_TRUE(Paused(db, 0).ok());
+  for (DbId db = 11; db <= 15; ++db) {
+    ASSERT_TRUE(Paused(db, kT0 + Minutes(5) + 30).ok());
+  }
+  for (DbId db = 16; db <= 19; ++db) {
+    ASSERT_TRUE(Paused(db, kT0 + 60 + Minutes(5) + 30).ok());
+  }
+  for (DbId db = 1; db <= 9; ++db) {
+    ASSERT_TRUE(service.EnqueueMaintenance(db, kT0).ok());
+  }
+  EXPECT_EQ(service.brownout_level(), 0);  // occupancy 9/20
+  ASSERT_TRUE(service.EnqueueMaintenance(10, kT0).ok());
+  EXPECT_EQ(service.brownout_level(), 1);  // 10/20
+  // Failed attempts keep every item queued.
+  ASSERT_TRUE(service.RunOnce(kT0).ok());
+  EXPECT_EQ(service.queued(ResumeClass::kImminentProactive), 5u);
+  EXPECT_EQ(service.brownout_level(), 2);  // 15/20
+  ASSERT_TRUE(service.RunOnce(kT0 + 60).ok());
+  EXPECT_EQ(service.queued(ResumeClass::kMaintenance), 10u);
+  EXPECT_EQ(service.queued(ResumeClass::kImminentProactive), 9u);
+  EXPECT_EQ(service.brownout_level(), 3);  // 19/20
+  EXPECT_EQ(service.breaker_state(), BreakerState::kClosed);
+  EXPECT_TRUE(service.AccountingReconciles());
+
+  EXPECT_EQ(service.DeadlineFor(ResumeClass::kReactiveLogin), Minutes(2));
+  EXPECT_EQ(service.DeadlineFor(ResumeClass::kImminentProactive),
+            cfg.deadline_imminent);
+  EXPECT_EQ(service.DeadlineFor(ResumeClass::kSpeculativeProactive),
+            Hours(1));
+  EXPECT_EQ(service.DeadlineFor(ResumeClass::kMaintenance), Hours(4));
 }
 
 TEST_F(StormServiceTest, ReactiveIsNeverBoundedByQueueCapacity) {
@@ -285,7 +330,6 @@ TEST_F(StormServiceTest, DueBurstStormSlowStartsTheBacklog) {
   cfg.storm_login_spike_threshold = 0;
   cfg.storm_recovery_backlog = 0;
   cfg.slow_start_initial_quota = 1;
-  cfg.slow_start_jitter_fraction = 0;
   uint64_t attempts = 0;
   ManagementService service(
       metadata_.get(), cfg,
@@ -327,7 +371,6 @@ TEST_F(StormServiceTest, LoginSpikeTriggersAStormButNeverGatesReactive) {
   cfg.storm_login_spike_threshold = 3;
   cfg.storm_recovery_backlog = 0;
   cfg.slow_start_initial_quota = 1;
-  cfg.slow_start_jitter_fraction = 0;
   ManagementService service(
       metadata_.get(), cfg,
       ManagementService::ResumeCallback(
@@ -362,9 +405,7 @@ TEST_F(StormServiceTest, BreakerOpensMidStormAndHalfOpenProbesRespectQuota) {
   cfg.storm_recovery_backlog = 0;
   cfg.slow_start_initial_quota = 1;
   cfg.slow_start_quota_cap = 2;  // quota binds below the probe budget
-  cfg.slow_start_jitter_fraction = 0;
   cfg.breaker_window = 4;
-  cfg.breaker_failure_ratio = 0.5;
   cfg.breaker_open_duration = 120;
   cfg.breaker_half_open_probes = 5;
   bool fail_mode = true;
@@ -443,9 +484,7 @@ TEST_F(StormServiceTest, RecoveryBacklogTriggersOnceAndCooldownHolds) {
   cfg.storm_recovery_backlog = 2;
   cfg.storm_cooldown = Minutes(30);
   cfg.slow_start_initial_quota = 4;
-  cfg.slow_start_jitter_fraction = 0;
   cfg.breaker_window = 2;
-  cfg.breaker_failure_ratio = 0.5;
   cfg.breaker_open_duration = 60;
   cfg.breaker_half_open_probes = 1;
   bool fail_mode = true;
@@ -516,7 +555,6 @@ TEST_F(StormServiceTest, CatchUpSweepClassifiesMissedPrewarms) {
   cfg.storm_login_spike_threshold = 1;
   cfg.storm_recovery_backlog = 0;
   cfg.slow_start_initial_quota = 8;
-  cfg.slow_start_jitter_fraction = 0;
   ManagementService service(
       metadata_.get(), cfg,
       ManagementService::ResumeCallback(
@@ -589,7 +627,6 @@ TEST_F(StormServiceTest, DeadlineHedgeBypassesBackoffAndIsSpentOnce) {
 TEST_F(StormServiceTest, WatchdogHedgesAnInFlightReactiveResume) {
   ControlPlaneConfig cfg = BaseConfig();
   cfg.deadline_hedging_enabled = true;
-  cfg.deadline_reactive = Minutes(2);
   uint64_t hedges = 0;
   ManagementService service(
       metadata_.get(), cfg,
@@ -653,10 +690,7 @@ TEST_F(StormServiceTest, PerClassInvariantHoldsUnderChaos) {
   cfg.storm_login_spike_threshold = 4;
   cfg.storm_recovery_backlog = 4;
   cfg.storm_cooldown = Minutes(5);
-  cfg.deadline_reactive = Minutes(2);
   cfg.deadline_imminent = Minutes(5);
-  cfg.deadline_speculative = Minutes(10);
-  cfg.deadline_maintenance = Minutes(15);
   cfg.breaker_window = 6;
   cfg.breaker_open_duration = Minutes(2);
   Rng rng(7);
@@ -714,6 +748,11 @@ TEST_F(StormServiceTest, PerClassInvariantHoldsUnderChaos) {
   }
   const DiagnosticsReport& d = service.diagnostics();
   EXPECT_EQ(d.cls(ResumeClass::kReactiveLogin).shed(), 0u);
+  // The watchdog hedged under the fixed reactive deadline and the tuned
+  // imminent one.  Speculative and maintenance work never outlives its
+  // class deadline here, not even at 10 and 15 minutes.
+  EXPECT_GT(d.cls(ResumeClass::kReactiveLogin).hedged, 0u);
+  EXPECT_GT(d.cls(ResumeClass::kImminentProactive).hedged, 0u);
   EXPECT_GT(d.queue_wait.count(), 0u);
   EXPECT_TRUE(service.AccountingReconciles());
 }

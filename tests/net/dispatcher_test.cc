@@ -69,11 +69,9 @@ struct Fixture {
 
   static ControlPlaneConfig Config(bool hedging = false) {
     ControlPlaneConfig config;
-    config.retry_backoff_base = 60;
     config.retry_backoff_cap = 240;
     config.queue_capacity = 32;
     config.deadline_hedging_enabled = hedging;
-    config.deadline_reactive = 120;
     return config;
   }
 
@@ -172,7 +170,6 @@ TEST(TransportDispatcherTest, ExhaustedTransmissionsAreUnackedNotFailed) {
   FaultInjectingTransport transport(&plan);
   TransportDispatcher::Options dopt;
   dopt.retransmit_after = 30;
-  dopt.max_transmissions = 4;
   Fixture f(&transport, dopt);
   f.StartService(Fixture::Config());
 
@@ -354,7 +351,6 @@ TEST(TransportDispatcherTest, LeaseRenewalsAdvertiseTheEpochToEveryNode) {
   InProcessTransport transport;
   TransportDispatcher::Options dopt;
   dopt.lease_interval = 300;
-  dopt.first_node = 1;
   dopt.num_nodes = 2;
   Fixture f(&transport, dopt);
   NodeAgent second(2, &transport,
